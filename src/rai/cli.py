@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -37,9 +38,10 @@ class ParseFailure(Exception):
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     """Delimited text with a header row; comma or tab, sniffed from the
-    header.  Any non-numeric or missing cell is a hard error."""
+    header.  A UTF-8 byte order mark is skipped.  Duplicate column names
+    and any non-numeric or missing cell are hard errors."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             first = fh.readline()
             if not first.strip():
                 raise ParseFailure(f"{path}: empty file")
@@ -47,6 +49,10 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             fh.seek(0)
             reader = csv.reader(fh, delimiter=delim)
             header = [h.strip() for h in next(reader)]
+            repeated = sorted(h for h, k in Counter(header).items() if k > 1)
+            if repeated:
+                raise ParseFailure(
+                    f"{path}: duplicate column names: {', '.join(repeated)}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):

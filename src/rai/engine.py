@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstantInteraction, NoFinitePass
-from .kernel import COLLINEARITY_TOL, Dataset, ModelState, _t_from_rho
+from .kernel import (COLLINEARITY_TOL, SCREEN_MARGIN, Dataset, ModelState,
+                     Screen)
 from .terms import (FeatureTerm, generate_candidates, realize_with_stats,
                     term_column)
 from .wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT, WealthLedger,
@@ -43,6 +44,7 @@ TERMINATED_PASSES = "max_passes"
 TERMINATED_STREAM = "stream_exhausted"
 
 _UNRESOLVED = object()
+_PENDING = object()     # a queued term whose column is not realized yet
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,8 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     the threshold comparison; a candidate is only attempted when wealth
     covers its alpha, a collinear or constant candidate is dropped
     without spending, and the threshold itself is strict.
-    `column=None` marks a term whose realized column is constant.
+    `column=None` marks a term whose realized column is constant; a
+    column holding NaN or inf is dropped the same way.
     """
     if ledger.wealth < alpha:
         return HALTED_WEALTH, state, None
@@ -154,20 +157,14 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
             column = term_column(state.dataset, term)
         except ConstantInteraction:
             column = None
-    if column is None:
+    if column is None or not np.isfinite(column).all():
         return REMOVED_COLLINEAR, state, None
     adj = state.adjusted_vector(column)
     nrm = float(np.linalg.norm(adj))
     if nrm <= collinearity_tol:
         return REMOVED_COLLINEAR, state, None
     ledger.spend(alpha, term.key, pass_index)
-    rnorm = float(np.linalg.norm(state.residual))
-    if rnorm < 1e-15:
-        rho = 0.0
-    else:
-        rho = float(np.dot(state.residual, adj) / (rnorm * nrm))
-        rho = min(1.0, max(-1.0, rho))
-    t = _t_from_rho(rho, state.df)
+    _, t = state.score_adjusted(adj, nrm)
     if abs(t) > tlvl:
         ledger.earn(term.key)
         return REJECTED, state.add_adjusted(adj, term), abs(t)
@@ -209,39 +206,60 @@ def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
     return s_prime, False, charged
 
 
-def run_rai(dataset: Dataset, config: RaiConfig | None = None,
-            generator=None) -> tuple[ModelState, SelectionTrace]:
+def _rescore_top(known_t: dict, slots: list, screened: list, low: list,
+                 high: list, state: ModelState, screen: Screen) -> None:
+    """Make the largest |t| in known_t exact.
+
+    `slots` holds the screen slot of each known_t entry, in order, and
+    `screened[slot]` says whether its |t| came from the screen, with
+    bounds low[slot] and high[slot].  skip_passes reads only the largest
+    |t|, so exact scores for every screened entry whose bounds reach the
+    largest lower bound make the jump exact.  A high bound of 0 is
+    already exact.
+    """
+    floor = max((low[slot] if screened[slot] else t)
+                for t, slot in zip(known_t.values(), slots))
+    for (term, t), slot in zip(list(known_t.items()), slots):
+        if screened[slot] and high[slot] >= floor and high[slot] > 0.0:
+            known_t[term] = abs(state.score_vector(screen.column(slot))[2])
+
+
+def run_rai(dataset: Dataset,
+            config: RaiConfig | None = None) -> tuple[ModelState, SelectionTrace]:
     """Run the full multi-pass selection over the dataset's columns.
 
-    `generator(selected_terms, newly_added)` is consulted after every
-    rejection and may return extra candidate terms; passing
-    config.interactions=True installs the product generator.  Returns
-    the final model state (selected entries are FeatureTerms) and the
-    full trace.
+    With config.interactions set, every rejection appends the products
+    of the new term with the model (`generate_candidates`) to the
+    stream.  Returns the final model state (selected entries are
+    FeatureTerms) and the full trace.
+
+    Each pass is screened in bulk: a Screen scores every remaining
+    candidate from cached inner products, and candidates it places
+    safely below the threshold are charged and recorded as not
+    rejected without further arithmetic.  Every other candidate (near
+    or above the threshold, nearly collinear, constant or non-finite)
+    goes through `test_candidate`, so each decision, basis vector and
+    residual comes from the exact scalar path.
     """
     if config is None:
         config = RaiConfig()
     n = dataset.n
     max_passes = config.resolve_max_passes(n)
+    tol = config.collinearity_tol
     ledger = WealthLedger(config.initial_wealth, config.payout)
     trace = SelectionTrace(ledger=ledger)
     stream = FeatureStream(FeatureTerm.marginal(j) for j in range(dataset.p))
+    queue = stream.queue
     state = ModelState.empty(dataset)
-    if generator is None and config.interactions:
-        def generator(selected, newly_added):
-            return generate_candidates(
-                selected, newly_added,
-                max_order=config.max_interaction_order)
+    screen = Screen(dataset)
+    # screen slot of each queued term; None marks a constant column
+    slots: list = list(range(dataset.p))
 
-    columns: dict = {}
-
-    def column_for(term: FeatureTerm):
-        if term.key not in columns:
-            try:
-                columns[term.key] = term_column(dataset, term)
-            except ConstantInteraction:
-                columns[term.key] = None
-        return columns[term.key]
+    def realized(term: FeatureTerm):
+        try:
+            return term_column(dataset, term)
+        except ConstantInteraction:
+            return None
 
     termination = None
     s = 1
@@ -250,18 +268,38 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
         tlvl, alpha = pass_parameters(n, s)
         known_t: dict[FeatureTerm, float] = {}
         rejected_any = False
+        safe = None
         i = 0
-        while i < len(stream):
-            if state.df < 1:
-                # saturated model: nothing further is testable
-                termination = TERMINATED_STREAM
-                break
-            term = stream.queue[i]
+        while i < len(queue):
+            if slots[i] is _PENDING:
+                # terms appended since the last realization fill the tail;
+                # realize only as many as the wealth pays tests for, so a
+                # run that halts never realizes the rest
+                count = min(len(queue) - i, int(ledger.wealth / alpha) + 1)
+                slots[i:i + count] = screen.add_columns(
+                    (realized(term) for term in queue[i:i + count]), count)
+                safe = None
+            if safe is None:
+                # scores change only when the model grows
+                if state.df < 1:
+                    # saturated model: nothing further is testable
+                    termination = TERMINATED_STREAM
+                    break
+                t_all, t_low, t_high = screen.t_abs(state.df, tol)
+                safe = (t_high <= tlvl * (1.0 - SCREEN_MARGIN)).tolist()
+                t_all, t_low, t_high = (
+                    t_all.tolist(), t_low.tolist(), t_high.tolist())
+            term = queue[i]
+            slot = slots[i]
             before = ledger.wealth
-            decision, state, t_abs = test_candidate(
-                state, ledger, term, tlvl, alpha, pass_index=s,
-                column=column_for(term),
-                collinearity_tol=config.collinearity_tol)
+            if slot is not None and safe[slot] and before >= alpha:
+                ledger.spend(alpha, term.key, s)
+                decision, t_abs = NOT_REJECTED, t_all[slot]
+            else:
+                decision, state, t_abs = test_candidate(
+                    state, ledger, term, tlvl, alpha, pass_index=s,
+                    column=None if slot is None else screen.column(slot),
+                    collinearity_tol=tol)
             trace.tests.append(TestRecord(
                 s, term, t_abs, tlvl, alpha, before, ledger.wealth, decision))
             if decision == HALTED_WEALTH:
@@ -269,13 +307,20 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
                 break
             if decision == REMOVED_COLLINEAR:
                 stream.remove_at(i)
+                del slots[i]
                 continue
             if decision == REJECTED:
                 stream.remove_at(i)
+                del slots[i]
                 rejected_any = True
-                if generator is not None:
-                    for cand in generator(state.selected, term):
-                        stream.append(cand)
+                screen.sync(state)
+                if config.interactions:
+                    for cand in generate_candidates(
+                            state.selected, term,
+                            max_order=config.max_interaction_order):
+                        if stream.append(cand):
+                            slots.append(_PENDING)
+                safe = None
                 continue
             known_t[term] = t_abs
             i += 1
@@ -285,6 +330,11 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
+            if known_t:
+                # known_t holds the whole queue in order, and no rejection
+                # has changed the scores since `safe` was computed
+                _rescore_top(known_t, slots, safe, t_low, t_high, state,
+                             screen)
             before = ledger.wealth
             try:
                 s_next, halted, charged = skip_passes(

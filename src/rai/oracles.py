@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (AllSubsetsSingular, BudgetExceeded, SingularStep,
                      SingularSubset)
-from .kernel import COLLINEARITY_TOL, Dataset, ModelState, r_squared_of
+from .kernel import (COLLINEARITY_TOL, Dataset, ModelState, Screen,
+                     r_squared_of)
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 ENUM_BUDGET_ENV = "RAI_ENUM_BUDGET"
@@ -57,13 +58,18 @@ def forward_stepwise(dataset: Dataset, k: int | None = None,
     if k is not None and not 0 <= k <= dataset.p:
         raise ValueError(f"k must lie in [0, {dataset.p}]")
     state = ModelState.empty(dataset)
+    screen = Screen(dataset)
+    live = np.ones(dataset.p, dtype=bool)
     path: list[int] = []
     limit = dataset.p if k is None else k
     while len(path) < limit:
+        # gain = rho^2 ||r||^2, so the screen's rho bounds pick the few
+        # columns that can win; their exact Gram-Schmidt gains decide,
+        # lowest index on ties
+        _, low, high = screen.rho_bounds(tol)
+        contenders = live & ~(high < np.max(low[live]))
         best_j, best_gain, best_adj = -1, -np.inf, None
-        for j in range(dataset.p):
-            if j in path:
-                continue
+        for j in np.flatnonzero(contenders).tolist():
             adj = state.adjusted_vector(dataset.columns[:, j])
             nrm = float(np.linalg.norm(adj))
             if nrm <= tol:
@@ -77,6 +83,8 @@ def forward_stepwise(dataset: Dataset, k: int | None = None,
                     f"no addable column at step {len(path) + 1}")
             break
         state = state.add_adjusted(best_adj, best_j)
+        screen.sync(state)
+        live[best_j] = False
         path.append(best_j)
     if k is not None:
         return path

@@ -96,6 +96,32 @@ def expected_true_term_t(n, k, target_r2):
     return t_star, sd
 
 
+def expected_true_model_r2(n, k, target_r2):
+    """Centre and spread of the OLS R^2 of y on the k true monomials.
+
+    The simulator fixes the sample signal variance v of the mean
+    surface so that v / (v + 1) = target_r2 (call it R^2); only the
+    unit-variance noise e varies.  With mu centered,
+
+        1 - R^2_ols = e'(I - H) e / ((n - 1) v + 2 mu'e + e'C e).
+
+    The noise-variance estimate in the numerator and the e'Ce term in
+    the denominator move together (relative sd sqrt(2 / n) each), and
+    2 mu'e / (n - 1) has variance 4 v / (n - 1).  The delta method then
+    gives a relative variance of 1 - R^2_ols of
+    (2 R^4 + 4 R^2 (1 - R^2)) / n, so
+
+        sd(R^2_ols) ~= (1 - R^2) sqrt(2 R^2 (2 - R^2) / n),
+
+    and fitting k columns to the noise lifts the centre by
+    (1 - R^2) k / (n - 1).  Returns (centre, sd).
+    """
+    r2 = target_r2
+    centre = r2 + (1.0 - r2) * k / (n - 1)
+    sd = (1.0 - r2) * math.sqrt(2.0 * r2 * (2.0 - r2) / n)
+    return centre, sd
+
+
 def random_raw(seed, n, p, correlated=False):
     """Raw design and response with planted signal on the first columns."""
     rng = np.random.default_rng(seed)

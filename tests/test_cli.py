@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -91,6 +92,27 @@ class TestReadTable:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParseFailure, match="cannot read"):
             _read_table(str(tmp_path / "nope.csv"))
+
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        path, _, _ = signal_file(tmp_path)
+        plain = path.read_bytes()
+        path.write_bytes(b"\xef\xbb\xbf" + plain)
+        header, _ = _read_table(str(path))
+        assert header == ["a", "b", "c", "d", "y"]
+        # the first column is also the response column a BOM used to hide
+        code = main(["select", str(path), "--response", "a"])
+        assert code == EXIT_OK
+        assert "selection report" in capsys.readouterr().out
+
+    def test_duplicate_names_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,a,c,b,y\n1,2,3,4,5,6\n2,3,4,5,6,8\n")
+        with pytest.raises(ParseFailure, match="duplicate column names: a, b"):
+            _read_table(str(path))
+        code = main(["select", str(path), "--response", "y"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "a, b" in err
 
 
 class TestSelect:
@@ -263,6 +285,26 @@ class TestSimulateCmd:
         bytes_b, body_b = self.run_global_null(tmp_path, capsys, "b.jsonl")
         assert bytes_a == bytes_b
         assert body_a == body_b
+
+    @pytest.mark.parametrize("method, n, p", [("rai_interactions", 1000, 30),
+                                              ("stepwise_aic", 600, 40)])
+    def test_output_independent_of_blas_threads(self, tmp_path, method, n, p):
+        # the products the screen caches are large enough for OpenBLAS to
+        # split over threads; decisions and residuals must not notice
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.jsonl"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "rai", "simulate", "--scenario",
+                 "four_interactions", "--n", str(n), "--p", str(p),
+                 "--reps", "2", "--seed", "5", "--method", method,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_null_mfdr_stays_controlled(self, capsys):
         code = main(["simulate", "--scenario", "global_null", "--n", "60",

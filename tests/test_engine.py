@@ -98,6 +98,43 @@ class TestTestCandidate:
         assert decision == REMOVED_COLLINEAR
         assert led.events == ()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_removed_without_spend(self, bad):
+        state = self.state.add_feature(1)
+        column = self.ds.columns[:, 0].copy()
+        column[3] = bad
+        led = WealthLedger()
+        decision, after, t = test_candidate(
+            state, led, self.term, tlvl=1.0, alpha=0.01, pass_index=1,
+            column=column)
+        assert decision == REMOVED_COLLINEAR
+        assert t is None
+        assert led.events == () and led.wealth == 0.25
+        assert after is state
+        assert all(np.all(np.isfinite(q)) for q in after.basis)
+
+    def test_non_finite_interaction_never_rejected(self, monkeypatch):
+        # the batched screen must hand a non-finite column to the exact
+        # path, which drops it; realization is patched to produce one
+        rng = np.random.default_rng(8)
+        X = rng.normal(1.0, 1.0, size=(200, 3))
+        y = X[:, 0] + 3.0 * X[:, 0] * X[:, 1] + rng.normal(size=200)
+        ds = standardize(X, y)
+        realize = rai.engine.term_column
+
+        def poisoned(dataset, term):
+            col = realize(dataset, term)
+            return np.full_like(col, np.nan) if term.order > 1 else col
+
+        monkeypatch.setattr(rai.engine, "term_column", poisoned)
+        state, trace = run_rai(ds, RaiConfig(interactions=True))
+        recs = [rec for rec in trace.tests if rec.term.order > 1]
+        assert recs
+        assert all(rec.decision == REMOVED_COLLINEAR for rec in recs)
+        assert all(rec.wealth_after == rec.wealth_before for rec in recs)
+        assert all(t.order == 1 for t in state.selected)
+        assert np.all(np.isfinite(state.residual))
+
 
 class TestSkipPasses:
 

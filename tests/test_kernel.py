@@ -6,7 +6,7 @@ import rai
 from rai import Dataset, ModelState, standardize
 from rai.errors import (AllColumnsConstant, CollinearFeature,
                         ConstantResponse, InsufficientDf, SingularSubset)
-from rai.kernel import COLLINEARITY_TOL, T_STAT_MAX
+from rai.kernel import COLLINEARITY_TOL, T_STAT_MAX, Screen
 
 from conftest import (ols_fit, ols_r2, ols_t_stats, projected_gain,
                       projector_r2, random_raw)
@@ -378,3 +378,56 @@ class TestKernelProperties:
         for j in order:
             state = state.add_feature(int(j))
         np.testing.assert_allclose(state.r_squared, target, atol=1e-8)
+
+
+class TestScreen:
+
+    @given(seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_bounds_hold_exact_scores(self, seed):
+        """Screened |rho| and |t| bracket the Gram-Schmidt values, for
+        dataset columns and for appended columns alike."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 120))
+        p = int(rng.integers(3, 12))
+        X, y = random_raw(seed, n, p, correlated=bool(seed % 2))
+        ds = standardize(X, y)
+        state = ModelState.empty(ds)
+        screen = Screen(ds)
+        extra = rng.normal(size=(3, n))
+        extra -= extra.mean(axis=1, keepdims=True)
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        half = int(rng.integers(0, 3))
+        screen.add_columns(extra[:half], half)
+        for j in rng.permutation(ds.p)[:min(3, ds.p - 1)]:
+            state = state.add_feature(int(j))
+            screen.sync(state)
+        screen.add_columns(extra[half:], 3 - half)
+        rho, low, high = screen.rho_bounds()
+        t, t_low, t_high = screen.t_abs(state.df)
+        for slot in range(ds.p + 3):
+            column = screen.column(slot)
+            nrm, exact_rho, exact_t = state.score_vector(column)
+            if nrm ** 2 < 1e-3:
+                continue   # in the span: the screen need not resolve it
+            assert low[slot] <= abs(exact_rho) <= high[slot]
+            assert t_low[slot] <= abs(exact_t) <= t_high[slot]
+            assert rho[slot] == pytest.approx(abs(exact_rho), rel=1e-9,
+                                              abs=1e-12)
+            assert t[slot] == pytest.approx(abs(exact_t), rel=1e-9,
+                                            abs=1e-12)
+
+    def test_unresolvable_and_non_finite_slots_stay_open(self, small_dataset):
+        state = ModelState.empty(small_dataset).add_feature(0)
+        screen = Screen(small_dataset)
+        screen.sync(state)
+        bad = small_dataset.columns[:, 1].copy()
+        bad[0] = np.nan
+        slots = screen.add_columns([None, bad], 2)
+        assert slots == [None, small_dataset.p]
+        _, low, high = screen.rho_bounds()
+        # column 0 is in the model's span; the NaN column is unscorable
+        for slot in (0, small_dataset.p):
+            assert low[slot] == 0.0 and high[slot] == np.inf
+        _, _, t_high = screen.t_abs(state.df)
+        assert t_high[0] == np.inf and t_high[small_dataset.p] == np.inf

@@ -12,7 +12,8 @@ from rai.simulate import (METHODS, SCENARIOS, SimSpec, _ols_t_stats, _rng,
                           run_experiment, signal_support, true_terms)
 from rai.terms import FeatureTerm
 
-from conftest import expected_true_term_t, ols_r2, ols_t_stats
+from conftest import (expected_true_model_r2, expected_true_term_t, ols_r2,
+                      ols_t_stats)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -125,13 +126,19 @@ class TestGenResponse:
                                    rtol=1e-12)
 
     def test_true_model_r2_near_calibration_target(self):
-        # OLS of y on the four monomials lands near 0.83 at n=2000
+        # OLS of y on the four monomials lands within four sampling sds
+        # of the R^2 the calibration implies at n=2000
         spec = spec_for("four_interactions", n=2000, p=10, seed=7)
+        centre, sd = expected_true_model_r2(spec.n, len(true_terms(spec)),
+                                            spec.target_r2)
         for rep in range(3):
             X = gen_design(spec, rep)
             y, _, _ = gen_response(X, spec, rep)
             cols = [c for c in truth_matrix(spec, X).T]
-            assert abs(ols_r2(cols, y) - 0.83) < 0.04
+            r2 = ols_r2(cols, y)
+            assert abs(r2 - centre) <= 4.0 * sd, (
+                f"rep {rep}: R^2 {r2:.4f}, expected {centre:.4f} "
+                f"+/- {4.0 * sd:.4f}")
 
     def test_true_term_t_stats_within_stated_band(self):
         # joint OLS t-statistics of the four true monomials at n=2000 lie
