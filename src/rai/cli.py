@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -39,7 +40,13 @@ class ParseFailure(Exception):
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     """Delimited text with a header row; comma or tab, sniffed from the
     header.  A UTF-8 byte order mark is skipped.  Duplicate column names
-    and any non-numeric or missing cell are hard errors."""
+    and any non-numeric or missing cell are hard errors.
+
+    The body is parsed in one pass by np.loadtxt.  A body it does not
+    take as a non-empty, all-finite table of the header's width (blank
+    cells, quotes, ragged rows, bad cells, ...) is read again by the csv
+    reader, which accepts, rejects and words its errors as it always
+    has; the values both accept are bit for bit the same."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             first = fh.readline()
@@ -53,37 +60,71 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             if repeated:
                 raise ParseFailure(
                     f"{path}: duplicate column names: {', '.join(repeated)}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(header):
-                    raise ParseFailure(
-                        f"{path}:{lineno}: expected {len(header)} fields, "
-                        f"got {len(row)}")
-                try:
-                    rows.append([float(c) for c in row])
-                except ValueError:
-                    raise ParseFailure(
-                        f"{path}:{lineno}: non-numeric or missing value")
+            data = _load_body(fh, delim, len(header))
+            if data is None:
+                fh.seek(0)
+                reader = csv.reader(fh, delimiter=delim)
+                next(reader)
+                data = _csv_body(path, reader, len(header))
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}")
+    return header, data
+
+
+def _load_body(fh, delim: str, width: int) -> np.ndarray | None:
+    """The rest of `fh` as a float table, or None unless np.loadtxt takes
+    it as at least one row of `width` finite values.  comments=None,
+    because a '#' cell is an error, not the start of a comment."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns; the csv reader reports it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=delim, comments=None,
+                              dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[0] == 0 or data.shape[1] != width:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _csv_body(path: str, reader, width: int) -> np.ndarray:
+    """The data rows of `reader`, one float() per cell, with errors that
+    name the offending line."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise ParseFailure(
+                f"{path}:{lineno}: expected {width} fields, "
+                f"got {len(row)}")
+        try:
+            rows.append([float(c) for c in row])
+        except ValueError:
+            raise ParseFailure(
+                f"{path}:{lineno}: non-numeric or missing value")
     if not rows:
         raise ParseFailure(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ParseFailure(f"{path}: non-finite value in table")
-    return header, data
+    return data
 
 
-def _split_response(header, data, response):
+def _read_design(path: str, response: str):
+    """(names, X, y) from a data file, the response split off.  Only X
+    and a copy of y outlive the call, not the whole parsed table."""
+    header, data = _read_table(path)
     if response not in header:
         raise ParseFailure(f"response column {response!r} not in header")
     ridx = header.index(response)
-    y = data[:, ridx]
     keep = [j for j in range(len(header)) if j != ridx]
-    names = [header[j] for j in keep]
-    return names, data[:, keep], y
+    if not keep:
+        raise ParseFailure("no predictor columns besides the response")
+    return [header[j] for j in keep], data[:, keep], data[:, ridx].copy()
 
 
 def _config_from_args(args) -> RaiConfig:
@@ -93,7 +134,6 @@ def _config_from_args(args) -> RaiConfig:
         max_passes=args.max_passes,
         interactions=getattr(args, "interactions", False),
         max_interaction_order=getattr(args, "max_order", None),
-        seed=args.seed,
     )
 
 
@@ -110,7 +150,6 @@ def _selection_report(dataset, state, trace, config, source, elapsed) -> dict:
             "max_passes": config.resolve_max_passes(dataset.n),
             "interactions": config.interactions,
             "max_interaction_order": config.max_interaction_order,
-            "seed": config.seed,
         },
         "selected": [
             {"term": term.display(dataset.names), "coefficient": float(c)}
@@ -183,10 +222,7 @@ def _write_trace(path: str, trace) -> None:
 
 
 def cmd_select(args) -> int:
-    header, data = _read_table(args.input)
-    names, X, y = _split_response(header, data, args.response)
-    if X.shape[1] == 0:
-        raise ParseFailure("no predictor columns besides the response")
+    names, X, y = _read_design(args.input, args.response)
     config = _config_from_args(args)
     t0 = time.perf_counter()
     dataset = standardize(X, y, names)
@@ -227,10 +263,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    header, data = _read_table(args.input)
-    names, X, y = _split_response(header, data, args.response)
-    if X.shape[1] == 0:
-        raise ParseFailure("no predictor columns besides the response")
+    names, X, y = _read_design(args.input, args.response)
     config = _config_from_args(args)
     dataset = standardize(X, y, names)
     state, trace = run_rai(dataset, config)
@@ -304,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="wealth earned per rejection (default 0.05)")
         p.add_argument("--max-passes", type=int, default=None,
                        help="pass budget (default ceil(log2 n) + 2)")
-        p.add_argument("--seed", type=int, default=None)
         if interactions:
             p.add_argument("--interactions", action="store_true",
                            help="search products of selected terms")

@@ -52,8 +52,7 @@ class RaiConfig:
     """Knobs for one selection run.
 
     max_passes of None resolves to ceil(log2(n)) + 2 at run time.  The
-    seed is carried for reproducibility plumbing only; the engine itself
-    draws no random numbers.
+    engine draws no random numbers, so a run needs no seed.
     """
 
     initial_wealth: float = DEFAULT_INITIAL_WEALTH
@@ -63,7 +62,6 @@ class RaiConfig:
     interactions: bool = False
     max_interaction_order: int | None = None
     skip_passes: bool = True
-    seed: int | None = None
 
     def resolve_max_passes(self, n: int) -> int:
         if self.max_passes is not None:

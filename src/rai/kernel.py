@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +44,31 @@ COLLINEARITY_TOL = 1e-8
 T_STAT_MAX = 1e18
 
 
+def _norm(r: np.ndarray) -> float:
+    """Euclidean norm of a contiguous vector.
+
+    Wherever the sum of squares is a finite normal number this is
+    np.linalg.norm bit for bit.  Where it overflowed or underflowed, as
+    for data near 1e160 or 1e-160, the norm is taken of r / max|r| and
+    scaled back, so that such a column keeps a finite, accurate scale.
+    """
+    ss = float(np.dot(r, r))
+    if sys.float_info.min <= ss < math.inf:
+        return math.sqrt(ss)
+    m = float(np.max(np.abs(r)))
+    if m == 0.0 or not math.isfinite(m):
+        return math.sqrt(ss)
+    u = r / m
+    return m * math.sqrt(float(np.dot(u, u)))
+
+
+def _constant(scale, mean, n: int):
+    """Whether a column with this centered norm and mean is constant up
+    to roundoff: centering n copies of c leaves residuals of a few ulps
+    of |c|.  The rule is relative, so rescaling data never changes it."""
+    return scale <= 1e-12 * math.sqrt(n) * np.abs(mean)
+
+
 def _unit_centered(col: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     """Center and scale one column to unit norm.
 
@@ -50,10 +76,21 @@ def _unit_centered(col: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     """
     mean = float(col.mean())
     centered = col - mean
-    scale = float(np.linalg.norm(centered))
-    if scale <= 1e-12 * math.sqrt(col.size) * (1.0 + abs(mean)):
+    scale = _norm(centered)
+    if _constant(scale, mean, col.size):
         return None
     return centered / scale, mean, scale
+
+
+def _means_and_scales(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and centered norm of every column of X, in one pass over a
+    transposed working copy.  Each row of the copy is one column, laid
+    out contiguously, so every mean and norm is bit for bit what
+    `_unit_centered` gives for that column alone."""
+    work = X.T.copy()
+    means = work.mean(axis=1)
+    work -= means[:, None]
+    return means, np.array([_norm(r) for r in work], dtype=float)
 
 
 @dataclass(eq=False)
@@ -63,10 +100,12 @@ class Dataset:
     `columns` holds only the surviving (non-constant) predictors; `names`
     maps them back to the caller's labels.  `raw` keeps the matching
     uncentered columns so higher-order terms can be formed on the
-    original scale before standardizing.
+    original scale before standardizing.  When no column was dropped it
+    is a read-only view of the caller's matrix, not a copy, so the
+    caller must not write to that matrix while the dataset is in use.
     """
 
-    columns: np.ndarray          # (n, p), each column centered, unit norm
+    columns: np.ndarray          # (n, p), C order, centered, unit norm
     response: np.ndarray         # (n,), centered, unit norm
     names: tuple[str, ...]
     raw_means: np.ndarray        # (p,)
@@ -95,7 +134,8 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
 
     Constant predictor columns are dropped with a warning.  Raises
     AllColumnsConstant when nothing survives and ConstantResponse when
-    the response has no variance.
+    the response has no variance.  Every standardized value is the one
+    `_unit_centered` gives for its column alone.
     """
     X = np.asarray(raw_matrix, dtype=float)
     y = np.asarray(raw_response, dtype=float)
@@ -113,40 +153,35 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     elif len(names) != p:
         raise ValueError("names length does not match the design")
 
-    resp = _unit_centered(y)
+    with np.errstate(over="ignore"):    # _norm rescales what overflows
+        resp = _unit_centered(y)
+        means, scales = _means_and_scales(X)
     if resp is None:
         raise ConstantResponse("response is constant")
     y_std, y_mean, y_scale = resp
 
-    kept_cols, kept_names, kept_raw = [], [], []
-    means, scales = [], []
-    dropped = []
-    for j in range(p):
-        out = _unit_centered(X[:, j])
-        if out is None:
-            dropped.append(names[j])
-            continue
-        col, mean, scale = out
-        kept_cols.append(col)
-        kept_names.append(names[j])
-        kept_raw.append(X[:, j])
-        means.append(mean)
-        scales.append(scale)
-    if not kept_cols:
+    keep = ~_constant(scales, means, n)
+    if not keep.any():
         raise AllColumnsConstant("every predictor column is constant")
-    if dropped:
+    if not keep.all():
+        dropped = [names[j] for j in np.flatnonzero(~keep)]
         warnings.warn(f"dropped constant columns: {', '.join(dropped)}",
                       stacklevel=2)
+        raw, means, scales = X[:, keep], means[keep], scales[keep]
+    else:
+        raw = X.view()
+    columns = np.subtract(raw, means, order="C")
+    columns /= scales
 
     return Dataset(
-        columns=np.column_stack(kept_cols),
+        columns=columns,
         response=y_std,
-        names=tuple(kept_names),
-        raw_means=np.asarray(means),
-        raw_scales=np.asarray(scales),
+        names=tuple(names[j] for j in np.flatnonzero(keep)),
+        raw_means=means,
+        raw_scales=scales,
         response_mean=y_mean,
         response_scale=y_scale,
-        raw=np.column_stack(kept_raw),
+        raw=raw,
     )
 
 

@@ -8,6 +8,7 @@ play always has its building blocks in the model already.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,10 @@ class FeatureTerm:
             raise ValueError("duplicate column index in term")
 
     @classmethod
+    @functools.cache
     def marginal(cls, j: int) -> "FeatureTerm":
+        # terms are immutable, so every run shares one validated
+        # instance per column rather than building p of them each time
         return cls(((j, 1),))
 
     @classmethod

@@ -243,6 +243,17 @@ class TestSelect:
             main(["select", str(path), "--response", "y", "--bogus"])
         assert exc.value.code == 2
 
+    def test_seed_flag_removed(self, tmp_path):
+        # the engine draws no random numbers, so select takes no seed
+        path, _, _ = signal_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["select", str(path), "--response", "y", "--seed", "1"])
+        assert exc.value.code == 2
+        out = tmp_path / "report.json"
+        assert main(["select", str(path), "--response", "y",
+                     "--json", str(out)]) == EXIT_OK
+        assert "seed" not in json.loads(out.read_text())["config"]
+
     def test_interactions_flag_reaches_config(self, tmp_path):
         rng = np.random.default_rng(4)
         X = rng.normal(loc=1.5, size=(300, 4))

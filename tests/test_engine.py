@@ -405,3 +405,46 @@ class TestFitTerms:
         assert slopes.size == 0
         assert intercept == pytest.approx(
             float(ds.response_mean), abs=1e-10)
+
+
+class TestExtremeScales:
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e160])
+    def test_selection_unchanged_by_rescaling_the_data(self, factor):
+        """Sums of squares of data near 1e+-160 under- or overflow; the
+        standardized run must still be the one made at scale 1."""
+        X, y = random_raw(5, 200, 8)
+        unit_ds = standardize(X, y)
+        ds = standardize(X * factor, y * factor)
+        assert ds.p == unit_ds.p
+        unit_state, unit_trace = run_rai(unit_ds, RaiConfig())
+        state, trace = run_rai(ds, RaiConfig())
+        assert len(unit_state.selected) >= 2
+        assert [t.key for t in state.selected] == [
+            t.key for t in unit_state.selected]
+        assert [(r.term.key, r.decision) for r in trace.tests] == [
+            (r.term.key, r.decision) for r in unit_trace.tests]
+        assert trace.termination == unit_trace.termination
+        assert state.r_squared == pytest.approx(unit_state.r_squared,
+                                                rel=1e-12)
+        slopes, intercept = rai.fit_terms(ds, state.selected)
+        unit_slopes, unit_intercept = rai.fit_terms(unit_ds,
+                                                    unit_state.selected)
+        np.testing.assert_allclose(slopes, unit_slopes, rtol=1e-9)
+        assert intercept == pytest.approx(unit_intercept * factor, rel=1e-9)
+
+    # order-4 products of such data overflow to inf; those candidates
+    # are removed as non-finite, with warnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_interaction_of_large_data_keeps_its_scale(self):
+        """X1^2 of data near 1e80 has a sum of squares past the double
+        range; it must still be realized and selected as at scale 1,
+        not zeroed and dropped as collinear."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(1.0, 1.0, (300, 4))
+        y = X[:, 0] + X[:, 0] ** 2 + rng.normal(size=300)
+        config = RaiConfig(interactions=True)
+        unit, _ = run_rai(standardize(X, y), config)
+        big, _ = run_rai(standardize(X * 1e80, y), config)
+        assert [t.key for t in unit.selected] == [((0, 1),), ((0, 2),)]
+        assert [t.key for t in big.selected] == [t.key for t in unit.selected]

@@ -17,6 +17,10 @@ class TestFeatureTerm:
         assert t.powers == ((3, 1),)
         assert t.display() == "X4"
 
+    def test_marginal_terms_are_shared(self):
+        assert FeatureTerm.marginal(3) is FeatureTerm.marginal(3)
+        assert FeatureTerm.marginal(3) == FeatureTerm(((3, 1),))
+
     def test_display_with_powers(self):
         t = FeatureTerm.from_exponents({2: 1, 3: 2})
         assert t.display() == "X3*X4^2"
