@@ -323,6 +323,18 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "integer"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rai",
@@ -340,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if interactions:
             p.add_argument("--interactions", action="store_true",
                            help="search products of selected terms")
-            p.add_argument("--max-order", type=int, default=None,
+            p.add_argument("--max-order", type=_int_at_least(2),
+                           default=None,
                            help="largest monomial order to generate")
 
     ps = sub.add_parser("select", help="select features from a data file")
@@ -373,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare a selection run against exact small-data oracles")
     pd.add_argument("input", help="delimited text with a header row")
     pd.add_argument("--response", required=True)
-    pd.add_argument("--k", type=int, default=3,
+    pd.add_argument("--k", type=_int_at_least(1), default=3,
                     help="subset size for the exact references (default 3)")
     add_config_flags(pd, interactions=False)
     pd.add_argument("--json", default=None)

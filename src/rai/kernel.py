@@ -62,6 +62,22 @@ def _norm(r: np.ndarray) -> float:
     return m * math.sqrt(float(np.dot(u, u)))
 
 
+def _mean(r: np.ndarray) -> float:
+    """Mean of a contiguous vector.
+
+    Wherever the plain mean is finite this is r.mean() bit for bit.
+    Where a finite vector's sum overflowed, as for data near 1e306, the
+    mean is taken of r / max|r| and scaled back.
+    """
+    mean = float(r.mean())
+    if math.isfinite(mean):
+        return mean
+    m = float(np.max(np.abs(r)))
+    if not math.isfinite(m):
+        return mean
+    return m * float(np.mean(r / m))
+
+
 def _constant(scale, mean, n: int):
     """Whether a column with this centered norm and mean is constant up
     to roundoff: centering n copies of c leaves residuals of a few ulps
@@ -74,7 +90,7 @@ def _unit_centered(col: np.ndarray) -> tuple[np.ndarray, float, float] | None:
 
     Returns (standardized, mean, scale), or None for a constant column.
     """
-    mean = float(col.mean())
+    mean = _mean(col)
     centered = col - mean
     scale = _norm(centered)
     if _constant(scale, mean, col.size):
@@ -89,6 +105,8 @@ def _means_and_scales(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `_unit_centered` gives for that column alone."""
     work = X.T.copy()
     means = work.mean(axis=1)
+    for j in np.flatnonzero(~np.isfinite(means)):
+        means[j] = _mean(work[j])
     work -= means[:, None]
     return means, np.array([_norm(r) for r in work], dtype=float)
 

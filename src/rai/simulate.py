@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .engine import RaiConfig, run_rai
@@ -119,6 +119,89 @@ def _term_raw_column(term: FeatureTerm, X: np.ndarray) -> np.ndarray:
     return col
 
 
+def _div(num: float, den: float) -> float:
+    """num / den with the IEEE result where Python raises: +-inf for a
+    nonzero numerator over a zero, nan for 0 / 0 and nan / 0."""
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or math.isnan(num):
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method, bit for bit what scipy's
+    brentq (scipy/optimize/Zeros/brentq.c) returns.
+
+    A line-for-line port of the C routine.  Its divisions go through
+    _div, so a zero denominator yields inf or nan and falls through to
+    bisection as in C.  Like scipy's wrapper it raises ValueError on a
+    same-sign bracket or a NaN value of f, and RuntimeError when maxiter
+    iterations do not converge.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
+                            dblk * dpre * (fblk - fpre))
+            # C's MIN(a, b), which takes b when a is nan
+            lim, alt = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (lim if lim < alt else alt):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(
+        f"failed to converge after {maxiter} iterations, value is {xcur!r}")
+
+
 def calibrate_beta(X: np.ndarray, terms, target_r2: float) -> np.ndarray:
     """Coefficients c / ||centered term column|| with c tuned so the
     sample signal fraction Var(mu) / (Var(mu) + 1) equals target_r2."""
@@ -130,13 +213,17 @@ def calibrate_beta(X: np.ndarray, terms, target_r2: float) -> np.ndarray:
     v = float(np.var(base, ddof=1))
     if v <= 0.0:
         raise DegenerateTerms("true-model mean surface is constant")
+    return _signal_scale(v, target_r2) / norms
 
+
+def _signal_scale(v: float, target_r2: float) -> float:
+    """The c > 0 with c^2 v / (c^2 v + 1) = target_r2, by Brent's method
+    on [0, hi], hi being twice the closed-form root plus one."""
     def frac(c):
         return c * c * v / (c * c * v + 1.0) - target_r2
 
     hi = 2.0 * np.sqrt(target_r2 / ((1.0 - target_r2) * v)) + 1.0
-    c = brentq(frac, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
-    return c / norms
+    return _brentq(frac, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def gen_response(X: np.ndarray, spec: SimSpec,

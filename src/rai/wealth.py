@@ -49,10 +49,12 @@ class WealthLedger:
 
     def __init__(self, initial_wealth: float = DEFAULT_INITIAL_WEALTH,
                  payout: float = DEFAULT_PAYOUT):
-        if initial_wealth <= 0:
-            raise ValueError("initial wealth must be positive")
-        if payout < 0:
-            raise ValueError("payout must be non-negative")
+        # NaN fails these checks; a NaN account would never refuse an
+        # overdraft
+        if not 0 < initial_wealth < math.inf:
+            raise ValueError("initial wealth must be positive and finite")
+        if not 0 <= payout < math.inf:
+            raise ValueError("payout must be non-negative and finite")
         self.initial_wealth = initial_wealth
         self.payout = payout
         self.wealth = initial_wealth

@@ -254,6 +254,26 @@ class TestSelect:
                      "--json", str(out)]) == EXIT_OK
         assert "seed" not in json.loads(out.read_text())["config"]
 
+    @pytest.mark.parametrize("flag", ["--wealth", "--payout"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_wealth_flags_exit_two(self, tmp_path, capsys, flag,
+                                              value):
+        path, _, _ = signal_file(tmp_path)
+        assert main(["select", str(path), "--response", "y", flag,
+                     value]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("order", ["-1", "0", "1"])
+    def test_max_order_below_two_exits_two(self, tmp_path, capsys, order):
+        # an order below 2 admits no interaction, so the search would
+        # silently do nothing
+        path, _, _ = signal_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["select", str(path), "--response", "y", "--interactions",
+                  "--max-order", order])
+        assert exc.value.code == 2
+        assert "--max-order: must be at least 2" in capsys.readouterr().err
+
     def test_interactions_flag_reaches_config(self, tmp_path):
         rng = np.random.default_rng(4)
         X = rng.normal(loc=1.5, size=(300, 4))
@@ -390,6 +410,15 @@ class TestDiagnose:
         assert report["bound"] == 0.0
         assert report["bound_holds"] is True
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_exits_two_with_one_message(self, tmp_path, capsys,
+                                                    k):
+        path = orthogonal_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", str(path), "--response", "y", "--k", k])
+        assert exc.value.code == 2
+        assert f"--k: must be at least 1, got {k}" in capsys.readouterr().err
+
     def test_budget_exhaustion_exits_four(self, tmp_path, capsys,
                                           monkeypatch):
         monkeypatch.setenv("RAI_ENUM_BUDGET", "1")
@@ -406,6 +435,36 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == rai.__version__
+
+    def test_no_cli_path_loads_scipy(self, tmp_path):
+        # scipy is a test dependency only; importing it would cost every
+        # rai process most of its start-up time
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 3))
+        path = tmp_path / "tiny.csv"
+        write_table(path, ["a", "b", "c", "y"],
+                    np.column_stack([X, X[:, 0] + rng.normal(size=40)]))
+        script = """
+import sys
+import rai, rai.cli
+from rai.cli import main
+try:
+    main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert main(["select", sys.argv[1], "--response", "y"]) == 0
+assert main(["simulate", "--scenario", "four_interactions", "--n", "60",
+             "--p", "10", "--reps", "1"]) == 0
+print(sorted(m for m in sys.modules
+             if m == "scipy" or m.startswith("scipy.")))
+"""
+        src = os.path.dirname(os.path.dirname(rai.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_console_script_select(self, tmp_path):
         rng = np.random.default_rng(1)

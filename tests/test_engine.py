@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,32 @@ class TestExtremeScales:
                                                     unit_state.selected)
         np.testing.assert_allclose(slopes, unit_slopes, rtol=1e-9)
         assert intercept == pytest.approx(unit_intercept * factor, rel=1e-9)
+
+    @pytest.mark.parametrize("scale_x, scale_y", [(1e306, 1.0),
+                                                  (1.0, 1e306)])
+    def test_overflowing_column_sums_keep_their_columns(self, scale_x,
+                                                        scale_y):
+        """Columns near 1e306 with mean 1e306 have sums past the double
+        range; their means must not overflow, so none is dropped as
+        constant and the selection is the one made at scale 1."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(1.0, 1.0, (200, 4))
+        y = 1.0 + X[:, 0] + rng.normal(size=200)
+        unit_ds = standardize(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = standardize(X * scale_x, y * scale_y)
+        assert ds.p == 4
+        np.testing.assert_allclose(ds.raw_means, unit_ds.raw_means * scale_x,
+                                   rtol=1e-12)
+        assert ds.response_mean == pytest.approx(
+            unit_ds.response_mean * scale_y, rel=1e-12)
+        np.testing.assert_allclose(ds.columns, unit_ds.columns, atol=1e-12)
+        unit_state, _ = run_rai(unit_ds, RaiConfig())
+        state, _ = run_rai(ds, RaiConfig())
+        assert [t.key for t in unit_state.selected] == [((0, 1),)]
+        assert [t.key for t in state.selected] == [
+            t.key for t in unit_state.selected]
 
     # order-4 products of such data overflow to inf; those candidates
     # are removed as non-finite, with warnings

@@ -1,12 +1,16 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rai
+from rai import simulate
 from rai.errors import DegenerateTerms, LengthMismatch, RaiError
-from rai.simulate import (METHODS, SCENARIOS, SimSpec, _ols_t_stats, _rng,
+from rai.simulate import (METHODS, SCENARIOS, SimSpec, _brentq,
+                          _ols_t_stats, _rng, _signal_scale,
                           _term_raw_column, calibrate_beta, gen_design,
                           gen_response, recovery_targets, risk,
                           run_experiment, signal_support, true_terms)
@@ -392,3 +396,129 @@ class TestOlsTStatHelper:
         y = X @ np.array([1.0, -0.5, 0.0]) + rng.normal(size=60)
         ours = _ols_t_stats(X, y)
         np.testing.assert_allclose(ours, ols_t_stats(X, y), rtol=1e-8)
+
+
+def scipy_brentq():
+    return pytest.importorskip("scipy.optimize").brentq
+
+
+def outcome(solver, *args, **kwargs):
+    """The bits of the root found, or the type of exception raised."""
+    try:
+        return float(solver(*args, **kwargs)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def scale_outcomes(v, target_r2):
+    """calibrate_beta's root for (v, target_r2) from _brentq and from
+    scipy's brentq, each run on the same frac and bracket."""
+    brentq = scipy_brentq()
+    ours = outcome(_signal_scale, v, target_r2)
+    with mock.patch.object(simulate, "_brentq", brentq):
+        theirs = outcome(_signal_scale, v, target_r2)
+    return ours, theirs
+
+
+# Bracketed test functions, each made from a location k: several roots,
+# steps and plateaus whose equal values zero the interpolation's
+# denominators, values whose products underflow, and NaN.
+GENERIC_FAMILIES = {
+    "three_roots": lambda k: lambda x: (x - 0.1) * (x - 0.5) * (x - k),
+    "sine": lambda k: lambda x: math.sin(7.0 * k * x),
+    "step": lambda k: lambda x: -1.0 if x < k else 1.0,
+    "plateaus": lambda k: lambda x: round((x - k) * 8.0) / 8.0,
+    "clamped": lambda k: lambda x: min(max(x - k, -0.25), 0.25),
+    "cubic": lambda k: lambda x: (x - k) ** 3,
+    "underflowing": lambda k: lambda x: (x - k) * 1e-200,
+    "nan_above": lambda k: lambda x: math.nan if x > k else -1.0,
+}
+
+
+class TestBrentq:
+    """_brentq must return scipy's brentq bit for bit, or raise the same
+    exception type."""
+
+    @given(v=st.one_of(st.floats(1e-300, 1e300),
+                       st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                       st.floats(1e-5, 10.0)),
+           target_r2=st.one_of(st.floats(5e-324, 1.0 - 1e-16),
+                               st.floats(0.01, 0.99)))
+    @example(v=1e-300, target_r2=0.83)
+    @example(v=1e300, target_r2=0.83)
+    @example(v=1e-300, target_r2=5e-324)
+    @example(v=1e300, target_r2=5e-324)
+    @example(v=1e-300, target_r2=1.0 - 1e-16)
+    @example(v=1e300, target_r2=1.0 - 1e-16)
+    @settings(max_examples=400, deadline=None)
+    def test_calibration_roots_match_scipy(self, v, target_r2):
+        ours, theirs = scale_outcomes(v, target_r2)
+        assert ours == theirs
+
+    def test_typical_calibration_roots_match_scipy(self):
+        rng = np.random.default_rng(0)
+        vs = 10.0 ** rng.uniform(-5.0, 1.0, 3000)
+        targets = rng.uniform(0.01, 0.99, 3000)
+        mismatches = [(v, t) for v, t in zip(vs.tolist(), targets.tolist())
+                      if len(set(scale_outcomes(v, t))) != 1]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("scenario", ["four_interactions",
+                                          "single_interaction"])
+    def test_calibrate_beta_matches_scipy(self, scenario):
+        brentq = scipy_brentq()
+        for seed in range(5):
+            spec = spec_for(scenario, n=150, p=10, seed=seed)
+            X = gen_design(spec, 0)
+            ours = calibrate_beta(X, true_terms(spec), 0.83)
+            with mock.patch.object(simulate, "_brentq", brentq):
+                theirs = calibrate_beta(X, true_terms(spec), 0.83)
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_generic_functions_match_scipy(self):
+        brentq = scipy_brentq()
+        rng = np.random.default_rng(1)
+        kinds = set()
+        zero_denominators = 0
+        real_div = simulate._div
+
+        def div(num, den):
+            nonlocal zero_denominators
+            zero_denominators += den == 0.0
+            return real_div(num, den)
+
+        mismatches = []
+        with mock.patch.object(simulate, "_div", div):
+            for name, family in GENERIC_FAMILIES.items():
+                for _ in range(300):
+                    k = float(rng.uniform(-2.0, 3.0))
+                    a, b = sorted(rng.uniform(-3.0, 4.0, 2).tolist())
+                    if rng.random() < 0.15:
+                        a = k           # a root exactly at an endpoint
+                    args = (family(k), a, b)
+                    kwargs = dict(
+                        xtol=float(10.0 ** rng.uniform(-15.0, -1.0)),
+                        rtol=float(rng.choice([8.9e-16, 1e-6])),
+                        maxiter=int(rng.choice([0, 1, 3, 100])))
+                    ours = outcome(_brentq, *args, **kwargs)
+                    theirs = outcome(brentq, *args, **kwargs)
+                    kinds.add(theirs if theirs.endswith("Error") else "root")
+                    if ours != theirs:
+                        mismatches.append((name, k, a, b, kwargs))
+        assert mismatches == []
+        assert kinds == {"root", "ValueError", "RuntimeError"}
+        assert zero_denominators > 0
+
+    @pytest.mark.parametrize("f, a, b, maxiter, error", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError),
+        (lambda x: math.nan, -1.0, 1.0, 100, ValueError),
+        (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, 100,
+         ValueError),
+        (math.sin, 2.0, 4.0, 2, RuntimeError),
+        (math.sin, 2.0, 4.0, 0, RuntimeError),
+    ])
+    def test_failures_raise_as_scipy_does(self, f, a, b, maxiter, error):
+        brentq = scipy_brentq()
+        for solver in (_brentq, brentq):
+            with pytest.raises(error):
+                solver(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)

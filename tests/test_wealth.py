@@ -150,6 +150,14 @@ class TestWealthLedger:
         with pytest.raises(ValueError):
             WealthLedger(payout=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wealth_and_payout_rejected(self, value):
+        # a NaN account would never refuse an overdraft
+        with pytest.raises(ValueError):
+            WealthLedger(initial_wealth=value)
+        with pytest.raises(ValueError):
+            WealthLedger(payout=value)
+
     def test_invalid_alpha(self):
         led = WealthLedger()
         with pytest.raises(ValueError):
