@@ -158,7 +158,7 @@ def _selection_report(dataset, state, trace, config, source, elapsed) -> dict:
         "intercept": float(intercept),
         "r_squared": state.r_squared,
         "passes": trace.passes_traversed,
-        "tests": len(trace.tests),
+        "tests": trace.n_tests(),
         "rejections": trace.n_rejections(),
         "wealth": {
             "initial": ledger.initial_wealth,

@@ -11,9 +11,9 @@ reachable within the same pass.
 A pass that rejects nothing leaves every remaining |t| unchanged, so
 the engine can jump straight to the first future pass whose threshold
 some candidate clears, as long as it pays for every test it skips over.
-The jump charges the ledger candidate by candidate in stream order so
-that a skipping run and a literal pass-by-pass run hold identical
-wealth at every point.
+The jump charges the ledger for every candidate in stream order, one
+run per skipped pass, so that a skipping run and a literal pass-by-pass
+run hold identical wealth at every point.
 
 Runs end when a candidate cannot be paid for, when the pass budget is
 exhausted, or when the stream runs dry.
@@ -31,20 +31,19 @@ from .kernel import (COLLINEARITY_TOL, SCREEN_MARGIN, Dataset, ModelState,
                      Screen)
 from .terms import (FeatureTerm, generate_candidates, realize_with_stats,
                     term_column)
-from .wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT, WealthLedger,
-                     pass_parameters)
-
-REJECTED = "rejected"
-NOT_REJECTED = "not_rejected"
-REMOVED_COLLINEAR = "removed_collinear"
-HALTED_WEALTH = "halted_wealth"
+from .wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT, HALTED_WEALTH,
+                     NOT_REJECTED, REJECTED, REMOVED_COLLINEAR, SKIPPED,
+                     WealthLedger, pass_parameters, running)
 
 TERMINATED_WEALTH = "wealth_exhausted"
 TERMINATED_PASSES = "max_passes"
 TERMINATED_STREAM = "stream_exhausted"
 
 _UNRESOLVED = object()
-_PENDING = object()     # a queued term whose column is not realized yet
+
+# queue slots that are not screen slots
+_CONSTANT = -1          # a term whose realized column is constant
+_PENDING = -2           # a queued term whose column is not realized yet
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,8 @@ class RaiConfig:
     """Knobs for one selection run.
 
     max_passes of None resolves to ceil(log2(n)) + 2 at run time.  The
-    engine draws no random numbers, so a run needs no seed.
+    engine draws no random numbers, so a run needs no seed.  A
+    max_interaction_order of None puts no cap on the order.
     """
 
     initial_wealth: float = DEFAULT_INITIAL_WEALTH
@@ -62,6 +62,13 @@ class RaiConfig:
     interactions: bool = False
     max_interaction_order: int | None = None
     skip_passes: bool = True
+
+    def __post_init__(self):
+        # an order below 2 would admit no product at all
+        if (self.max_interaction_order is not None
+                and not self.max_interaction_order >= 2):
+            raise ValueError("max_interaction_order must be None or at "
+                             f"least 2, got {self.max_interaction_order}")
 
     def resolve_max_passes(self, n: int) -> int:
         if self.max_passes is not None:
@@ -73,6 +80,8 @@ class RaiConfig:
 
 @dataclass(frozen=True)
 class TestRecord:
+    """One test, as a view of the ledger's event log."""
+
     pass_index: int
     term: FeatureTerm
     t_abs: float | None
@@ -96,35 +105,57 @@ class SkipRecord:
 
 @dataclass
 class SelectionTrace:
-    tests: list[TestRecord] = field(default_factory=list)
+    """What a run did, read from its ledger's event log.
+
+    The log holds every test and every skip charge; `tests` builds a
+    TestRecord for each test on demand.  `n` is the number of
+    observations, which fixes each pass's threshold.
+    """
+
+    ledger: WealthLedger
+    n: int
     skips: list[SkipRecord] = field(default_factory=list)
     termination: str = ""
     passes_traversed: int = 0
-    ledger: WealthLedger | None = None
+
+    @property
+    def tests(self) -> list[TestRecord]:
+        led = self.ledger
+        tlvl = {s: pass_parameters(self.n, s)[0] for s in set(led.passes)}
+        rows = zip(led.passes, led.test_ids, led.t_abs.tolist(), led.alphas,
+                   led.wealth_before.tolist(), led.wealth_after().tolist(),
+                   led.decisions)
+        # NaN marks a test with no |t|
+        return [TestRecord(s, term, None if t != t else t, tlvl[s], a,
+                           before, after, d)
+                for s, term, t, a, before, after, d in rows if d != SKIPPED]
+
+    def n_tests(self) -> int:
+        decisions = self.ledger.decisions
+        return len(decisions) - decisions.count(SKIPPED)
 
     def first_rejection_pass(self) -> int | None:
-        for rec in self.tests:
-            if rec.decision == REJECTED:
-                return rec.pass_index
-        return None
+        led = self.ledger
+        if REJECTED not in led.decisions:
+            return None
+        return led.passes[led.decisions.index(REJECTED)]
 
     def n_rejections(self) -> int:
-        return sum(1 for rec in self.tests if rec.decision == REJECTED)
+        return self.ledger.decisions.count(REJECTED)
 
 
 class FeatureStream:
     """Ordered candidate queue with a permanent no-repeat memory."""
 
     def __init__(self, initial_terms=()):
-        self.queue: list[FeatureTerm] = []
-        self.seen: set = set()
-        for t in initial_terms:
-            self.append(t)
+        # one pass; a repeated key keeps its first place in the queue
+        self.seen: dict = {term.key: term for term in initial_terms}
+        self.queue: list[FeatureTerm] = list(self.seen.values())
 
     def append(self, term: FeatureTerm) -> bool:
         if term.key in self.seen:
             return False
-        self.seen.add(term.key)
+        self.seen[term.key] = term
         self.queue.append(term)
         return True
 
@@ -146,9 +177,11 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     covers its alpha, a collinear or constant candidate is dropped
     without spending, and the threshold itself is strict.
     `column=None` marks a term whose realized column is constant; a
-    column holding NaN or inf is dropped the same way.
+    column holding NaN or inf is dropped the same way.  Every outcome
+    is logged in the ledger; the charge is a run of one test.
     """
     if ledger.wealth < alpha:
+        ledger.note(term, pass_index, alpha, HALTED_WEALTH)
         return HALTED_WEALTH, state, None
     if column is _UNRESOLVED:
         try:
@@ -156,17 +189,19 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
         except ConstantInteraction:
             column = None
     if column is None or not np.isfinite(column).all():
+        ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
     adj = state.adjusted_vector(column)
     nrm = float(np.linalg.norm(adj))
     if nrm <= collinearity_tol:
+        ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
-    ledger.spend(alpha, term.key, pass_index)
-    _, t = state.score_adjusted(adj, nrm)
-    if abs(t) > tlvl:
-        ledger.earn(term.key)
-        return REJECTED, state.add_adjusted(adj, term), abs(t)
-    return NOT_REJECTED, state, abs(t)
+    t_abs = abs(state.score_adjusted(adj, nrm)[1])
+    ledger.spend(alpha, [term], pass_index, [t_abs])
+    if t_abs > tlvl:
+        ledger.earn(term)
+        return REJECTED, state.add_adjusted(adj, term), t_abs
+    return NOT_REJECTED, state, t_abs
 
 
 # keep pytest from collecting the public gate function as a test
@@ -192,34 +227,35 @@ def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
     s_prime = max(s + 1, target)
     while root_n * 2.0 ** (-s_prime / 2.0) >= best:
         s_prime += 1
+    terms = list(known_t)
     charged = 0.0
     for u in range(s + 1, min(s_prime, max_passes + 1)):
         _, alpha_u = pass_parameters(n, u)
         # charge in stream order so a literal run replays bit for bit
-        for term in known_t:
-            if ledger.wealth < alpha_u:
-                return u, True, charged
-            ledger.spend(alpha_u, term.key, u)
-            charged += alpha_u
+        paid = ledger.spend(alpha_u, terms, u, decision=SKIPPED)
+        charged = float(running(charged, alpha_u, paid, np.add)[-1])
+        if paid < len(terms):
+            return u, True, charged
     return s_prime, False, charged
 
 
-def _rescore_top(known_t: dict, slots: list, screened: list, low: list,
-                 high: list, state: ModelState, screen: Screen) -> None:
-    """Make the largest |t| in known_t exact.
+def _rescore_top(t: np.ndarray, slots: np.ndarray, screened: np.ndarray,
+                 low: np.ndarray, high: np.ndarray, state: ModelState,
+                 screen: Screen) -> None:
+    """Make the largest of the |t| in `t` exact, in place.
 
-    `slots` holds the screen slot of each known_t entry, in order, and
+    `slots` holds the screen slot of each entry of `t`, and
     `screened[slot]` says whether its |t| came from the screen, with
     bounds low[slot] and high[slot].  skip_passes reads only the largest
     |t|, so exact scores for every screened entry whose bounds reach the
     largest lower bound make the jump exact.  A high bound of 0 is
     already exact.
     """
-    floor = max((low[slot] if screened[slot] else t)
-                for t, slot in zip(known_t.values(), slots))
-    for (term, t), slot in zip(list(known_t.items()), slots):
-        if screened[slot] and high[slot] >= floor and high[slot] > 0.0:
-            known_t[term] = abs(state.score_vector(screen.column(slot))[2])
+    from_screen = screened[slots]
+    floor = np.where(from_screen, low[slots], t).max()
+    top = high[slots]
+    for k in np.flatnonzero(from_screen & (top >= floor) & (top > 0.0)):
+        t[k] = abs(state.score_vector(screen.column(int(slots[k])))[2])
 
 
 def run_rai(dataset: Dataset,
@@ -232,12 +268,13 @@ def run_rai(dataset: Dataset,
     FeatureTerms) and the full trace.
 
     Each pass is screened in bulk: a Screen scores every remaining
-    candidate from cached inner products, and candidates it places
-    safely below the threshold are charged and recorded as not
-    rejected without further arithmetic.  Every other candidate (near
-    or above the threshold, nearly collinear, constant or non-finite)
-    goes through `test_candidate`, so each decision, basis vector and
-    residual comes from the exact scalar path.
+    candidate from cached inner products, and each run of candidates it
+    places safely below the threshold is charged and logged as not
+    rejected in one ledger call, without further arithmetic.  Every
+    other candidate (near or above the threshold, nearly collinear,
+    constant or non-finite) goes through `test_candidate`, so each
+    decision, basis vector and residual comes from the exact scalar
+    path.
     """
     if config is None:
         config = RaiConfig()
@@ -245,13 +282,13 @@ def run_rai(dataset: Dataset,
     max_passes = config.resolve_max_passes(n)
     tol = config.collinearity_tol
     ledger = WealthLedger(config.initial_wealth, config.payout)
-    trace = SelectionTrace(ledger=ledger)
+    trace = SelectionTrace(ledger, n)
     stream = FeatureStream(FeatureTerm.marginal(j) for j in range(dataset.p))
     queue = stream.queue
     state = ModelState.empty(dataset)
     screen = Screen(dataset)
-    # screen slot of each queued term; None marks a constant column
-    slots: list = list(range(dataset.p))
+    # screen slot of each queued term, or _CONSTANT or _PENDING
+    slots = np.arange(dataset.p)
 
     def realized(term: FeatureTerm):
         try:
@@ -260,79 +297,86 @@ def run_rai(dataset: Dataset,
             return None
 
     termination = None
+    scores = None       # the screen's (|t|, low, high), until the model grows
     s = 1
     while s <= max_passes:
         trace.passes_traversed = max(trace.passes_traversed, s)
         tlvl, alpha = pass_parameters(n, s)
-        known_t: dict[FeatureTerm, float] = {}
+        t_known = []        # |t| of queue[:i], in runs
         rejected_any = False
         safe = None
         i = 0
         while i < len(queue):
-            if slots[i] is _PENDING:
+            if slots[i] == _PENDING:
                 # terms appended since the last realization fill the tail;
                 # realize only as many as the wealth pays tests for, so a
                 # run that halts never realizes the rest
                 count = min(len(queue) - i, int(ledger.wealth / alpha) + 1)
-                slots[i:i + count] = screen.add_columns(
-                    (realized(term) for term in queue[i:i + count]), count)
-                safe = None
+                slots[i:i + count] = [
+                    _CONSTANT if slot is None else slot
+                    for slot in screen.add_columns(
+                        (realized(term) for term in queue[i:i + count]),
+                        count)]
+                safe = scores = None
             if safe is None:
-                # scores change only when the model grows
                 if state.df < 1:
                     # saturated model: nothing further is testable
                     termination = TERMINATED_STREAM
                     break
-                t_all, t_low, t_high = screen.t_abs(state.df, tol)
-                safe = (t_high <= tlvl * (1.0 - SCREEN_MARGIN)).tolist()
-                t_all, t_low, t_high = (
-                    t_all.tolist(), t_low.tolist(), t_high.tolist())
+                if scores is None:
+                    scores = screen.t_abs(state.df, tol)
+                t_all, t_low, t_high = scores
+                safe = t_high <= tlvl * (1.0 - SCREEN_MARGIN)
+            # the candidates from i on that the screen settles are charged
+            # as one run, which stops early only when the wealth runs out
+            rest = slots[i:]
+            settled = (rest >= 0) & safe[np.maximum(rest, 0)]
+            run = len(rest) if settled.all() else int(settled.argmin())
+            if run:
+                terms = queue[i:i + run]
+                t_run = t_all[rest[:run]]
+                paid = ledger.spend(alpha, terms, s, t_run)
+                t_known.append(t_run[:paid])
+                i += paid
+                if paid == run:
+                    continue
+                # the next test cannot be paid for; test_candidate halts
             term = queue[i]
-            slot = slots[i]
-            before = ledger.wealth
-            if slot is not None and safe[slot] and before >= alpha:
-                ledger.spend(alpha, term.key, s)
-                decision, t_abs = NOT_REJECTED, t_all[slot]
-            else:
-                decision, state, t_abs = test_candidate(
-                    state, ledger, term, tlvl, alpha, pass_index=s,
-                    column=None if slot is None else screen.column(slot),
-                    collinearity_tol=tol)
-            trace.tests.append(TestRecord(
-                s, term, t_abs, tlvl, alpha, before, ledger.wealth, decision))
+            slot = int(slots[i])
+            decision, state, t_abs = test_candidate(
+                state, ledger, term, tlvl, alpha, pass_index=s,
+                column=None if slot == _CONSTANT else screen.column(slot),
+                collinearity_tol=tol)
             if decision == HALTED_WEALTH:
                 termination = TERMINATED_WEALTH
                 break
-            if decision == REMOVED_COLLINEAR:
-                stream.remove_at(i)
-                del slots[i]
+            if decision == NOT_REJECTED:
+                t_known.append([t_abs])
+                i += 1
                 continue
+            stream.remove_at(i)
+            slots = np.delete(slots, i)
             if decision == REJECTED:
-                stream.remove_at(i)
-                del slots[i]
                 rejected_any = True
                 screen.sync(state)
                 if config.interactions:
-                    for cand in generate_candidates(
-                            state.selected, term,
-                            max_order=config.max_interaction_order):
-                        if stream.append(cand):
-                            slots.append(_PENDING)
-                safe = None
-                continue
-            known_t[term] = t_abs
-            i += 1
+                    added = sum(stream.append(cand)
+                                for cand in generate_candidates(
+                                    state.selected, term,
+                                    max_order=config.max_interaction_order))
+                    slots = np.append(slots, np.full(added, _PENDING))
+                safe = scores = None
         if termination is not None:
             break
         if not len(stream):
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
-            if known_t:
-                # known_t holds the whole queue in order, and no rejection
-                # has changed the scores since `safe` was computed
-                _rescore_top(known_t, slots, safe, t_low, t_high, state,
-                             screen)
+            # t_known covers the whole queue, and no rejection has
+            # changed the scores since `safe` was computed
+            t = np.concatenate(t_known)
+            _rescore_top(t, slots, safe, t_low, t_high, state, screen)
+            known_t = dict(zip(queue, t.tolist()))
             before = ledger.wealth
             try:
                 s_next, halted, charged = skip_passes(

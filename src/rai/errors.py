@@ -29,10 +29,6 @@ class SingularStep(RaiError):
     """Forward stepwise found no addable column (all remaining collinear)."""
 
 
-class InsufficientWealth(RaiError):
-    """A spend was requested that exceeds the current wealth."""
-
-
 class NoFinitePass(RaiError):
     """No future pass level can be cleared by any remaining candidate."""
 

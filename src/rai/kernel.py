@@ -108,7 +108,13 @@ def _means_and_scales(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in np.flatnonzero(~np.isfinite(means)):
         means[j] = _mean(work[j])
     work -= means[:, None]
-    return means, np.array([_norm(r) for r in work], dtype=float)
+    # vecdot takes each row's np.dot; only a sum of squares that is not
+    # a finite normal number needs _norm's rescaling
+    ss = np.vecdot(work, work)
+    scales = np.sqrt(ss)
+    for j in np.flatnonzero(~((ss >= sys.float_info.min) & (ss < math.inf))):
+        scales[j] = _norm(work[j])
+    return means, scales
 
 
 @dataclass(eq=False)
@@ -121,6 +127,8 @@ class Dataset:
     original scale before standardizing.  When no column was dropped it
     is a read-only view of the caller's matrix, not a copy, so the
     caller must not write to that matrix while the dataset is in use.
+    `correlations` holds each column's correlation with the response,
+    which every screen over the dataset starts from.
     """
 
     columns: np.ndarray          # (n, p), C order, centered, unit norm
@@ -131,10 +139,12 @@ class Dataset:
     response_mean: float
     response_scale: float
     raw: np.ndarray              # (n, p), original uncentered columns
+    correlations: np.ndarray = field(init=False)    # (p,)
 
     def __post_init__(self) -> None:
+        self.correlations = self.columns.T @ self.response
         for arr in (self.columns, self.response, self.raw_means,
-                    self.raw_scales, self.raw):
+                    self.raw_scales, self.raw, self.correlations):
             arr.setflags(write=False)
 
     @property
@@ -365,7 +375,7 @@ class Screen:
         self._starts = [0]
         self._state = ModelState.empty(dataset)             # last synced
         self.gram = np.zeros(dataset.p)                     # ||Q^T x||^2
-        self.inner = dataset.columns.T @ dataset.response   # x . r
+        self.inner = dataset.correlations.copy()            # x . r
         self.rnorm = float(np.linalg.norm(dataset.response))
 
     def column(self, slot: int) -> np.ndarray:
@@ -452,7 +462,7 @@ class Screen:
             # exact path does; only untrusted slots stay open
             zero = np.zeros_like(rho)
             return zero, zero, np.where(np.isinf(high), np.inf, 0.0)
-        return _t_of(rho, df), _t_of(low, df), _t_of(high, df)
+        return tuple(_t_of(np.stack((rho, low, high)), df))
 
 
 # -- whole-subset operations, by fresh orthogonalization ----------------

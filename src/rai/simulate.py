@@ -218,11 +218,17 @@ def calibrate_beta(X: np.ndarray, terms, target_r2: float) -> np.ndarray:
 
 def _signal_scale(v: float, target_r2: float) -> float:
     """The c > 0 with c^2 v / (c^2 v + 1) = target_r2, by Brent's method
-    on [0, hi], hi being twice the closed-form root plus one."""
+    on [0, hi], hi being twice the closed-form root plus one.  Raises
+    DegenerateTerms when (1 - target_r2) v underflows to 0, which leaves
+    no finite bracket."""
     def frac(c):
         return c * c * v / (c * c * v + 1.0) - target_r2
 
-    hi = 2.0 * np.sqrt(target_r2 / ((1.0 - target_r2) * v)) + 1.0
+    denom = (1.0 - target_r2) * v
+    if denom == 0.0:
+        raise DegenerateTerms(f"signal variance {v} is too small to "
+                              f"calibrate to R^2 {target_r2}")
+    hi = 2.0 * np.sqrt(target_r2 / denom) + 1.0
     return _brentq(frac, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
 
 

@@ -2,16 +2,19 @@
 
 Each test spends its level alpha from a wealth account before the
 threshold comparison; each rejection pays a fixed payout back in.  The
-ledger records every event so a run's wealth trajectory can be replayed
-and audited exactly.
+ledger keeps one event log, column by column, with an entry for every
+test and every charge a pass skip makes, so a run's wealth trajectory
+can be replayed and audited exactly.  Tests are charged in runs: a run
+of equal-alpha charges is one vectorized step, not one call per test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 
-from .errors import InsufficientWealth
+import numpy as np
 
 DEFAULT_INITIAL_WEALTH = 0.25
 DEFAULT_PAYOUT = 0.05
@@ -19,6 +22,16 @@ DEFAULT_PAYOUT = 0.05
 # Far-tail levels underflow double precision; anything smaller than this
 # is clamped so early passes always charge a positive amount.
 ALPHA_FLOOR = 1e-300
+
+# Decisions, as the event log stores them.  A test is charged unless it
+# was dropped as collinear or could not be paid for; SKIPPED marks a
+# charge that a pass skip made for a test it jumped over.
+REJECTED = "rejected"
+NOT_REJECTED = "not_rejected"
+REMOVED_COLLINEAR = "removed_collinear"
+HALTED_WEALTH = "halted_wealth"
+SKIPPED = "skipped"
+_CHARGED = frozenset((NOT_REJECTED, REJECTED, SKIPPED))
 
 
 def pass_parameters(n: int, s: int) -> tuple[float, float]:
@@ -36,8 +49,21 @@ def pass_parameters(n: int, s: int) -> tuple[float, float]:
     return tlvl, max(alpha, ALPHA_FLOOR)
 
 
+def running(start: float, step: float, count: int, op) -> np.ndarray:
+    """[start, start op step, (start op step) op step, ...], count steps.
+
+    ufunc.accumulate works strictly left to right, so every entry has
+    the bits a loop of `x = x op step` gives.
+    """
+    seq = np.full(count + 1, step)
+    seq[0] = start
+    return op.accumulate(seq)
+
+
 @dataclass(frozen=True)
 class LedgerEvent:
+    """One charge, as a view of the event log."""
+
     test_id: object
     pass_index: int
     alpha: float
@@ -45,7 +71,15 @@ class LedgerEvent:
 
 
 class WealthLedger:
-    """Mutable spend/earn account for one selection run."""
+    """Mutable spend/earn account for one selection run.
+
+    The event log has one entry per test or skip charge.  It is kept
+    column by column, and each column grows by one item per run: the
+    run's test ids, pass, alpha, length, wealth before each charge, |t|
+    of each test (NaN where none was computed) and decision.  The
+    properties `test_ids`, `passes`, `alphas`, `decisions`,
+    `wealth_before` and `t_abs` give the columns entry by entry.
+    """
 
     def __init__(self, initial_wealth: float = DEFAULT_INITIAL_WEALTH,
                  payout: float = DEFAULT_PAYOUT):
@@ -58,46 +92,140 @@ class WealthLedger:
         self.initial_wealth = initial_wealth
         self.payout = payout
         self.wealth = initial_wealth
-        self._events: list[LedgerEvent] = []
         self.rejections = 0
+        self._ids: list[list] = []
+        self._passes: list[int] = []
+        self._alphas: list[float] = []
+        self._lengths: list[int] = []
+        self._before: list[np.ndarray] = []
+        self._t_abs: list[np.ndarray] = []
+        self._decisions: list[str] = []
+
+    def _log(self, ids: list, pass_index: int, alpha: float,
+             before: np.ndarray, t_abs: np.ndarray, decision: str) -> None:
+        self._ids.append(ids)
+        self._passes.append(pass_index)
+        self._alphas.append(alpha)
+        self._lengths.append(len(ids))
+        self._before.append(before)
+        self._t_abs.append(t_abs)
+        self._decisions.append(decision)
+
+    def _entries(self, column: list) -> list:
+        return list(chain.from_iterable(map(repeat, column, self._lengths)))
+
+    @property
+    def test_ids(self) -> list:
+        return list(chain.from_iterable(self._ids))
+
+    @property
+    def passes(self) -> list[int]:
+        return self._entries(self._passes)
+
+    @property
+    def alphas(self) -> list[float]:
+        return self._entries(self._alphas)
+
+    @property
+    def decisions(self) -> list[str]:
+        return self._entries(self._decisions)
+
+    @property
+    def wealth_before(self) -> np.ndarray:
+        return np.concatenate([np.empty(0), *self._before])
+
+    @property
+    def t_abs(self) -> np.ndarray:
+        return np.concatenate([np.empty(0), *self._t_abs])
 
     @property
     def events(self) -> tuple[LedgerEvent, ...]:
-        return tuple(self._events)
+        """Every charge, in order."""
+        return tuple(
+            LedgerEvent(i, s, a, d == REJECTED)
+            for ids, s, a, d in zip(self._ids, self._passes, self._alphas,
+                                    self._decisions)
+            if d in _CHARGED for i in ids)
 
-    def spend(self, alpha: float, test_id, pass_index: int) -> None:
-        """Charge one test.  Requires wealth >= alpha (no overdraft)."""
+    def spend(self, alpha: float, test_ids, pass_index: int, t_abs=None,
+              decision: str = NOT_REJECTED) -> int:
+        """Charge alpha for each of `test_ids`, in order, as one run.
+
+        The run stops before the first test the wealth cannot cover (no
+        overdraft).  Returns the number of tests charged.  `t_abs` gives
+        each test's |t|; `decision` is NOT_REJECTED for tests (`earn`
+        records a rejection) or SKIPPED.
+        """
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if self.wealth < alpha:
-            raise InsufficientWealth(
-                f"wealth {self.wealth} cannot cover alpha {alpha}")
-        self.wealth -= alpha
-        self._events.append(LedgerEvent(test_id, pass_index, alpha, False))
+        count = len(test_ids)
+        wealth = running(self.wealth, alpha, count, np.subtract)
+        # wealth[k] is the wealth before charge k.  It never increases,
+        # so the charges it covers are exactly those before the first
+        # that it does not
+        paid = int(np.count_nonzero(wealth[:count] >= alpha))
+        self.wealth = float(wealth[paid])
+        if paid:
+            self._log(list(test_ids[:paid]), pass_index, alpha,
+                      wealth[:paid],
+                      np.full(paid, np.nan) if t_abs is None
+                      else np.asarray(t_abs[:paid], dtype=float), decision)
+        return paid
+
+    def note(self, test_id, pass_index: int, alpha: float,
+             decision: str) -> None:
+        """Log a test that charged nothing: REMOVED_COLLINEAR or
+        HALTED_WEALTH."""
+        self._log([test_id], pass_index, alpha, np.array([self.wealth]),
+                  np.array([np.nan]), decision)
 
     def earn(self, test_id) -> None:
         """Credit the payout for rejecting the most recent test."""
-        if not self._events:
+        if not self._ids:
             raise ValueError("earn before any spend")
-        last = self._events[-1]
-        if last.test_id != test_id or last.rejected:
+        ids = self._ids[-1]
+        if ids[-1] != test_id or self._decisions[-1] != NOT_REJECTED:
             raise ValueError("payout must follow its own spend immediately")
-        self._events[-1] = LedgerEvent(last.test_id, last.pass_index,
-                                       last.alpha, True)
+        if len(ids) > 1:
+            # split the run so that its last test stands alone
+            s, alpha = self._passes[-1], self._alphas[-1]
+            before, t_abs = self._before[-1], self._t_abs[-1]
+            self._ids[-1], self._before[-1], self._t_abs[-1] = (
+                ids[:-1], before[:-1], t_abs[:-1])
+            self._lengths[-1] -= 1
+            self._log(ids[-1:], s, alpha, before[-1:], t_abs[-1:], REJECTED)
+        else:
+            self._decisions[-1] = REJECTED
         self.wealth += self.payout
         self.rejections += 1
 
+    def wealth_after(self) -> np.ndarray:
+        """Wealth right after each log entry, by the live account's
+        arithmetic: before - alpha, plus the payout on a rejection."""
+        after = [np.empty(0)]
+        for before, alpha, d in zip(self._before, self._alphas,
+                                    self._decisions):
+            if d in _CHARGED:
+                before = before - alpha
+                if d == REJECTED:
+                    before = before + self.payout
+            after.append(before)
+        return np.concatenate(after)
+
     def total_spent(self) -> float:
-        return math.fsum(e.alpha for e in self._events)
+        return math.fsum(chain.from_iterable(
+            repeat(a, k) for a, k, d in zip(self._alphas, self._lengths,
+                                            self._decisions)
+            if d in _CHARGED))
 
     def replay(self) -> float:
-        """Recompute wealth from the event log alone.
+        """Recompute wealth from alphas and decisions alone.
 
-        Walks events in order with the same arithmetic as the live
+        Walks the charges in order with the same arithmetic as the live
         account, so the result is bitwise equal to `wealth`.
         """
         w = self.initial_wealth
-        for event in self._events:
+        for event in self.events:
             w -= event.alpha
             if event.rejected:
                 w += self.payout

@@ -6,23 +6,192 @@ every test runs a full modified Gram-Schmidt pass over the basis, and
 forward stepwise scores every column that way at every step.  They are
 slow but obviously faithful to the selection rules, so the package's
 engine must reproduce their selections, decisions, ledgers, skips and
-residuals exactly.  Test-only: nothing in `rai` imports this module.
+residuals exactly.
+
+The bookkeeping they use is kept here too, as it was before the package
+moved to one columnar event log charged in runs: a `WealthLedger` that
+charges one test per `spend` call and appends a `LedgerEvent` for each,
+a `SelectionTrace` that stores one `TestRecord` per test, the
+`FeatureStream` queue and the test-by-test `skip_passes`.  So the
+package's ledger is checked against an account it does not share.
+Test-only: nothing in `rai` imports this module.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
-                        TERMINATED_STREAM, TERMINATED_WEALTH, FeatureStream,
-                        RaiConfig, SelectionTrace, SkipRecord, TestRecord,
-                        skip_passes)
-from rai.errors import ConstantInteraction, NoFinitePass, SingularStep
+                        TERMINATED_STREAM, TERMINATED_WEALTH, RaiConfig,
+                        SkipRecord)
+from rai.errors import (ConstantInteraction, NoFinitePass, RaiError,
+                        SingularStep)
 from rai.kernel import COLLINEARITY_TOL, Dataset, ModelState, _t_from_rho
 from rai.oracles import aic
 from rai.terms import FeatureTerm, generate_candidates, term_column
-from rai.wealth import WealthLedger, pass_parameters
+from rai.wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT,
+                        pass_parameters)
+
+
+class InsufficientWealth(RaiError):
+    """A spend was requested that exceeds the current wealth."""
+
+
+@dataclass(frozen=True)
+class LedgerEvent:
+    test_id: object
+    pass_index: int
+    alpha: float
+    rejected: bool
+
+
+class WealthLedger:
+    """Mutable spend/earn account for one selection run."""
+
+    def __init__(self, initial_wealth: float = DEFAULT_INITIAL_WEALTH,
+                 payout: float = DEFAULT_PAYOUT):
+        # NaN fails these checks; a NaN account would never refuse an
+        # overdraft
+        if not 0 < initial_wealth < math.inf:
+            raise ValueError("initial wealth must be positive and finite")
+        if not 0 <= payout < math.inf:
+            raise ValueError("payout must be non-negative and finite")
+        self.initial_wealth = initial_wealth
+        self.payout = payout
+        self.wealth = initial_wealth
+        self._events: list[LedgerEvent] = []
+        self.rejections = 0
+
+    @property
+    def events(self) -> tuple[LedgerEvent, ...]:
+        return tuple(self._events)
+
+    def spend(self, alpha: float, test_id, pass_index: int) -> None:
+        """Charge one test.  Requires wealth >= alpha (no overdraft)."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        if self.wealth < alpha:
+            raise InsufficientWealth(
+                f"wealth {self.wealth} cannot cover alpha {alpha}")
+        self.wealth -= alpha
+        self._events.append(LedgerEvent(test_id, pass_index, alpha, False))
+
+    def earn(self, test_id) -> None:
+        """Credit the payout for rejecting the most recent test."""
+        if not self._events:
+            raise ValueError("earn before any spend")
+        last = self._events[-1]
+        if last.test_id != test_id or last.rejected:
+            raise ValueError("payout must follow its own spend immediately")
+        self._events[-1] = LedgerEvent(last.test_id, last.pass_index,
+                                       last.alpha, True)
+        self.wealth += self.payout
+        self.rejections += 1
+
+    def total_spent(self) -> float:
+        return math.fsum(e.alpha for e in self._events)
+
+    def replay(self) -> float:
+        """Recompute wealth from the event log alone.
+
+        Walks events in order with the same arithmetic as the live
+        account, so the result is bitwise equal to `wealth`.
+        """
+        w = self.initial_wealth
+        for event in self._events:
+            w -= event.alpha
+            if event.rejected:
+                w += self.payout
+        return w
+
+
+@dataclass(frozen=True)
+class TestRecord:
+    pass_index: int
+    term: FeatureTerm
+    t_abs: float | None
+    tlvl: float
+    alpha: float
+    wealth_before: float
+    wealth_after: float
+    decision: str
+
+
+@dataclass
+class SelectionTrace:
+    tests: list[TestRecord] = field(default_factory=list)
+    skips: list[SkipRecord] = field(default_factory=list)
+    termination: str = ""
+    passes_traversed: int = 0
+    ledger: WealthLedger | None = None
+
+    def first_rejection_pass(self) -> int | None:
+        for rec in self.tests:
+            if rec.decision == REJECTED:
+                return rec.pass_index
+        return None
+
+    def n_rejections(self) -> int:
+        return sum(1 for rec in self.tests if rec.decision == REJECTED)
+
+
+class FeatureStream:
+    """Ordered candidate queue with a permanent no-repeat memory."""
+
+    def __init__(self, initial_terms=()):
+        self.queue: list[FeatureTerm] = []
+        self.seen: set = set()
+        for t in initial_terms:
+            self.append(t)
+
+    def append(self, term: FeatureTerm) -> bool:
+        if term.key in self.seen:
+            return False
+        self.seen.add(term.key)
+        self.queue.append(term)
+        return True
+
+    def remove_at(self, i: int) -> FeatureTerm:
+        return self.queue.pop(i)
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+
+def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
+                max_passes: int) -> tuple[int, bool, float]:
+    """Jump past passes no known |t| can clear, paying for each skipped test.
+
+    `known_t` maps every remaining candidate to its |t| in stream order.
+    Returns (next pass, halted, alpha charged); `halted` means wealth
+    died mid-charge at the returned pass.  Raises NoFinitePass when all
+    |t| are zero, since no finite threshold is ever cleared.
+    """
+    if not known_t:
+        raise NoFinitePass("no candidates left")
+    best = max(known_t.values())
+    if best <= 0.0:
+        raise NoFinitePass("every remaining |t| is zero")
+    root_n = math.sqrt(n)
+    target = math.floor(2.0 * math.log2(root_n / best)) + 1
+    s_prime = max(s + 1, target)
+    while root_n * 2.0 ** (-s_prime / 2.0) >= best:
+        s_prime += 1
+    charged = 0.0
+    for u in range(s + 1, min(s_prime, max_passes + 1)):
+        _, alpha_u = pass_parameters(n, u)
+        # charge in stream order so a literal run replays bit for bit
+        for term in known_t:
+            if ledger.wealth < alpha_u:
+                return u, True, charged
+            ledger.spend(alpha_u, term.key, u)
+            charged += alpha_u
+    return s_prime, False, charged
+
 
 _UNRESOLVED = object()
 

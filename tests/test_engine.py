@@ -343,6 +343,30 @@ class TestRunRai:
         assert trace.termination in (TERMINATED_STREAM, TERMINATED_PASSES)
 
 
+class TestRaiConfig:
+
+    @pytest.fixture(scope="class")
+    def product_data(self):
+        # the a*b data of test_cli's test_interactions_flag_reaches_config
+        rng = np.random.default_rng(4)
+        X = rng.normal(loc=1.5, size=(300, 4))
+        y = (X[:, 0] + X[:, 1] + 2.0 * X[:, 0] * X[:, 1]
+             + 0.1 * rng.normal(size=300))
+        return standardize(X, y)
+
+    @pytest.mark.parametrize("order", [-1, 0, 1])
+    def test_order_below_two_rejected(self, order):
+        # such an order would search no product without a word
+        with pytest.raises(ValueError, match="max_interaction_order"):
+            RaiConfig(interactions=True, max_interaction_order=order)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    def test_valid_order_finds_the_product(self, product_data, order):
+        state, _ = run_rai(product_data, RaiConfig(
+            interactions=True, max_interaction_order=order))
+        assert "X1*X2" in [t.display() for t in state.selected]
+
+
 class TestSkipEquivalence:
 
     @given(seeds)

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import rai.cli
 from rai.cli import _read_table
-from rai.kernel import standardize
+from rai.kernel import _unit_centered, standardize
 
 import reference_ingest as ref
 
@@ -255,6 +255,29 @@ def test_standardize_matches_reference_at_size(n, p):
     X[:, p // 2] = 4.2                        # one constant column
     y = X[:, 0] - 2.0 * X[:, 1] + rng.normal(size=n)
     assert_same_dataset(X, y)
+
+
+def test_extreme_columns_match_each_column_alone():
+    # sums of squares near 1e160 overflow and near 1e-160 underflow, so
+    # those columns take _norm's rescaling while the ordinary ones take
+    # the vectorized sums; every column must still get the bits that
+    # _unit_centered gives it alone, and the ordinary ones the reference's
+    rng = np.random.default_rng(11)
+    n = 500
+    sizes = [1.0, 1e160, 3.0, 1e-160, 2e-158, 7e159, 0.01]
+    X = np.column_stack([size * rng.normal(rng.normal(), 1.0, n)
+                         for size in sizes])
+    y = X[:, 0] + rng.normal(size=n)
+    ds = standardize(X, y)
+    assert ds.p == len(sizes)
+    for j in range(len(sizes)):
+        with np.errstate(over="ignore"):    # as standardize calls it
+            col, mean, scale = _unit_centered(np.ascontiguousarray(X[:, j]))
+        assert same_bits(ds.columns[:, j], col), j
+        assert same_bits(ds.raw_means[j], mean), j
+        assert same_bits(ds.raw_scales[j], scale), j
+    ordinary = [j for j, size in enumerate(sizes) if 1e-3 < size < 1e3]
+    assert_same_dataset(np.ascontiguousarray(X[:, ordinary]), y)
 
 
 def test_dropped_columns_warned_and_columns_c_contiguous():

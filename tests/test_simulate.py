@@ -211,6 +211,11 @@ class TestCalibrateBeta:
         with pytest.raises(DegenerateTerms):
             calibrate_beta(X, (FeatureTerm.marginal(0),), 0.5)
 
+    def test_underflowing_bracket_rejected(self):
+        # (1 - target_r2) * v underflows to 0, so no finite bracket exists
+        with pytest.raises(DegenerateTerms):
+            _signal_scale(1e-310, 1.0 - 1e-16)
+
 
 class TestRisk:
 

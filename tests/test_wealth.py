@@ -1,12 +1,14 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rai import MfdrCounts, WealthLedger, mfdr_estimate, pass_parameters
-from rai.errors import InsufficientWealth
 from rai.wealth import ALPHA_FLOOR
+
+import reference_engine as ref
 
 
 class TestPassParameters:
@@ -69,25 +71,33 @@ class TestWealthLedger:
 
     def test_spend_reduces_wealth(self):
         led = WealthLedger()
-        led.spend(0.01, test_id=0, pass_index=1)
+        assert led.spend(0.01, test_ids=[0], pass_index=1) == 1
         assert led.wealth == pytest.approx(0.24)
 
-    def test_overdraft_raises_and_commits_nothing(self):
+    def test_overdraft_refused_and_commits_nothing(self):
         led = WealthLedger(initial_wealth=0.005)
-        with pytest.raises(InsufficientWealth):
-            led.spend(0.01, test_id=0, pass_index=1)
-        assert led.wealth == pytest.approx(0.005)
+        assert led.spend(0.01, test_ids=[0], pass_index=1) == 0
+        assert led.wealth == 0.005
         assert led.events == ()
+        assert led.test_ids == [] and led.decisions == []
+
+    def test_run_stops_before_the_first_unaffordable_charge(self):
+        led = WealthLedger(initial_wealth=0.25)
+        assert led.spend(0.1, [0, 1, 2, 3], 1, [0.5, 0.6, 0.7, 0.8]) == 2
+        assert led.wealth == 0.25 - 0.1 - 0.1
+        assert led.test_ids == [0, 1]
+        assert led.t_abs.tolist() == [0.5, 0.6]
+        assert led.wealth_before.tolist() == [0.25, 0.25 - 0.1]
 
     def test_two_spends(self):
         led = WealthLedger()
-        led.spend(0.1, 0, 1)
-        led.spend(0.1, 1, 1)
+        led.spend(0.1, [0], 1)
+        led.spend(0.1, [1], 1)
         assert led.wealth == pytest.approx(0.05)
 
     def test_earn_after_spend(self):
         led = WealthLedger()
-        led.spend(0.01, 0, 1)
+        led.spend(0.01, [0], 1)
         led.earn(0)
         assert led.wealth == pytest.approx(0.29)
         assert led.rejections == 1
@@ -95,7 +105,7 @@ class TestWealthLedger:
 
     def test_earn_requires_matching_last_spend(self):
         led = WealthLedger()
-        led.spend(0.01, 0, 1)
+        led.spend(0.01, [0], 1)
         with pytest.raises(ValueError):
             led.earn(99)
         led.earn(0)
@@ -106,7 +116,7 @@ class TestWealthLedger:
         led = WealthLedger()
         spends = [0.02, 0.01, 0.03, 0.015]
         for i, a in enumerate(spends):
-            led.spend(a, i, 1)
+            led.spend(a, [i], 1)
             if i % 2 == 0:
                 led.earn(i)
         expected = 0.25 - sum(spends) + 0.05 * 2
@@ -114,10 +124,10 @@ class TestWealthLedger:
 
     def test_replay_reconstructs_exactly(self):
         led = WealthLedger(initial_wealth=0.4, payout=0.07)
-        led.spend(0.05, 0, 1)
+        led.spend(0.05, [0], 1)
         led.earn(0)
-        led.spend(0.02, 1, 2)
-        led.spend(0.11, 2, 2)
+        led.spend(0.02, [1], 2)
+        led.spend(0.11, [2], 2)
         led.earn(2)
         assert led.replay() == led.wealth
 
@@ -129,10 +139,9 @@ class TestWealthLedger:
         led = WealthLedger()
         for i, (alpha, hit) in enumerate(moves):
             if led.wealth < alpha:
-                with pytest.raises(InsufficientWealth):
-                    led.spend(alpha, i, 1)
+                assert led.spend(alpha, [i], 1) == 0
                 break
-            led.spend(alpha, i, 1)
+            assert led.spend(alpha, [i], 1) == 1
             if hit:
                 led.earn(i)
         identity = (led.initial_wealth - led.total_spent()
@@ -161,9 +170,64 @@ class TestWealthLedger:
     def test_invalid_alpha(self):
         led = WealthLedger()
         with pytest.raises(ValueError):
-            led.spend(0.0, 0, 1)
+            led.spend(0.0, [0], 1)
         with pytest.raises(ValueError):
-            led.spend(1.5, 0, 1)
+            led.spend(1.5, [0], 1)
+
+
+@st.composite
+def charge_plans(draw):
+    """(w0, [(alpha, run length, earn after the run), ...]).
+
+    Alphas include the floor and, with some w0, a power of two that w0
+    is an exact multiple of, so a run can end on wealth exactly equal to
+    alpha (still payable) and then exactly 0."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 30))
+        exact = 2.0 ** -k
+        w0 = exact * draw(st.integers(1, 5000))
+        pool = st.sampled_from([exact, exact * 2.0, ALPHA_FLOOR])
+    else:
+        w0 = draw(st.floats(1e-6, 50.0))
+        pool = st.one_of(st.just(ALPHA_FLOOR),
+                         st.floats(1e-300, 0.999),
+                         st.floats(w0 / 5000.0, min(w0, 0.999)))
+    runs = draw(st.lists(
+        st.tuples(pool, st.integers(0, 5000), st.booleans()),
+        min_size=1, max_size=6))
+    return w0, runs
+
+
+class TestRunCharging:
+    """Charging runs must match a loop of scalar charges on the scalar
+    ledger in tests/reference_engine.py, bit for bit."""
+
+    @given(charge_plans())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_scalar_loop(self, plan):
+        w0, runs = plan
+        led = WealthLedger(initial_wealth=w0, payout=0.05)
+        want = ref.WealthLedger(initial_wealth=w0, payout=0.05)
+        next_id = 0
+        for s, (alpha, length, earn) in enumerate(runs, start=1):
+            ids = list(range(next_id, next_id + length))
+            next_id += length
+            halt = length
+            for k, test_id in enumerate(ids):
+                if want.wealth < alpha:
+                    halt = k
+                    break
+                want.spend(alpha, test_id, s)
+            assert led.spend(alpha, ids, s) == halt
+            assert led.wealth.hex() == want.wealth.hex()
+            if earn and halt:
+                led.earn(ids[halt - 1])
+                want.earn(ids[halt - 1])
+        assert [astuple(e) for e in led.events] == [
+            astuple(e) for e in want.events]
+        assert led.replay().hex() == want.replay().hex() == led.wealth.hex()
+        assert led.total_spent().hex() == want.total_spent().hex()
+        assert led.rejections == want.rejections
 
 
 class TestMfdr:
