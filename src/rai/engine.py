@@ -327,14 +327,19 @@ def run_rai(dataset: Dataset,
                     scores = screen.t_abs(state.df, tol)
                 t_all, t_low, t_high = scores
                 safe = t_high <= tlvl * (1.0 - SCREEN_MARGIN)
-            # the candidates from i on that the screen settles are charged
-            # as one run, which stops early only when the wealth runs out
-            rest = slots[i:]
-            settled = (rest >= 0) & safe[np.maximum(rest, 0)]
-            run = len(rest) if settled.all() else int(settled.argmin())
+                # queue positions from i on that the screen cannot
+                # settle; each removal from the queue shifts them down
+                rest = slots[i:]
+                stops = (i + np.flatnonzero(
+                    (rest < 0) | ~safe[np.maximum(rest, 0)])).tolist()
+                stops.append(len(queue))
+                k = removed = 0
+            # the candidates up to the next stop are charged as one run,
+            # which ends early only when the wealth runs out
+            run = stops[k] - removed - i
             if run:
                 terms = queue[i:i + run]
-                t_run = t_all[rest[:run]]
+                t_run = t_all[slots[i:i + run]]
                 paid = ledger.spend(alpha, terms, s, t_run)
                 t_known.append(t_run[:paid])
                 i += paid
@@ -350,12 +355,14 @@ def run_rai(dataset: Dataset,
             if decision == HALTED_WEALTH:
                 termination = TERMINATED_WEALTH
                 break
+            k += 1
             if decision == NOT_REJECTED:
                 t_known.append([t_abs])
                 i += 1
                 continue
             stream.remove_at(i)
             slots = np.delete(slots, i)
+            removed += 1
             if decision == REJECTED:
                 rejected_any = True
                 screen.sync(state)

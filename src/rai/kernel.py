@@ -23,7 +23,8 @@ import bisect
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,8 +128,6 @@ class Dataset:
     original scale before standardizing.  When no column was dropped it
     is a read-only view of the caller's matrix, not a copy, so the
     caller must not write to that matrix while the dataset is in use.
-    `correlations` holds each column's correlation with the response,
-    which every screen over the dataset starts from.
     """
 
     columns: np.ndarray          # (n, p), C order, centered, unit norm
@@ -139,13 +138,19 @@ class Dataset:
     response_mean: float
     response_scale: float
     raw: np.ndarray              # (n, p), original uncentered columns
-    correlations: np.ndarray = field(init=False)    # (p,)
 
     def __post_init__(self) -> None:
-        self.correlations = self.columns.T @ self.response
         for arr in (self.columns, self.response, self.raw_means,
-                    self.raw_scales, self.raw, self.correlations):
+                    self.raw_scales, self.raw):
             arr.setflags(write=False)
+
+    @cached_property
+    def correlations(self) -> np.ndarray:
+        """Each column's correlation with the response, computed on
+        first use and shared by every screen over the dataset."""
+        corr = self.columns.T @ self.response
+        corr.setflags(write=False)
+        return corr
 
     @property
     def n(self) -> int:

@@ -180,22 +180,15 @@ class WealthLedger:
                   np.array([np.nan]), decision)
 
     def earn(self, test_id) -> None:
-        """Credit the payout for rejecting the most recent test."""
+        """Credit the payout for rejecting the most recent test, which
+        must have been charged as a run of one."""
         if not self._ids:
             raise ValueError("earn before any spend")
-        ids = self._ids[-1]
-        if ids[-1] != test_id or self._decisions[-1] != NOT_REJECTED:
-            raise ValueError("payout must follow its own spend immediately")
-        if len(ids) > 1:
-            # split the run so that its last test stands alone
-            s, alpha = self._passes[-1], self._alphas[-1]
-            before, t_abs = self._before[-1], self._t_abs[-1]
-            self._ids[-1], self._before[-1], self._t_abs[-1] = (
-                ids[:-1], before[:-1], t_abs[:-1])
-            self._lengths[-1] -= 1
-            self._log(ids[-1:], s, alpha, before[-1:], t_abs[-1:], REJECTED)
-        else:
-            self._decisions[-1] = REJECTED
+        if (self._ids[-1] != [test_id]
+                or self._decisions[-1] != NOT_REJECTED):
+            raise ValueError("payout must follow its own one-test spend "
+                             "immediately")
+        self._decisions[-1] = REJECTED
         self.wealth += self.payout
         self.rejections += 1
 

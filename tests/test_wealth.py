@@ -112,6 +112,14 @@ class TestWealthLedger:
         with pytest.raises(ValueError):
             led.earn(0)  # already settled
 
+    def test_earn_refused_after_multi_test_run(self):
+        led = WealthLedger()
+        led.spend(0.01, [0, 1], 1)
+        with pytest.raises(ValueError):
+            led.earn(1)
+        assert led.rejections == 0
+        assert led.wealth == 0.25 - 0.01 - 0.01
+
     def test_identity_with_k_rejections(self):
         led = WealthLedger()
         spends = [0.02, 0.01, 0.03, 0.015]
@@ -177,7 +185,7 @@ class TestWealthLedger:
 
 @st.composite
 def charge_plans(draw):
-    """(w0, [(alpha, run length, earn after the run), ...]).
+    """(w0, [(alpha, run length, test and earn after the run), ...]).
 
     Alphas include the floor and, with some w0, a power of two that w0
     is an exact multiple of, so a run can end on wealth exactly equal to
@@ -220,9 +228,14 @@ class TestRunCharging:
                 want.spend(alpha, test_id, s)
             assert led.spend(alpha, ids, s) == halt
             assert led.wealth.hex() == want.wealth.hex()
-            if earn and halt:
-                led.earn(ids[halt - 1])
-                want.earn(ids[halt - 1])
+            if earn and want.wealth >= alpha:
+                # a rejection is one test charged alone, as on the
+                # engine's exact path
+                assert led.spend(alpha, [next_id], s) == 1
+                want.spend(alpha, next_id, s)
+                led.earn(next_id)
+                want.earn(next_id)
+                next_id += 1
         assert [astuple(e) for e in led.events] == [
             astuple(e) for e in want.events]
         assert led.replay().hex() == want.replay().hex() == led.wealth.hex()
