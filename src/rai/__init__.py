@@ -17,11 +17,11 @@ from . import errors
 from .engine import (RaiConfig, SelectionTrace, SkipRecord, TestRecord,
                      fit_terms, run_rai, skip_passes, test_candidate)
 from .kernel import (COLLINEARITY_TOL, T_STAT_MAX, Dataset, ModelState,
-                     coefficients, gain, r_squared_of, standardize)
+                     r_squared_of, standardize)
 from .oracles import (BoundInputs, aic, brute_force_subset, forward_stepwise,
                       submodularity_ratio, theorem_bound,
                       theorem_bound_branches)
-from .terms import FeatureTerm, generate_candidates, realize
+from .terms import FeatureTerm, generate_candidates, monomial, realize
 from .wealth import (ALPHA_FLOOR, DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT,
                      LedgerEvent, MfdrCounts, WealthLedger, mfdr_estimate,
                      pass_parameters)
@@ -31,14 +31,14 @@ __all__ = [
     "__version__",
     "errors",
     # kernel
-    "Dataset", "ModelState", "standardize", "r_squared_of", "gain",
-    "coefficients", "COLLINEARITY_TOL", "T_STAT_MAX",
+    "Dataset", "ModelState", "standardize", "r_squared_of",
+    "COLLINEARITY_TOL", "T_STAT_MAX",
     # wealth
     "WealthLedger", "LedgerEvent", "pass_parameters", "MfdrCounts",
     "mfdr_estimate", "DEFAULT_INITIAL_WEALTH", "DEFAULT_PAYOUT",
     "ALPHA_FLOOR",
     # terms
-    "FeatureTerm", "generate_candidates", "realize",
+    "FeatureTerm", "generate_candidates", "monomial", "realize",
     # engine
     "RaiConfig", "run_rai", "test_candidate", "skip_passes", "fit_terms",
     "SelectionTrace", "TestRecord", "SkipRecord",

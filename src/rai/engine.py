@@ -29,8 +29,7 @@ import numpy as np
 from .errors import ConstantInteraction, NoFinitePass
 from .kernel import (COLLINEARITY_TOL, SCREEN_MARGIN, Dataset, ModelState,
                      Screen)
-from .terms import (FeatureTerm, generate_candidates, realize_with_stats,
-                    term_column)
+from .terms import FeatureTerm, generate_candidates, realize, term_column
 from .wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT, HALTED_WEALTH,
                      NOT_REJECTED, REJECTED, REMOVED_COLLINEAR, SKIPPED,
                      WealthLedger, pass_parameters, running)
@@ -58,7 +57,6 @@ class RaiConfig:
     initial_wealth: float = DEFAULT_INITIAL_WEALTH
     payout: float = DEFAULT_PAYOUT
     max_passes: int | None = None
-    collinearity_tol: float = COLLINEARITY_TOL
     interactions: bool = False
     max_interaction_order: int | None = None
     skip_passes: bool = True
@@ -144,32 +142,9 @@ class SelectionTrace:
         return self.ledger.decisions.count(REJECTED)
 
 
-class FeatureStream:
-    """Ordered candidate queue with a permanent no-repeat memory."""
-
-    def __init__(self, initial_terms=()):
-        # one pass; a repeated key keeps its first place in the queue
-        self.seen: dict = {term.key: term for term in initial_terms}
-        self.queue: list[FeatureTerm] = list(self.seen.values())
-
-    def append(self, term: FeatureTerm) -> bool:
-        if term.key in self.seen:
-            return False
-        self.seen[term.key] = term
-        self.queue.append(term)
-        return True
-
-    def remove_at(self, i: int) -> FeatureTerm:
-        return self.queue.pop(i)
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-
 def test_candidate(state: ModelState, ledger: WealthLedger,
                    term: FeatureTerm, tlvl: float, alpha: float,
-                   pass_index: int = 0, column=_UNRESOLVED,
-                   collinearity_tol: float = COLLINEARITY_TOL):
+                   pass_index: int = 0, column=_UNRESOLVED):
     """Run one candidate through the gate-spend-compare sequence.
 
     Returns (decision, state, |t| or None).  The spend always precedes
@@ -193,7 +168,7 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
         return REMOVED_COLLINEAR, state, None
     adj = state.adjusted_vector(column)
     nrm = float(np.linalg.norm(adj))
-    if nrm <= collinearity_tol:
+    if nrm <= COLLINEARITY_TOL:
         ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
     t_abs = abs(state.score_adjusted(adj, nrm)[1])
@@ -208,18 +183,19 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
 test_candidate.__test__ = False
 
 
-def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
+def skip_passes(terms, t_abs, ledger: WealthLedger, s: int, n: int,
                 max_passes: int) -> tuple[int, bool, float]:
     """Jump past passes no known |t| can clear, paying for each skipped test.
 
-    `known_t` maps every remaining candidate to its |t| in stream order.
-    Returns (next pass, halted, alpha charged); `halted` means wealth
-    died mid-charge at the returned pass.  Raises NoFinitePass when all
-    |t| are zero, since no finite threshold is ever cleared.
+    `terms` is every remaining candidate in stream order and `t_abs`
+    their |t|.  Returns (next pass, halted, alpha charged); `halted`
+    means wealth died mid-charge at the returned pass.  Raises
+    NoFinitePass when all |t| are zero, since no finite threshold is
+    ever cleared.
     """
-    if not known_t:
+    if not terms:
         raise NoFinitePass("no candidates left")
-    best = max(known_t.values())
+    best = float(np.max(t_abs))
     if best <= 0.0:
         raise NoFinitePass("every remaining |t| is zero")
     root_n = math.sqrt(n)
@@ -227,7 +203,6 @@ def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
     s_prime = max(s + 1, target)
     while root_n * 2.0 ** (-s_prime / 2.0) >= best:
         s_prime += 1
-    terms = list(known_t)
     charged = 0.0
     for u in range(s + 1, min(s_prime, max_passes + 1)):
         _, alpha_u = pass_parameters(n, u)
@@ -280,11 +255,12 @@ def run_rai(dataset: Dataset,
         config = RaiConfig()
     n = dataset.n
     max_passes = config.resolve_max_passes(n)
-    tol = config.collinearity_tol
     ledger = WealthLedger(config.initial_wealth, config.payout)
     trace = SelectionTrace(ledger, n)
-    stream = FeatureStream(FeatureTerm.marginal(j) for j in range(dataset.p))
-    queue = stream.queue
+    queue = [FeatureTerm.marginal(j) for j in range(dataset.p)]
+    # every product ever queued; products have order >= 2, so no
+    # marginal can repeat
+    seen: set[FeatureTerm] = set()
     state = ModelState.empty(dataset)
     screen = Screen(dataset)
     # screen slot of each queued term, or _CONSTANT or _PENDING
@@ -324,7 +300,7 @@ def run_rai(dataset: Dataset,
                     termination = TERMINATED_STREAM
                     break
                 if scores is None:
-                    scores = screen.t_abs(state.df, tol)
+                    scores = screen.t_abs(state.df)
                 t_all, t_low, t_high = scores
                 safe = t_high <= tlvl * (1.0 - SCREEN_MARGIN)
                 # queue positions from i on that the screen cannot
@@ -350,8 +326,7 @@ def run_rai(dataset: Dataset,
             slot = int(slots[i])
             decision, state, t_abs = test_candidate(
                 state, ledger, term, tlvl, alpha, pass_index=s,
-                column=None if slot == _CONSTANT else screen.column(slot),
-                collinearity_tol=tol)
+                column=None if slot == _CONSTANT else screen.column(slot))
             if decision == HALTED_WEALTH:
                 termination = TERMINATED_WEALTH
                 break
@@ -360,22 +335,23 @@ def run_rai(dataset: Dataset,
                 t_known.append([t_abs])
                 i += 1
                 continue
-            stream.remove_at(i)
+            del queue[i]
             slots = np.delete(slots, i)
             removed += 1
             if decision == REJECTED:
                 rejected_any = True
                 screen.sync(state)
                 if config.interactions:
-                    added = sum(stream.append(cand)
-                                for cand in generate_candidates(
-                                    state.selected, term,
-                                    max_order=config.max_interaction_order))
-                    slots = np.append(slots, np.full(added, _PENDING))
+                    added = generate_candidates(
+                        state.selected, term,
+                        max_order=config.max_interaction_order, seen=seen)
+                    seen.update(added)
+                    queue += added
+                    slots = np.append(slots, np.full(len(added), _PENDING))
                 safe = scores = None
         if termination is not None:
             break
-        if not len(stream):
+        if not queue:
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
@@ -383,17 +359,16 @@ def run_rai(dataset: Dataset,
             # changed the scores since `safe` was computed
             t = np.concatenate(t_known)
             _rescore_top(t, slots, safe, t_low, t_high, state, screen)
-            known_t = dict(zip(queue, t.tolist()))
             before = ledger.wealth
             try:
                 s_next, halted, charged = skip_passes(
-                    known_t, ledger, s, n, max_passes)
+                    queue, t, ledger, s, n, max_passes)
             except NoFinitePass:
                 termination = TERMINATED_STREAM
                 break
             if halted or s_next > s + 1:
                 trace.skips.append(SkipRecord(
-                    s, s_next, len(known_t), charged, before, ledger.wealth,
+                    s, s_next, len(queue), charged, before, ledger.wealth,
                     halted))
             if halted:
                 trace.passes_traversed = max(trace.passes_traversed, s_next)
@@ -429,7 +404,7 @@ def fit_terms(dataset: Dataset,
             means.append(dataset.raw_means[j])
             scales.append(dataset.raw_scales[j])
         else:
-            col, mean, scale = realize_with_stats(term, dataset.raw)
+            col, mean, scale = realize(term, dataset.raw)
             cols.append(col)
             means.append(mean)
             scales.append(scale)

@@ -32,7 +32,6 @@ from .errors import (
     AllColumnsConstant,
     CollinearFeature,
     ConstantResponse,
-    InsufficientDf,
     SingularSubset,
 )
 
@@ -269,9 +268,6 @@ class ModelState:
                 v -= np.dot(v, q) * q
         return v
 
-    def adjusted_column(self, j: int) -> np.ndarray:
-        return self.adjusted_vector(self.dataset.columns[:, j])
-
     def score_vector(self, x: np.ndarray) -> tuple[float, float, float]:
         """(adjusted norm, partial correlation, t) for a candidate column.
 
@@ -295,26 +291,6 @@ class ModelState:
         rho = min(1.0, max(-1.0, rho))
         return rho, _t_from_rho(rho, self.df)
 
-    def partial_correlation(self, j: int) -> float:
-        """Correlation of the residual with the S-adjusted column j.
-
-        Its square is the R^2 gain of adding j divided by (1 - R^2).
-        """
-        nrm, rho, _ = self.score_vector(self.dataset.columns[:, j])
-        if nrm <= COLLINEARITY_TOL:
-            raise CollinearFeature(f"column {j} is collinear with the model")
-        return rho
-
-    def t_statistic(self, j: int) -> float:
-        """t-statistic for candidate j against the current residual,
-        on n - |S| - 2 degrees of freedom."""
-        if self.df < 1:
-            raise InsufficientDf(f"df = {self.df} with |S| = {self.size}")
-        nrm, rho, t = self.score_vector(self.dataset.columns[:, j])
-        if nrm <= COLLINEARITY_TOL:
-            raise CollinearFeature(f"column {j} is collinear with the model")
-        return t
-
     # -- updates -------------------------------------------------------
 
     def add_adjusted(self, adj: np.ndarray, label) -> "ModelState":
@@ -330,7 +306,8 @@ class ModelState:
                           self.basis + (q,), residual, r2)
 
     def add_feature(self, j: int) -> "ModelState":
-        return self.add_adjusted(self.adjusted_column(j), j)
+        return self.add_adjusted(
+            self.adjusted_vector(self.dataset.columns[:, j]), j)
 
 
 # -- batched screening ---------------------------------------------------
@@ -436,8 +413,7 @@ class Screen:
                 (self.inner, block @ self._state.residual))
         return slots
 
-    def rho_bounds(self, collinearity_tol: float = COLLINEARITY_TOL
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def rho_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(|rho|, low, high) for every slot.
 
         rho is the partial correlation of the slot with the residual;
@@ -447,7 +423,7 @@ class Screen:
         """
         c = np.abs(self.inner)
         norm2 = 1.0 - self.gram
-        floor = max(SCREEN_MIN_NORM2, (2.0 * collinearity_tol) ** 2)
+        floor = max(SCREEN_MIN_NORM2, (2.0 * COLLINEARITY_TOL) ** 2)
         trusted = (norm2 >= floor) & np.isfinite(c)
         with np.errstate(all="ignore"):
             rho = c / (self.rnorm * np.sqrt(norm2))
@@ -458,10 +434,9 @@ class Screen:
         high[~trusted] = np.inf
         return rho, low, high
 
-    def t_abs(self, df: int, collinearity_tol: float = COLLINEARITY_TOL
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def t_abs(self, df: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(|t|, low, high) for every slot on df degrees of freedom."""
-        rho, low, high = self.rho_bounds(collinearity_tol)
+        rho, low, high = self.rho_bounds()
         if self.rnorm < 1e-15:
             # an exhausted residual scores every candidate 0, as the
             # exact path does; only untrusted slots stay open
@@ -483,29 +458,3 @@ def r_squared_of(dataset: Dataset, subset) -> float:
         raise SingularSubset(f"columns {S} are rank deficient")
     proj = q.T @ dataset.response
     return float(min(1.0, np.dot(proj, proj)))
-
-
-def gain(dataset: Dataset, S, A) -> float:
-    """R^2(S u A) - R^2(S).  Non-negative up to roundoff."""
-    S = list(S)
-    union = S + [a for a in A if a not in S]
-    return r_squared_of(dataset, union) - r_squared_of(dataset, S)
-
-
-def coefficients(dataset: Dataset, subset) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients for the subset on the original scale.
-
-    Returns (slopes aligned with `subset`, intercept).
-    """
-    S = list(subset)
-    if not S:
-        return np.zeros(0), dataset.response_mean
-    M = dataset.columns[:, S]
-    q, r = np.linalg.qr(M)
-    if np.min(np.abs(np.diag(r))) <= COLLINEARITY_TOL:
-        raise SingularSubset(f"columns {S} are rank deficient")
-    b = np.linalg.solve(r, q.T @ dataset.response)
-    slopes = dataset.response_scale * b / dataset.raw_scales[S]
-    intercept = dataset.response_mean - float(
-        np.dot(slopes, dataset.raw_means[S]))
-    return slopes, intercept

@@ -47,8 +47,7 @@ def aic(dataset: Dataset, subset) -> float:
     return n * math.log(ess / n) + 2.0 * (len(S) + 1)
 
 
-def forward_stepwise(dataset: Dataset, k: int | None = None,
-                     tol: float = COLLINEARITY_TOL) -> list[int]:
+def forward_stepwise(dataset: Dataset, k: int | None = None) -> list[int]:
     """Greedy forward selection by exact R^2 gain.
 
     With `k` the path stops at that size.  With k=None the path grows
@@ -66,13 +65,13 @@ def forward_stepwise(dataset: Dataset, k: int | None = None,
         # gain = rho^2 ||r||^2, so the screen's rho bounds pick the few
         # columns that can win; their exact Gram-Schmidt gains decide,
         # lowest index on ties
-        _, low, high = screen.rho_bounds(tol)
+        _, low, high = screen.rho_bounds()
         contenders = live & ~(high < np.max(low[live]))
         best_j, best_gain, best_adj = -1, -np.inf, None
         for j in np.flatnonzero(contenders).tolist():
             adj = state.adjusted_vector(dataset.columns[:, j])
             nrm = float(np.linalg.norm(adj))
-            if nrm <= tol:
+            if nrm <= COLLINEARITY_TOL:
                 continue
             g = float(np.dot(state.residual, adj) / nrm) ** 2
             if g > best_gain:

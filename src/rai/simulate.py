@@ -26,7 +26,7 @@ from .engine import RaiConfig, run_rai
 from .errors import DegenerateTerms, LengthMismatch, RaiError
 from .kernel import Dataset, ModelState, standardize
 from .oracles import forward_stepwise
-from .terms import FeatureTerm
+from .terms import FeatureTerm, monomial
 from .wealth import MfdrCounts, mfdr_estimate
 
 SCENARIOS = ("four_interactions", "single_interaction", "global_null")
@@ -110,13 +110,6 @@ def gen_design(spec: SimSpec, rep: int) -> np.ndarray:
     rng = _rng(spec, rep, 0)
     tau = rng.normal(0.0, 2.0, spec.p)
     return rng.normal(tau, 1.0, (spec.n, spec.p))
-
-
-def _term_raw_column(term: FeatureTerm, X: np.ndarray) -> np.ndarray:
-    col = np.ones(X.shape[0])
-    for j, p in term.powers:
-        col = col * X[:, j] ** p
-    return col
 
 
 def _div(num: float, den: float) -> float:
@@ -205,7 +198,7 @@ def _brentq(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
 def calibrate_beta(X: np.ndarray, terms, target_r2: float) -> np.ndarray:
     """Coefficients c / ||centered term column|| with c tuned so the
     sample signal fraction Var(mu) / (Var(mu) + 1) equals target_r2."""
-    cols = [_term_raw_column(t, X) for t in terms]
+    cols = [monomial(t, X) for t in terms]
     norms = np.array([np.linalg.norm(c - c.mean()) for c in cols])
     if np.any(norms <= 1e-12):
         raise DegenerateTerms("a true-model term column is constant")
@@ -242,7 +235,7 @@ def gen_response(X: np.ndarray, spec: SimSpec,
         mu = np.zeros(X.shape[0])
         return eps.copy(), mu, np.zeros(0)
     beta = calibrate_beta(X, terms, spec.target_r2)
-    cols = np.column_stack([_term_raw_column(t, X) for t in terms])
+    cols = np.column_stack([monomial(t, X) for t in terms])
     mu = cols @ beta
     return mu + eps, mu, beta
 
@@ -337,7 +330,7 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
         y, mu, _beta = gen_response(X, spec, rep)
         dataset = standardize(X, y, names)
         truth_cols = (np.column_stack(
-            [_term_raw_column(t, X) for t in truth]) if truth else None)
+            [monomial(t, X) for t in truth]) if truth else None)
         try:
             yhat, selected, passes, spent, rejections = _run_method(
                 method, dataset, X, y, spec, truth_cols)

@@ -77,51 +77,44 @@ def generate_candidates(selected, newly_added: FeatureTerm,
 
     `selected` is the post-addition model in selection order, so the
     self-product (squares, cubes, ...) is always among the products.
-    Terms already selected, already seen, or past `max_order` are left
+    Terms already selected, in `seen`, or past `max_order` are left
     out; duplicates collapse to one candidate.
     """
     selected = list(selected)
     if newly_added not in selected:
         raise ValueError("newly added term must already be in the model")
-    excluded = {t.key for t in selected}
-    for item in seen:
-        excluded.add(item.key if isinstance(item, FeatureTerm) else item)
+    excluded = set(selected)
     out: list[FeatureTerm] = []
-    emitted = set()
     for t in selected:
         cand = newly_added.product(t)
         if max_order is not None and cand.order > max_order:
             continue
-        if cand.key in excluded or cand.key in emitted:
+        if cand in excluded or cand in seen:
             continue
-        emitted.add(cand.key)
+        excluded.add(cand)
         out.append(cand)
     return out
 
 
-def realize(term: FeatureTerm, raw: np.ndarray) -> np.ndarray:
-    """Standardized column for a term, built on the original scale.
+def monomial(term: FeatureTerm, raw: np.ndarray) -> np.ndarray:
+    """The term's column on the original scale: the elementwise product
+    of its raw columns, each raised to its power."""
+    col = np.ones(raw.shape[0])
+    for j, p in term.powers:
+        col = col * raw[:, j] ** p
+    return col
 
-    The elementwise product of raw columns is formed first and only then
+
+def realize(term: FeatureTerm,
+            raw: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Standardized column for a term, built on the original scale,
+    with its centering and scaling constants: (column, mean, scale).
+
+    The monomial of the raw columns is formed first and only then
     centered and scaled to unit norm, so powers mean powers of the data
     the user supplied, not of centered copies.
     """
-    col = np.ones(raw.shape[0])
-    for j, p in term.powers:
-        col = col * raw[:, j] ** p
-    out = _unit_centered(col)
-    if out is None:
-        raise ConstantInteraction(f"term {term.display()} is constant")
-    return out[0]
-
-
-def realize_with_stats(term: FeatureTerm,
-                       raw: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Like realize, also returning the centering/scaling constants."""
-    col = np.ones(raw.shape[0])
-    for j, p in term.powers:
-        col = col * raw[:, j] ** p
-    out = _unit_centered(col)
+    out = _unit_centered(monomial(term, raw))
     if out is None:
         raise ConstantInteraction(f"term {term.display()} is constant")
     return out
@@ -131,4 +124,4 @@ def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray:
     """Standardized column for any term of the dataset."""
     if term.order == 1:
         return dataset.columns[:, term.powers[0][0]]
-    return realize(term, dataset.raw)
+    return realize(term, dataset.raw)[0]

@@ -198,8 +198,7 @@ _UNRESOLVED = object()
 
 def test_candidate(state: ModelState, ledger: WealthLedger,
                    term: FeatureTerm, tlvl: float, alpha: float,
-                   pass_index: int = 0, column=_UNRESOLVED,
-                   collinearity_tol: float = COLLINEARITY_TOL):
+                   pass_index: int = 0, column=_UNRESOLVED):
     """Run one candidate through the gate-spend-compare sequence.
 
     Returns (decision, state, |t| or None).  The spend always precedes
@@ -219,7 +218,7 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
         return REMOVED_COLLINEAR, state, None
     adj = state.adjusted_vector(column)
     nrm = float(np.linalg.norm(adj))
-    if nrm <= collinearity_tol:
+    if nrm <= COLLINEARITY_TOL:
         return REMOVED_COLLINEAR, state, None
     ledger.spend(alpha, term.key, pass_index)
     rnorm = float(np.linalg.norm(state.residual))
@@ -290,8 +289,7 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
             before = ledger.wealth
             decision, state, t_abs = test_candidate(
                 state, ledger, term, tlvl, alpha, pass_index=s,
-                column=column_for(term),
-                collinearity_tol=config.collinearity_tol)
+                column=column_for(term))
             trace.tests.append(TestRecord(
                 s, term, t_abs, tlvl, alpha, before, ledger.wealth, decision))
             if decision == HALTED_WEALTH:
@@ -341,8 +339,7 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
     return state, trace
 
 
-def forward_stepwise(dataset: Dataset, k: int | None = None,
-                     tol: float = COLLINEARITY_TOL) -> list[int]:
+def forward_stepwise(dataset: Dataset, k: int | None = None) -> list[int]:
     """Greedy forward selection by exact R^2 gain.
 
     With `k` the path stops at that size.  With k=None the path grows
@@ -361,7 +358,7 @@ def forward_stepwise(dataset: Dataset, k: int | None = None,
                 continue
             adj = state.adjusted_vector(dataset.columns[:, j])
             nrm = float(np.linalg.norm(adj))
-            if nrm <= tol:
+            if nrm <= COLLINEARITY_TOL:
                 continue
             g = float(np.dot(state.residual, adj) / nrm) ** 2
             if g > best_gain:

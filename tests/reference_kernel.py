@@ -1,0 +1,51 @@
+"""Scalar kernel quantities the package no longer needs, kept as test
+references.
+
+The selection engine scores candidates through `ModelState.score_vector`
+and `Screen`, and fits through `fit_terms`.  The one-column queries below
+(the S-adjusted column, partial correlation, t-statistic) and the
+subset gain are the textbook definitions those paths must agree with,
+so the tests keep them.  Test-only: nothing in `rai` imports this
+module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rai.errors import CollinearFeature, InsufficientDf
+from rai.kernel import COLLINEARITY_TOL, Dataset, ModelState, r_squared_of
+
+
+def adjusted_column(state: ModelState, j: int) -> np.ndarray:
+    """Column j minus its projection onto the state's basis."""
+    return state.adjusted_vector(state.dataset.columns[:, j])
+
+
+def partial_correlation(state: ModelState, j: int) -> float:
+    """Correlation of the residual with the S-adjusted column j.
+
+    Its square is the R^2 gain of adding j divided by (1 - R^2).
+    """
+    nrm, rho, _ = state.score_vector(state.dataset.columns[:, j])
+    if nrm <= COLLINEARITY_TOL:
+        raise CollinearFeature(f"column {j} is collinear with the model")
+    return rho
+
+
+def t_statistic(state: ModelState, j: int) -> float:
+    """t-statistic for candidate j against the state's residual, on
+    n - |S| - 2 degrees of freedom."""
+    if state.df < 1:
+        raise InsufficientDf(f"df = {state.df} with |S| = {state.size}")
+    nrm, rho, t = state.score_vector(state.dataset.columns[:, j])
+    if nrm <= COLLINEARITY_TOL:
+        raise CollinearFeature(f"column {j} is collinear with the model")
+    return t
+
+
+def gain(dataset: Dataset, S, A) -> float:
+    """R^2(S u A) - R^2(S).  Non-negative up to roundoff."""
+    S = list(S)
+    union = S + [a for a in A if a not in S]
+    return r_squared_of(dataset, union) - r_squared_of(dataset, S)

@@ -13,13 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from rai import (BoundInputs, RaiConfig, brute_force_subset, fit_terms,
-                 forward_stepwise, gain, r_squared_of, run_rai, standardize,
+from rai import (BoundInputs, FeatureTerm, RaiConfig, brute_force_subset,
+                 fit_terms, forward_stepwise, monomial, run_rai, standardize,
                  submodularity_ratio, theorem_bound)
-from rai.kernel import coefficients
 from rai.simulate import SimSpec, run_experiment, true_terms
 
 from conftest import expected_true_term_t, projected_gain
+from reference_kernel import gain
 
 
 @pytest.fixture
@@ -258,13 +258,6 @@ def test_first_step_matches_best_single_feature(verdict):
 
 # --- optional real-data gate ----------------------------------------------
 
-def _term_column(term, X):
-    col = np.ones(X.shape[0])
-    for j, power in term.powers:
-        col = col * X[:, j] ** power
-    return col
-
-
 def test_concrete_benchmark_beats_marginal_stepwise(verdict):
     path = os.environ.get("RAI_CONCRETE_CSV", "data/concrete.csv")
     if not os.path.exists(path):
@@ -286,11 +279,12 @@ def test_concrete_benchmark_beats_marginal_stepwise(verdict):
         slopes, intercept = fit_terms(dataset, state.selected)
         pred = np.full(len(te), intercept)
         for term, slope in zip(state.selected, slopes):
-            pred += slope * _term_column(term, X_all[te])
+            pred += slope * monomial(term, X_all[te])
         ours = float(np.mean((y_all[te] - pred) ** 2))
 
         path_aic = forward_stepwise(dataset, None)
-        base_slopes, base_intercept = coefficients(dataset, path_aic)
+        base_slopes, base_intercept = fit_terms(
+            dataset, [FeatureTerm.marginal(j) for j in path_aic])
         base_pred = (X_all[te][:, path_aic] @ base_slopes + base_intercept
                      if path_aic else np.full(len(te), base_intercept))
         base = float(np.mean((y_all[te] - base_pred) ** 2))

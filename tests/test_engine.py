@@ -143,10 +143,10 @@ class TestSkipPasses:
         # max |t| sits 1% above the pass-5 threshold
         n = 400
         t_star = math.sqrt(n) * 2.0 ** (-5 / 2.0) * 1.01
-        known = {FeatureTerm.marginal(0): 0.4,
-                 FeatureTerm.marginal(1): t_star}
+        terms = [FeatureTerm.marginal(0), FeatureTerm.marginal(1)]
         led = WealthLedger(initial_wealth=5.0)
-        s_next, halted, charged = skip_passes(known, led, 1, n, 20)
+        s_next, halted, charged = skip_passes(
+            terms, np.array([0.4, t_star]), led, 1, n, 20)
         assert s_next == 5
         assert not halted
         expected = sum(2 * pass_parameters(n, u)[1] for u in (2, 3, 4))
@@ -159,20 +159,21 @@ class TestSkipPasses:
         t_star = math.sqrt(n) * 2.0 ** (-5 / 2.0)
         led = WealthLedger(initial_wealth=5.0)
         s_next, halted, _ = skip_passes(
-            {FeatureTerm.marginal(0): t_star}, led, 1, n, 20)
+            [FeatureTerm.marginal(0)], np.array([t_star]), led, 1, n, 20)
         assert s_next == 6
 
     def test_all_zero_raises(self):
         led = WealthLedger()
         with pytest.raises(NoFinitePass):
-            skip_passes({FeatureTerm.marginal(0): 0.0}, led, 1, 100, 10)
+            skip_passes([FeatureTerm.marginal(0)], np.array([0.0]), led, 1,
+                        100, 10)
 
     def test_halts_mid_charge_with_partial_commit(self):
         n = 100
-        known = {FeatureTerm.marginal(j): 0.9 for j in range(3)}
-        known[FeatureTerm.marginal(3)] = 1.3  # clears pass 7
+        terms = [FeatureTerm.marginal(j) for j in range(4)]
+        t_abs = np.array([0.9, 0.9, 0.9, 1.3])  # the last clears pass 7
         led = WealthLedger(initial_wealth=0.08)
-        s_next, halted, charged = skip_passes(known, led, 1, n, 12)
+        s_next, halted, charged = skip_passes(terms, t_abs, led, 1, n, 12)
         assert halted
         assert charged > 0
         assert led.wealth == pytest.approx(0.08 - charged, abs=1e-15)
@@ -182,7 +183,8 @@ class TestSkipPasses:
         n = 400
         led = WealthLedger(initial_wealth=5.0)
         s_next, halted, charged = skip_passes(
-            {FeatureTerm.marginal(0): 0.9}, led, 1, n, max_passes=3)
+            [FeatureTerm.marginal(0)], np.array([0.9]), led, 1, n,
+            max_passes=3)
         assert s_next > 3
         assert not halted
         expected = sum(pass_parameters(n, u)[1] for u in (2, 3))
@@ -329,6 +331,31 @@ class TestRunRai:
             hits = [rec for rec in trace.tests if rec.term == term]
             assert hits[-1].decision == REJECTED
             assert all(r.decision != REJECTED for r in hits[:-1])
+
+    def test_settled_terms_never_return(self):
+        # X3 is binary, so X3^2 equals X3 and any product holding X3^2
+        # repeats one holding X3; X1*X2*X3 can be generated three ways
+        removed_products = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = 400
+            X = rng.normal(1.0, 1.0, size=(n, 5))
+            X[:, 2] = rng.integers(0, 2, n)
+            x1, x2, b = X[:, 0], X[:, 1], X[:, 2]
+            y = (x1 + x2 + b + x1 * b + x1 * x2 + x1 * x2 * b
+                 + rng.normal(size=n))
+            _, trace = run_rai(standardize(X, y),
+                               RaiConfig(interactions=True))
+            led = trace.ledger
+            settled = set()
+            # every log entry, skip charges included
+            for term, decision in zip(led.test_ids, led.decisions):
+                assert term not in settled, (seed, term.display())
+                if decision in (REJECTED, REMOVED_COLLINEAR):
+                    settled.add(term)
+                removed_products += (decision == REMOVED_COLLINEAR
+                                     and term.order > 1)
+        assert removed_products > 0
 
     def test_saturation_stops_cleanly(self):
         # tiny n: the model runs out of degrees of freedom, not wealth

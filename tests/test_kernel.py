@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rai
-from rai import Dataset, ModelState, standardize
+from rai import FeatureTerm, ModelState, fit_terms, standardize
 from rai.errors import (AllColumnsConstant, CollinearFeature,
                         ConstantResponse, InsufficientDf, SingularSubset)
 from rai.kernel import COLLINEARITY_TOL, T_STAT_MAX, Screen
 
 from conftest import (ols_fit, ols_r2, ols_t_stats, projected_gain,
                       projector_r2, random_raw)
+from reference_kernel import (adjusted_column, gain, partial_correlation,
+                              t_statistic)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -68,7 +70,8 @@ class TestAdjustedColumn:
     def test_empty_model_returns_column(self, small_dataset):
         state = ModelState.empty(small_dataset)
         np.testing.assert_allclose(
-            state.adjusted_column(3), small_dataset.columns[:, 3], atol=1e-12)
+            adjusted_column(state, 3), small_dataset.columns[:, 3],
+            atol=1e-12)
 
     def test_span_member_vanishes(self):
         # column 2 = column 0 + column 1 exactly in the raw data
@@ -78,7 +81,7 @@ class TestAdjustedColumn:
         y = rng.normal(size=30)
         ds = standardize(X, y)
         state = ModelState.empty(ds).add_feature(0).add_feature(1)
-        assert np.linalg.norm(state.adjusted_column(2)) <= 1e-8
+        assert np.linalg.norm(adjusted_column(state, 2)) <= 1e-8
 
     def test_orthogonal_design_unchanged(self):
         # exactly orthogonal columns via QR
@@ -89,13 +92,13 @@ class TestAdjustedColumn:
         ds = standardize(Q, y)
         state = ModelState.empty(ds).add_feature(0).add_feature(1)
         np.testing.assert_allclose(
-            state.adjusted_column(4), ds.columns[:, 4], atol=1e-6)
+            adjusted_column(state, 4), ds.columns[:, 4], atol=1e-6)
 
     def test_orthogonal_to_basis(self, correlated_dataset):
         state = ModelState.empty(correlated_dataset)
         for j in (0, 3, 5):
             state = state.add_feature(j)
-        adj = state.adjusted_column(6)
+        adj = adjusted_column(state, 6)
         for q in state.basis:
             assert abs(q @ adj) <= 1e-8
 
@@ -106,7 +109,7 @@ class TestPartialCorrelation:
         x = np.arange(20.0)
         ds = standardize(x[:, None], x.copy())
         state = ModelState.empty(ds)
-        assert state.partial_correlation(0) == pytest.approx(1.0)
+        assert partial_correlation(state, 0) == pytest.approx(1.0)
 
     def test_orthogonal_noise_gives_zero(self):
         n = 16
@@ -116,7 +119,7 @@ class TestPartialCorrelation:
         y[2:4] = (1.0, -1.0)
         ds = standardize(x[:, None], y)
         state = ModelState.empty(ds)
-        assert abs(state.partial_correlation(0)) <= 1e-12
+        assert abs(partial_correlation(state, 0)) <= 1e-12
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
@@ -125,7 +128,7 @@ class TestPartialCorrelation:
         X, y = random_raw(seed, 40, 5)
         ds = standardize(X, y)
         state = ModelState.empty(ds).add_feature(0).add_feature(2)
-        rho = state.partial_correlation(4)
+        rho = partial_correlation(state, 4)
         r2_with = ols_r2(X[:, [0, 2, 4]], y)
         r2_without = ols_r2(X[:, [0, 2]], y)
         expected = (r2_with - r2_without) / (1.0 - r2_without)
@@ -138,7 +141,7 @@ class TestPartialCorrelation:
         ds = standardize(X, rng.normal(size=25))
         state = ModelState.empty(ds).add_feature(0)
         with pytest.raises(CollinearFeature):
-            state.partial_correlation(1)
+            partial_correlation(state, 1)
 
 
 class TestTStatistic:
@@ -150,19 +153,19 @@ class TestTStatistic:
         y = np.zeros(n)
         y[2:4] = (1.0, -1.0)
         ds = standardize(x[:, None], y)
-        assert ModelState.empty(ds).t_statistic(0) == 0.0
+        assert t_statistic(ModelState.empty(ds), 0) == 0.0
 
     def test_perfect_fit_sentinel(self):
         x = np.arange(10.0)
         ds = standardize(x[:, None], 3.0 * x + 1.0)
-        assert ModelState.empty(ds).t_statistic(0) == T_STAT_MAX
+        assert t_statistic(ModelState.empty(ds), 0) == T_STAT_MAX
 
     def test_sign_matches_rho(self):
         x = np.arange(30.0)
         rng = np.random.default_rng(3)
         y = -2.0 * x + rng.normal(size=30)
         ds = standardize(x[:, None], y)
-        assert ModelState.empty(ds).t_statistic(0) < 0
+        assert t_statistic(ModelState.empty(ds), 0) < 0
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -171,7 +174,7 @@ class TestTStatistic:
         X, y = random_raw(seed, 45, 6)
         ds = standardize(X, y)
         state = ModelState.empty(ds).add_feature(1).add_feature(3)
-        t_engine = state.t_statistic(5)
+        t_engine = t_statistic(state, 5)
         t_oracle = ols_t_stats(X[:, [1, 3, 5]], y)[-1]
         np.testing.assert_allclose(t_engine, t_oracle, rtol=1e-6)
 
@@ -183,7 +186,7 @@ class TestTStatistic:
         # n - |S| - 2 = 4 - 1 - 2 = 1 is fine; one more selection kills it
         state = state.add_feature(1)
         with pytest.raises(InsufficientDf):
-            state.t_statistic(2)
+            t_statistic(state, 2)
 
 
 class TestAddFeature:
@@ -202,7 +205,7 @@ class TestAddFeature:
         ds = standardize(X, y)
         state = ModelState.empty(ds)
         for j in range(ds.p):
-            if np.linalg.norm(state.adjusted_column(j)) > COLLINEARITY_TOL:
+            if np.linalg.norm(adjusted_column(state, j)) > COLLINEARITY_TOL:
                 state = state.add_feature(j)
         # centered columns span the centered space once n-1 independent ones are in
         np.testing.assert_allclose(state.r_squared, 1.0, atol=1e-8)
@@ -221,7 +224,7 @@ class TestAddFeature:
     def test_gain_identity_at_add_time(self, correlated_dataset):
         ds = correlated_dataset
         state = ModelState.empty(ds).add_feature(1)
-        rho = state.partial_correlation(4)
+        rho = partial_correlation(state, 4)
         before = state.r_squared
         after = state.add_feature(4).r_squared
         np.testing.assert_allclose(
@@ -281,12 +284,12 @@ class TestRSquaredOf:
 class TestGain:
 
     def test_subset_of_selected_is_zero(self, small_dataset):
-        assert rai.gain(small_dataset, [0, 1, 2], [1]) == pytest.approx(
+        assert gain(small_dataset, [0, 1, 2], [1]) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_empty_base(self, small_dataset):
         np.testing.assert_allclose(
-            rai.gain(small_dataset, [], [2, 4]),
+            gain(small_dataset, [], [2, 4]),
             rai.r_squared_of(small_dataset, [2, 4]), atol=1e-12)
 
     def test_orthogonal_addition_decomposes(self):
@@ -296,8 +299,8 @@ class TestGain:
         Q, _ = np.linalg.qr(M - M.mean(axis=0))
         y = rng.normal(size=40)
         ds = standardize(Q, y)
-        both = rai.gain(ds, [0], [2, 4])
-        single = rai.gain(ds, [0], [2]) + rai.gain(ds, [0], [4])
+        both = gain(ds, [0], [2, 4])
+        single = gain(ds, [0], [2]) + gain(ds, [0], [4])
         np.testing.assert_allclose(both, single, atol=1e-8)
 
 
@@ -308,7 +311,7 @@ class TestCoefficients:
         X = rng.normal(size=(25, 3))
         y = rng.normal(loc=7.0, size=25)
         ds = standardize(X, y)
-        slopes, intercept = rai.coefficients(ds, [])
+        slopes, intercept = fit_terms(ds, [])
         assert slopes.size == 0
         assert intercept == pytest.approx(y.mean())
 
@@ -317,7 +320,7 @@ class TestCoefficients:
         X = np.column_stack([x, np.sin(x)])
         y = 2.0 * x + 3.0
         ds = standardize(X, y)
-        slopes, intercept = rai.coefficients(ds, [0])
+        slopes, intercept = fit_terms(ds, [FeatureTerm.marginal(0)])
         np.testing.assert_allclose(slopes, [2.0], atol=1e-8)
         np.testing.assert_allclose(intercept, 3.0, atol=1e-8)
 
@@ -327,7 +330,8 @@ class TestCoefficients:
         X, y = random_raw(seed, 45, 5)
         ds = standardize(X, y)
         subset = [0, 2, 3]
-        slopes, intercept = rai.coefficients(ds, subset)
+        slopes, intercept = fit_terms(
+            ds, [FeatureTerm.marginal(j) for j in subset])
         ic_oracle, sl_oracle, fitted = ols_fit(X[:, subset], y)
         np.testing.assert_allclose(slopes, sl_oracle, atol=1e-8)
         np.testing.assert_allclose(intercept, ic_oracle, atol=1e-8)

@@ -10,11 +10,10 @@ import rai
 from rai import simulate
 from rai.errors import DegenerateTerms, LengthMismatch, RaiError
 from rai.simulate import (METHODS, SCENARIOS, SimSpec, _brentq,
-                          _ols_t_stats, _rng, _signal_scale,
-                          _term_raw_column, calibrate_beta, gen_design,
-                          gen_response, recovery_targets, risk,
+                          _ols_t_stats, _rng, _signal_scale, calibrate_beta,
+                          gen_design, gen_response, recovery_targets, risk,
                           run_experiment, signal_support, true_terms)
-from rai.terms import FeatureTerm
+from rai.terms import FeatureTerm, monomial
 
 from conftest import (expected_true_model_r2, expected_true_term_t, ols_r2,
                       ols_t_stats)
@@ -28,7 +27,7 @@ def spec_for(scenario, n=200, p=12, reps=2, seed=0, r2=0.83):
 
 
 def truth_matrix(spec, X):
-    return np.column_stack([_term_raw_column(t, X) for t in true_terms(spec)])
+    return np.column_stack([monomial(t, X) for t in true_terms(spec)])
 
 
 class TestSimSpec:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rai import FeatureTerm, generate_candidates, realize
+from rai import FeatureTerm, generate_candidates, monomial, realize
 from rai.errors import ConstantInteraction
 
 exponent_maps = st.dictionaries(
@@ -123,7 +123,7 @@ class TestRealize:
     def test_marginal_matches_standardized_column(self):
         rng = np.random.default_rng(0)
         raw = rng.normal(2.0, 1.0, size=(30, 3))
-        col = realize(FeatureTerm.marginal(1), raw)
+        col, _, _ = realize(FeatureTerm.marginal(1), raw)
         ref = raw[:, 1] - raw[:, 1].mean()
         ref /= np.linalg.norm(ref)
         np.testing.assert_allclose(col, ref, atol=1e-12)
@@ -131,21 +131,30 @@ class TestRealize:
     def test_constant_factor_cancels(self):
         raw = np.column_stack([np.array([1.0, 2.0, 3.0]),
                                np.full(3, 2.0)])
-        prod = realize(FeatureTerm.from_exponents({0: 1, 1: 1}), raw)
-        alone = realize(FeatureTerm.marginal(0), raw)
+        prod, _, _ = realize(FeatureTerm.from_exponents({0: 1, 1: 1}), raw)
+        alone, _, _ = realize(FeatureTerm.marginal(0), raw)
         np.testing.assert_allclose(prod, alone, atol=1e-12)
 
     def test_matches_direct_product(self):
         rng = np.random.default_rng(1)
         raw = rng.normal(1.0, 1.0, size=(40, 4))
         term = FeatureTerm.from_exponents({0: 1, 2: 2})
-        col = realize(term, raw)
+        col, mean, scale = realize(term, raw)
         ref = raw[:, 0] * raw[:, 2] ** 2
+        assert mean == pytest.approx(ref.mean(), rel=1e-12)
         ref = ref - ref.mean()
+        assert scale == pytest.approx(np.linalg.norm(ref), rel=1e-12)
         ref /= np.linalg.norm(ref)
         np.testing.assert_allclose(col, ref, atol=1e-12)
         assert abs(col.sum()) <= 1e-10
         assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
+
+    def test_monomial_is_raw_product(self):
+        rng = np.random.default_rng(2)
+        raw = rng.normal(1.0, 1.0, size=(40, 4))
+        term = FeatureTerm.from_exponents({1: 3, 3: 1})
+        np.testing.assert_array_equal(monomial(term, raw),
+                                      raw[:, 1] ** 3 * raw[:, 3])
 
     def test_constant_interaction(self):
         raw = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
@@ -158,7 +167,7 @@ class TestRealize:
         rng = np.random.default_rng(seed)
         raw = rng.normal(rng.normal(0, 2, 3), 1.0, size=(25, 3))
         term = FeatureTerm.from_exponents({0: 1, 1: 1, 2: 1})
-        col = realize(term, raw)
+        col, _, _ = realize(term, raw)
         assert abs(col.sum()) <= 1e-8 * 25
         assert abs(np.linalg.norm(col) - 1.0) <= 1e-10
 
