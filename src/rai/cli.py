@@ -270,7 +270,7 @@ def cmd_diagnose(args) -> int:
     marginal_only = all(t.order == 1 for t in state.selected)
     selected_idx = [t.powers[0][0] for t in state.selected if t.order == 1]
     k = args.k
-    path = forward_stepwise(dataset, min(k, dataset.p))
+    path = forward_stepwise(dataset, min(k, dataset.p)).selected
     best_set, best_r2 = brute_force_subset(dataset, min(k, dataset.p))
     report = {
         "input": args.input,

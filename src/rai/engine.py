@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstantInteraction, NoFinitePass
+from .errors import NoFinitePass
 from .kernel import (COLLINEARITY_TOL, SCREEN_MARGIN, Dataset, ModelState,
                      Screen)
 from .terms import FeatureTerm, generate_candidates, realize, term_column
@@ -41,8 +41,8 @@ TERMINATED_STREAM = "stream_exhausted"
 _UNRESOLVED = object()
 
 # queue slots that are not screen slots
-_CONSTANT = -1          # a term whose realized column is constant
-_PENDING = -2           # a queued term whose column is not realized yet
+_CONSTANT = -1          # a term whose monomial is constant
+_PENDING = -2           # a queued term whose column is not built yet
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     the threshold comparison; a candidate is only attempted when wealth
     covers its alpha, a collinear or constant candidate is dropped
     without spending, and the threshold itself is strict.
-    `column=None` marks a term whose realized column is constant; a
+    `column=None` marks a term whose monomial is constant; a
     column holding NaN or inf is dropped the same way.  Every outcome
     is logged in the ledger; the charge is a run of one test.
     """
@@ -159,19 +159,15 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
         ledger.note(term, pass_index, alpha, HALTED_WEALTH)
         return HALTED_WEALTH, state, None
     if column is _UNRESOLVED:
-        try:
-            column = term_column(state.dataset, term)
-        except ConstantInteraction:
-            column = None
+        column = term_column(state.dataset, term)
     if column is None or not np.isfinite(column).all():
         ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
-    adj = state.adjusted_vector(column)
-    nrm = float(np.linalg.norm(adj))
+    adj, nrm, _, t = state.score(column)
     if nrm <= COLLINEARITY_TOL:
         ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
-    t_abs = abs(state.score_adjusted(adj, nrm)[1])
+    t_abs = abs(t)
     ledger.spend(alpha, [term], pass_index, [t_abs])
     if t_abs > tlvl:
         ledger.earn(term)
@@ -230,7 +226,7 @@ def _rescore_top(t: np.ndarray, slots: np.ndarray, screened: np.ndarray,
     floor = np.where(from_screen, low[slots], t).max()
     top = high[slots]
     for k in np.flatnonzero(from_screen & (top >= floor) & (top > 0.0)):
-        t[k] = abs(state.score_vector(screen.column(int(slots[k])))[2])
+        t[k] = abs(state.score(screen.column(int(slots[k])))[3])
 
 
 def run_rai(dataset: Dataset,
@@ -266,12 +262,6 @@ def run_rai(dataset: Dataset,
     # screen slot of each queued term, or _CONSTANT or _PENDING
     slots = np.arange(dataset.p)
 
-    def realized(term: FeatureTerm):
-        try:
-            return term_column(dataset, term)
-        except ConstantInteraction:
-            return None
-
     termination = None
     scores = None       # the screen's (|t|, low, high), until the model grows
     s = 1
@@ -291,7 +281,8 @@ def run_rai(dataset: Dataset,
                 slots[i:i + count] = [
                     _CONSTANT if slot is None else slot
                     for slot in screen.add_columns(
-                        (realized(term) for term in queue[i:i + count]),
+                        (term_column(dataset, term)
+                         for term in queue[i:i + count]),
                         count)]
                 safe = scores = None
             if safe is None:

@@ -17,10 +17,6 @@ class CollinearFeature(RaiError):
     """A column lies in the span of the current basis (within tolerance)."""
 
 
-class InsufficientDf(RaiError):
-    """Too few residual degrees of freedom to form a t-statistic."""
-
-
 class SingularSubset(RaiError):
     """A subset of columns is rank deficient."""
 
@@ -42,7 +38,7 @@ class AllSubsetsSingular(RaiError):
 
 
 class ConstantInteraction(RaiError):
-    """A realized interaction column is constant and cannot be standardized."""
+    """An interaction's column is constant and cannot be standardized."""
 
 
 class DegenerateTerms(RaiError):

@@ -268,28 +268,22 @@ class ModelState:
                 v -= np.dot(v, q) * q
         return v
 
-    def score_vector(self, x: np.ndarray) -> tuple[float, float, float]:
-        """(adjusted norm, partial correlation, t) for a candidate column.
+    def score(self, x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+        """(adjusted column, its norm, partial correlation, t) for a
+        candidate column.
 
-        No error checking: callers gate on the norm and on df themselves.
-        With an exhausted residual the correlation is defined as 0.
+        No df check: callers gate on df themselves.  The correlation and
+        t are 0 for a column in span(S) (norm at or below
+        COLLINEARITY_TOL) and against an exhausted residual.
         """
         adj = self.adjusted_vector(x)
         nrm = float(np.linalg.norm(adj))
-        if nrm <= 0.0:
-            return 0.0, 0.0, 0.0
-        return (nrm, *self.score_adjusted(adj, nrm))
-
-    def score_adjusted(self, adj: np.ndarray,
-                       nrm: float) -> tuple[float, float]:
-        """(partial correlation, t) for an adjusted column of norm nrm > 0;
-        both 0 when the residual is exhausted."""
         rnorm = float(np.linalg.norm(self.residual))
-        if rnorm < 1e-15:
-            return 0.0, 0.0
+        if nrm <= COLLINEARITY_TOL or rnorm < 1e-15:
+            return adj, nrm, 0.0, 0.0
         rho = float(np.dot(self.residual, adj) / (rnorm * nrm))
         rho = min(1.0, max(-1.0, rho))
-        return rho, _t_from_rho(rho, self.df)
+        return adj, nrm, rho, _t_from_rho(rho, self.df)
 
     # -- updates -------------------------------------------------------
 
@@ -343,7 +337,7 @@ class Screen:
     slot, so a whole stream is scored in a few vectorized operations,
     and each new basis vector costs one GEMV over the slots.  Slots
     0..p-1 are the dataset's columns, read in place; `add_columns`
-    appends more (realized interactions).
+    appends more (interaction columns).
 
     Screened scores come with intervals that hold the exact scores.
     Callers decide with them only what the intervals settle and send

@@ -34,34 +34,36 @@ def _enum_budget(budget: int | None) -> int:
     return DEFAULT_ENUM_BUDGET
 
 
-def aic(dataset: Dataset, subset) -> float:
-    """n * ln(ESS/n) + 2 * (|S| + 1), on the standardized scale.
+def aic(state: ModelState) -> float:
+    """n * ln(ESS/n) + 2 * (|S| + 1) of a model, on the standardized
+    scale, with ESS = 1 - R^2 as the state holds it.
 
     A perfect fit has no finite AIC; -inf stands in so it still orders.
     """
-    S = list(subset)
-    ess = 1.0 - r_squared_of(dataset, S)
-    n = dataset.n
+    ess = 1.0 - state.r_squared
+    n = state.dataset.n
     if ess <= 0.0:
         return float("-inf")
-    return n * math.log(ess / n) + 2.0 * (len(S) + 1)
+    return n * math.log(ess / n) + 2.0 * (state.size + 1)
 
 
-def forward_stepwise(dataset: Dataset, k: int | None = None) -> list[int]:
+def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     """Greedy forward selection by exact R^2 gain.
 
     With `k` the path stops at that size.  With k=None the path grows
-    until no column is addable and the prefix minimizing AIC is
-    returned.  Gain ties break toward the lowest column index.
+    until no column is addable, or until a perfect fit, and the first
+    of its states with the least AIC is returned.  The state's
+    `selected` is the path.  Gain ties break toward the lowest column
+    index.
     """
     if k is not None and not 0 <= k <= dataset.p:
         raise ValueError(f"k must lie in [0, {dataset.p}]")
-    state = ModelState.empty(dataset)
+    state = best = ModelState.empty(dataset)
+    best_aic = aic(state)
     screen = Screen(dataset)
     live = np.ones(dataset.p, dtype=bool)
-    path: list[int] = []
     limit = dataset.p if k is None else k
-    while len(path) < limit:
+    while state.size < limit:
         # gain = rho^2 ||r||^2, so the screen's rho bounds pick the few
         # columns that can win; their exact Gram-Schmidt gains decide,
         # lowest index on ties
@@ -69,8 +71,7 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> list[int]:
         contenders = live & ~(high < np.max(low[live]))
         best_j, best_gain, best_adj = -1, -np.inf, None
         for j in np.flatnonzero(contenders).tolist():
-            adj = state.adjusted_vector(dataset.columns[:, j])
-            nrm = float(np.linalg.norm(adj))
+            adj, nrm, _, _ = state.score(dataset.columns[:, j])
             if nrm <= COLLINEARITY_TOL:
                 continue
             g = float(np.dot(state.residual, adj) / nrm) ** 2
@@ -79,16 +80,17 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> list[int]:
         if best_j < 0:
             if k is not None:
                 raise SingularStep(
-                    f"no addable column at step {len(path) + 1}")
+                    f"no addable column at step {state.size + 1}")
             break
         state = state.add_adjusted(best_adj, best_j)
         screen.sync(state)
         live[best_j] = False
-        path.append(best_j)
-    if k is not None:
-        return path
-    aics = [aic(dataset, path[:m]) for m in range(len(path) + 1)]
-    return path[:int(np.argmin(aics))]
+        value = aic(state)
+        if value < best_aic:
+            best, best_aic = state, value
+        if k is None and best_aic == -math.inf:
+            break   # a perfect fit: no later state has less AIC
+    return best if k is None else state
 
 
 def brute_force_subset(dataset: Dataset, k: int,
@@ -149,8 +151,7 @@ def submodularity_ratio(dataset: Dataset, S, k: int,
     usable: list[int] = []
     units = {}
     for j in rest:
-        adj = state.adjusted_vector(dataset.columns[:, j])
-        nrm = float(np.linalg.norm(adj))
+        adj, nrm, _, _ = state.score(dataset.columns[:, j])
         if nrm <= COLLINEARITY_TOL:
             continue
         usable.append(j)

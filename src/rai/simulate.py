@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .engine import RaiConfig, run_rai
 from .errors import DegenerateTerms, LengthMismatch, RaiError
-from .kernel import Dataset, ModelState, standardize
+from .kernel import Dataset, standardize
 from .oracles import forward_stepwise
 from .terms import FeatureTerm, monomial
 from .wealth import MfdrCounts, mfdr_estimate
@@ -277,12 +277,9 @@ def _run_method(method: str, dataset: Dataset, X, y, spec: SimSpec,
                 trace.passes_traversed, trace.ledger.total_spent(),
                 trace.n_rejections())
     if method == "stepwise_aic":
-        path = forward_stepwise(dataset, None)
-        state = ModelState.empty(dataset)
-        for j in path:
-            state = state.add_feature(j)
-        terms = [FeatureTerm.marginal(j) for j in path]
-        return _fitted_from_state(dataset, state), terms, 0, 0.0, len(path)
+        state = forward_stepwise(dataset, None)
+        terms = [FeatureTerm.marginal(j) for j in state.selected]
+        return _fitted_from_state(dataset, state), terms, 0, 0.0, state.size
     if method == "mean_model":
         yhat = np.full(y.size, float(y.mean()))
         return yhat, [], 0, 0.0, 0
@@ -317,8 +314,6 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
         raise ValueError(f"unknown method {method!r}")
     truth = true_terms(spec)
     targets = recovery_targets(spec)
-    target_keys = {t.key for t in targets}
-    truth_keys = {t.key for t in truth}
     support = signal_support(spec)
     names = [f"X{j + 1}" for j in range(spec.p)]
 
@@ -339,7 +334,7 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
             rows.append({"kind": "replication", "rep": rep,
                          "error": f"{type(exc).__name__}: {exc}"})
             continue
-        selected_keys = {t.key for t in selected}
+        chosen = set(selected)
         if method in ("mean_model", "true_model"):
             false_rej = 0
         else:
@@ -351,8 +346,8 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
             "risk": risk(mu, yhat),
             "model_size": len(selected),
             "selected": [t.display(names) for t in selected],
-            "n_true_selected": len(selected_keys & truth_keys),
-            "all_targets_selected": bool(target_keys <= selected_keys),
+            "n_true_selected": len(chosen.intersection(truth)),
+            "all_targets_selected": chosen.issuperset(targets),
             "passes": passes,
             "wealth_spent": spent,
             "rejections": rejections,

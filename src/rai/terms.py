@@ -45,10 +45,6 @@ class FeatureTerm:
         return cls(tuple(sorted(exponents.items())))
 
     @property
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return self.powers
-
-    @property
     def order(self) -> int:
         return sum(p for _, p in self.powers)
 
@@ -120,8 +116,12 @@ def realize(term: FeatureTerm,
     return out
 
 
-def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray:
-    """Standardized column for any term of the dataset."""
+def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray | None:
+    """Standardized column for any term of the dataset, or None for a
+    term whose monomial is constant."""
     if term.order == 1:
         return dataset.columns[:, term.powers[0][0]]
-    return realize(term, dataset.raw)[0]
+    try:
+        return realize(term, dataset.raw)[0]
+    except ConstantInteraction:
+        return None

@@ -28,10 +28,8 @@ from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
                         TERMINATED_STREAM, TERMINATED_WEALTH, RaiConfig,
                         SkipRecord)
-from rai.errors import (ConstantInteraction, NoFinitePass, RaiError,
-                        SingularStep)
+from rai.errors import NoFinitePass, RaiError, SingularStep
 from rai.kernel import COLLINEARITY_TOL, Dataset, ModelState, _t_from_rho
-from rai.oracles import aic
 from rai.terms import FeatureTerm, generate_candidates, term_column
 from rai.wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT,
                         pass_parameters)
@@ -149,9 +147,9 @@ class FeatureStream:
             self.append(t)
 
     def append(self, term: FeatureTerm) -> bool:
-        if term.key in self.seen:
+        if term.powers in self.seen:
             return False
-        self.seen.add(term.key)
+        self.seen.add(term.powers)
         self.queue.append(term)
         return True
 
@@ -188,7 +186,7 @@ def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
         for term in known_t:
             if ledger.wealth < alpha_u:
                 return u, True, charged
-            ledger.spend(alpha_u, term.key, u)
+            ledger.spend(alpha_u, term.powers, u)
             charged += alpha_u
     return s_prime, False, charged
 
@@ -210,17 +208,14 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     if ledger.wealth < alpha:
         return HALTED_WEALTH, state, None
     if column is _UNRESOLVED:
-        try:
-            column = term_column(state.dataset, term)
-        except ConstantInteraction:
-            column = None
+        column = term_column(state.dataset, term)
     if column is None:
         return REMOVED_COLLINEAR, state, None
     adj = state.adjusted_vector(column)
     nrm = float(np.linalg.norm(adj))
     if nrm <= COLLINEARITY_TOL:
         return REMOVED_COLLINEAR, state, None
-    ledger.spend(alpha, term.key, pass_index)
+    ledger.spend(alpha, term.powers, pass_index)
     rnorm = float(np.linalg.norm(state.residual))
     if rnorm < 1e-15:
         rho = 0.0
@@ -229,7 +224,7 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
         rho = min(1.0, max(-1.0, rho))
     t = _t_from_rho(rho, state.df)
     if abs(t) > tlvl:
-        ledger.earn(term.key)
+        ledger.earn(term.powers)
         return REJECTED, state.add_adjusted(adj, term), abs(t)
     return NOT_REJECTED, state, abs(t)
 
@@ -265,12 +260,9 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
     columns: dict = {}
 
     def column_for(term: FeatureTerm):
-        if term.key not in columns:
-            try:
-                columns[term.key] = term_column(dataset, term)
-            except ConstantInteraction:
-                columns[term.key] = None
-        return columns[term.key]
+        if term.powers not in columns:
+            columns[term.powers] = term_column(dataset, term)
+        return columns[term.powers]
 
     termination = None
     s = 1
@@ -339,22 +331,40 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
     return state, trace
 
 
-def forward_stepwise(dataset: Dataset, k: int | None = None) -> list[int]:
+def aic(state: ModelState) -> float:
+    """n * ln(ESS/n) + 2 * (|S| + 1) of a path state, with ESS = 1 - R^2
+    as the state holds it; -inf for a perfect fit.
+
+    The R^2 is the one the path itself accumulated, not a fresh QR of
+    the prefix: on a noiseless p > n design whose generating columns
+    are picked first, that prefix's R^2 rounds to exactly 1, so the
+    path stops there.  A QR of the same prefix may fall short of 1 by
+    rounding and let columns that only fit rounding error in.
+    """
+    ess = 1.0 - state.r_squared
+    if ess <= 0.0:
+        return float("-inf")
+    n = state.dataset.n
+    return n * math.log(ess / n) + 2.0 * (state.size + 1)
+
+
+def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     """Greedy forward selection by exact R^2 gain.
 
     With `k` the path stops at that size.  With k=None the path grows
-    until no column is addable and the prefix minimizing AIC is
-    returned.  Gain ties break toward the lowest column index.
+    until no column is addable and the state of the prefix minimizing
+    AIC (the shortest on ties) is returned.  Gain ties break toward the
+    lowest column index.
     """
     if k is not None and not 0 <= k <= dataset.p:
         raise ValueError(f"k must lie in [0, {dataset.p}]")
-    state = ModelState.empty(dataset)
-    path: list[int] = []
+    states = [ModelState.empty(dataset)]
     limit = dataset.p if k is None else k
-    while len(path) < limit:
+    while len(states) - 1 < limit:
+        state = states[-1]
         best_j, best_gain, best_adj = -1, -np.inf, None
         for j in range(dataset.p):
-            if j in path:
+            if j in state.selected:
                 continue
             adj = state.adjusted_vector(dataset.columns[:, j])
             nrm = float(np.linalg.norm(adj))
@@ -366,11 +376,9 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> list[int]:
         if best_j < 0:
             if k is not None:
                 raise SingularStep(
-                    f"no addable column at step {len(path) + 1}")
+                    f"no addable column at step {len(states)}")
             break
-        state = state.add_adjusted(best_adj, best_j)
-        path.append(best_j)
+        states.append(state.add_adjusted(best_adj, best_j))
     if k is not None:
-        return path
-    aics = [aic(dataset, path[:m]) for m in range(len(path) + 1)]
-    return path[:int(np.argmin(aics))]
+        return states[-1]
+    return states[int(np.argmin([aic(state) for state in states]))]

@@ -1,20 +1,25 @@
 """Scalar kernel quantities the package no longer needs, kept as test
 references.
 
-The selection engine scores candidates through `ModelState.score_vector`
-and `Screen`, and fits through `fit_terms`.  The one-column queries below
+The selection engine scores candidates through `ModelState.score` and
+`Screen`, and fits through `fit_terms`.  The one-column queries below
 (the S-adjusted column, partial correlation, t-statistic) and the
 subset gain are the textbook definitions those paths must agree with,
-so the tests keep them.  Test-only: nothing in `rai` imports this
-module.
+so the tests keep them.  `t_statistic` alone checks df, and raises
+`InsufficientDf`, defined here for it.  Test-only: nothing in `rai`
+imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rai.errors import CollinearFeature, InsufficientDf
+from rai.errors import CollinearFeature, RaiError
 from rai.kernel import COLLINEARITY_TOL, Dataset, ModelState, r_squared_of
+
+
+class InsufficientDf(RaiError):
+    """Too few residual degrees of freedom to form a t-statistic."""
 
 
 def adjusted_column(state: ModelState, j: int) -> np.ndarray:
@@ -27,7 +32,7 @@ def partial_correlation(state: ModelState, j: int) -> float:
 
     Its square is the R^2 gain of adding j divided by (1 - R^2).
     """
-    nrm, rho, _ = state.score_vector(state.dataset.columns[:, j])
+    _, nrm, rho, _ = state.score(state.dataset.columns[:, j])
     if nrm <= COLLINEARITY_TOL:
         raise CollinearFeature(f"column {j} is collinear with the model")
     return rho
@@ -38,7 +43,7 @@ def t_statistic(state: ModelState, j: int) -> float:
     n - |S| - 2 degrees of freedom."""
     if state.df < 1:
         raise InsufficientDf(f"df = {state.df} with |S| = {state.size}")
-    nrm, rho, t = state.score_vector(state.dataset.columns[:, j])
+    _, nrm, _, t = state.score(state.dataset.columns[:, j])
     if nrm <= COLLINEARITY_TOL:
         raise CollinearFeature(f"column {j} is collinear with the model")
     return t

@@ -200,8 +200,8 @@ def test_pass_economy_and_skip_equivalence(null_study, recovery_study,
         on_state, on_trace = run_rai(dataset, RaiConfig())
         off_state, off_trace = run_rai(dataset,
                                        RaiConfig(skip_passes=False))
-        same = ([t.key for t in on_state.selected]
-                == [t.key for t in off_state.selected])
+        same = ([t.powers for t in on_state.selected]
+                == [t.powers for t in off_state.selected])
         mismatches += not same
         wealth_gap = max(wealth_gap, abs(on_trace.ledger.wealth
                                          - off_trace.ledger.wealth))
@@ -247,7 +247,7 @@ def test_first_step_matches_best_single_feature(verdict):
     for seed in range(100):
         X, y, _ = _mixed_instance(seed + 50_000)
         dataset = standardize(X, y)
-        first = forward_stepwise(dataset, 1)[0]
+        first = forward_stepwise(dataset, 1).selected[0]
         best, _ = brute_force_subset(dataset, 1)
         matches += first == best[0]
     ok = matches == 100
@@ -282,7 +282,7 @@ def test_concrete_benchmark_beats_marginal_stepwise(verdict):
             pred += slope * monomial(term, X_all[te])
         ours = float(np.mean((y_all[te] - pred) ** 2))
 
-        path_aic = forward_stepwise(dataset, None)
+        path_aic = list(forward_stepwise(dataset, None).selected)
         base_slopes, base_intercept = fit_terms(
             dataset, [FeatureTerm.marginal(j) for j in path_aic])
         base_pred = (X_all[te][:, path_aic] @ base_slopes + base_intercept

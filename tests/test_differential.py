@@ -77,8 +77,8 @@ def assert_same_run(dataset, config, tally):
         state, trace = run_rai(dataset, config)
     want_state, want = ref.run_rai(dataset, config)
 
-    assert [t.key for t in state.selected] == [
-        t.key for t in want_state.selected]
+    assert [t.powers for t in state.selected] == [
+        t.powers for t in want_state.selected]
     assert len(trace.tests) == len(want.tests)
     for got_rec, want_rec in zip(trace.tests, want.tests):
         got_fields = astuple(got_rec)
@@ -97,8 +97,8 @@ def assert_same_run(dataset, config, tally):
                                         diff / want_rec.t_abs)
         else:
             assert got_rec.t_abs == want_rec.t_abs
-    # the package logs each test under its term, the reference its key
-    assert [(e.test_id.key,) + astuple(e)[1:] for e in trace.ledger.events
+    # the package logs each test under its term, the reference its powers
+    assert [(e.test_id.powers,) + astuple(e)[1:] for e in trace.ledger.events
             ] == [astuple(e) for e in want.ledger.events]
     assert trace.ledger.wealth == want.ledger.wealth
     assert trace.skips == want.skips
@@ -112,7 +112,7 @@ def assert_same_run(dataset, config, tally):
 
 def path_or_error(stepwise, dataset, k):
     try:
-        return stepwise(dataset, k)
+        return stepwise(dataset, k).selected
     except SingularStep as exc:
         return str(exc)
 

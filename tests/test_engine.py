@@ -318,7 +318,7 @@ class TestRunRai:
         _, trace = run_rai(ds, RaiConfig(interactions=True))
         seen = set()
         for rec in trace.tests:
-            key = (rec.pass_index, rec.term.key)
+            key = (rec.pass_index, rec.term.powers)
             if rec.decision == HALTED_WEALTH:
                 continue
             assert key not in seen
@@ -472,10 +472,10 @@ class TestExtremeScales:
         unit_state, unit_trace = run_rai(unit_ds, RaiConfig())
         state, trace = run_rai(ds, RaiConfig())
         assert len(unit_state.selected) >= 2
-        assert [t.key for t in state.selected] == [
-            t.key for t in unit_state.selected]
-        assert [(r.term.key, r.decision) for r in trace.tests] == [
-            (r.term.key, r.decision) for r in unit_trace.tests]
+        assert [t.powers for t in state.selected] == [
+            t.powers for t in unit_state.selected]
+        assert [(r.term.powers, r.decision) for r in trace.tests] == [
+            (r.term.powers, r.decision) for r in unit_trace.tests]
         assert trace.termination == unit_trace.termination
         assert state.r_squared == pytest.approx(unit_state.r_squared,
                                                 rel=1e-12)
@@ -507,9 +507,9 @@ class TestExtremeScales:
         np.testing.assert_allclose(ds.columns, unit_ds.columns, atol=1e-12)
         unit_state, _ = run_rai(unit_ds, RaiConfig())
         state, _ = run_rai(ds, RaiConfig())
-        assert [t.key for t in unit_state.selected] == [((0, 1),)]
-        assert [t.key for t in state.selected] == [
-            t.key for t in unit_state.selected]
+        assert [t.powers for t in unit_state.selected] == [((0, 1),)]
+        assert [t.powers for t in state.selected] == [
+            t.powers for t in unit_state.selected]
 
     # order-4 products of such data overflow to inf; those candidates
     # are removed as non-finite, with warnings
@@ -524,5 +524,6 @@ class TestExtremeScales:
         config = RaiConfig(interactions=True)
         unit, _ = run_rai(standardize(X, y), config)
         big, _ = run_rai(standardize(X * 1e80, y), config)
-        assert [t.key for t in unit.selected] == [((0, 1),), ((0, 2),)]
-        assert [t.key for t in big.selected] == [t.key for t in unit.selected]
+        assert [t.powers for t in unit.selected] == [((0, 1),), ((0, 2),)]
+        assert ([t.powers for t in big.selected]
+                == [t.powers for t in unit.selected])

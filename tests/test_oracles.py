@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rai
-from rai import (BoundInputs, aic, brute_force_subset, forward_stepwise,
-                 standardize, submodularity_ratio, theorem_bound,
-                 theorem_bound_branches)
+from rai import (BoundInputs, ModelState, aic, brute_force_subset,
+                 forward_stepwise, r_squared_of, standardize,
+                 submodularity_ratio, theorem_bound, theorem_bound_branches)
 from rai.errors import (AllSubsetsSingular, BudgetExceeded, SingularStep)
 
 from conftest import ols_r2, random_raw
@@ -48,22 +48,23 @@ class TestForwardStepwise:
     def test_first_pick_is_best_single(self, seed):
         X, y = random_raw(seed, 40, 9, correlated=bool(seed % 2))
         ds = standardize(X, y)
-        path = forward_stepwise(ds, 1)
+        path = forward_stepwise(ds, 1).selected
         best, _ = brute_force_subset(ds, 1)
-        assert tuple(path) == best
+        assert path == best
 
     def test_orthogonal_design_sorts_by_correlation(self):
         ds, _ = orthogonal_dataset(seed=4, n=50, p=6)
         corr = np.abs(ds.columns.T @ ds.response)
-        path = forward_stepwise(ds, 4)
-        assert path == list(np.argsort(-corr)[:4])
+        path = forward_stepwise(ds, 4).selected
+        assert list(path) == list(np.argsort(-corr)[:4])
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
     def test_matches_exhaustive_greedy(self, seed):
         X, y = random_raw(seed, 40, 10)
         ds = standardize(X, y)
-        assert forward_stepwise(ds, 3) == greedy_oracle(X, y, 3)
+        assert list(forward_stepwise(ds, 3).selected) == greedy_oracle(
+            X, y, 3)
 
     def test_tie_breaks_low_index(self):
         rng = np.random.default_rng(7)
@@ -72,17 +73,37 @@ class TestForwardStepwise:
         X = np.column_stack([b, a, a.copy()])
         y = a + 0.1 * rng.normal(size=30)
         ds = standardize(X, y)
-        assert forward_stepwise(ds, 1) == [1]
+        assert forward_stepwise(ds, 1).selected == (1,)
 
     def test_aic_mode_matches_recomputation(self):
         for seed in (3, 9, 27):
             X, y = random_raw(seed, 60, 8)
             ds = standardize(X, y)
-            path = forward_stepwise(ds)
-            full = forward_stepwise(ds, min(ds.p, ds.n - 3))
-            aics = [aic(ds, full[:m]) for m in range(len(full) + 1)]
+            path = forward_stepwise(ds).selected
+            full = forward_stepwise(ds, min(ds.p, ds.n - 3)).selected
+            # each prefix's AIC from a fresh QR, not from the path's states
+            aics = [ds.n * math.log((1.0 - r_squared_of(ds, full[:m])) / ds.n)
+                    + 2.0 * (m + 1) for m in range(len(full) + 1)]
             best_len = int(np.argmin(aics))
             assert path == full[:best_len]
+
+    def test_noiseless_wide_path_stops_at_generating_columns(self):
+        # p > n designs of the differential test's `wide` family with the
+        # noiseless response y = X1 + X2 + X3: wherever the greedy path
+        # picks those three first, their fit is exact and nothing may
+        # follow them, whatever R^2 rounding leaves to the columns after
+        qualifying = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 40))
+            p = int(rng.integers(n + 1, 3 * n + 2))
+            X = rng.normal(size=(n, p))
+            ds = standardize(X, X[:, :3].sum(axis=1))
+            if set(forward_stepwise(ds, 3).selected) != {0, 1, 2}:
+                continue
+            qualifying += 1
+            assert sorted(forward_stepwise(ds).selected) == [0, 1, 2], seed
+        assert qualifying == 174
 
     def test_singular_step(self):
         rng = np.random.default_rng(5)
@@ -97,7 +118,7 @@ class TestAic:
 
     def test_empty_model_value(self, small_dataset):
         n = small_dataset.n
-        assert aic(small_dataset, []) == pytest.approx(
+        assert aic(ModelState.empty(small_dataset)) == pytest.approx(
             n * math.log(1.0 / n) + 2.0)
 
     def test_zero_gain_feature_adds_two(self):
@@ -106,13 +127,14 @@ class TestAic:
         Q, _ = np.linalg.qr(M - M.mean(axis=0))
         y = Q[:, 0] + 0.3 * Q[:, 1]  # orthogonal to columns 2..4
         ds = standardize(Q, y)
-        base = aic(ds, [0])
-        assert aic(ds, [0, 3]) == pytest.approx(base + 2.0, abs=1e-8)
+        state = ModelState.empty(ds).add_feature(0)
+        assert aic(state.add_feature(3)) == pytest.approx(aic(state) + 2.0,
+                                                          abs=1e-8)
 
     def test_perfect_fit_sentinel(self):
         x = np.arange(20.0)
         ds = standardize(x[:, None], 2 * x + 1)
-        assert aic(ds, [0]) == -math.inf
+        assert aic(ModelState.empty(ds).add_feature(0)) == -math.inf
 
 
 class TestBruteForce:

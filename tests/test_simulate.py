@@ -334,6 +334,21 @@ class TestRunExperiment:
             for name in row["selected"]:
                 assert "*" not in name and "^" not in name
 
+    def test_stepwise_risk_is_that_of_an_ols_refit(self):
+        # the fitted values come from the path's own state; they must be
+        # the least-squares fit, with intercept, on the selected columns
+        spec = spec_for("four_interactions", n=300, p=12, reps=4, seed=2)
+        result = run_experiment(spec, "stepwise_aic")
+        assert any(row["model_size"] for row in result["rows"])
+        for rep, row in enumerate(result["rows"]):
+            X = gen_design(spec, rep)
+            y, mu, _ = gen_response(X, spec, rep)
+            cols = [int(name.lstrip("X")) - 1 for name in row["selected"]]
+            A = np.column_stack([np.ones(spec.n), X[:, cols]])
+            coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+            assert row["risk"] == pytest.approx(risk(mu, A @ coef),
+                                                rel=1e-9, abs=0.0)
+
     def test_timing_fields_are_opt_in(self):
         spec = spec_for("global_null", n=100, p=5, reps=2, seed=0)
         timed = run_experiment(spec, "mean_model", include_timing=True)

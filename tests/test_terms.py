@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rai import FeatureTerm, generate_candidates, monomial, realize
+from rai import (FeatureTerm, generate_candidates, monomial, realize,
+                 standardize)
 from rai.errors import ConstantInteraction
+from rai.terms import term_column
 
 exponent_maps = st.dictionaries(
     st.integers(0, 11), st.integers(1, 4), min_size=1, max_size=4)
@@ -33,7 +35,7 @@ class TestFeatureTerm:
         a = FeatureTerm.from_exponents({5: 1, 1: 2})
         b = FeatureTerm(((1, 2), (5, 1)))
         assert a == b
-        assert a.key == b.key
+        assert a.powers == b.powers
 
     def test_product_merges_exponents(self):
         a = FeatureTerm.from_exponents({0: 1, 1: 1})
@@ -160,6 +162,14 @@ class TestRealize:
         raw = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
         with pytest.raises(ConstantInteraction):
             realize(FeatureTerm.from_exponents({0: 2}), raw)
+
+    def test_term_column_is_none_for_constant_monomial(self):
+        # a column of -1s and 1s varies, but its square does not
+        X = np.column_stack([np.tile([-1.0, 1.0], 5), np.arange(10.0)])
+        ds = standardize(X, np.arange(10.0) ** 2)
+        assert term_column(ds, FeatureTerm.from_exponents({0: 2})) is None
+        np.testing.assert_array_equal(
+            term_column(ds, FeatureTerm.marginal(1)), ds.columns[:, 1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
