@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""One sha256 per CLI output, for comparing two source trees.
+
+Writes fixed-seed inputs to a temporary directory, runs the `rai` found
+under the given `src` path on them, and prints one digest per output
+file or standard output.  Lines that mention `elapsed` are dropped
+before hashing, so two runs of the same code print the same digests:
+
+    python3 scripts/output_digest.py src > after.txt
+    python3 scripts/output_digest.py /path/to/other/src > before.txt
+    diff before.txt after.txt
+
+The inputs are a gaussian design with a planted product plus a +-1
+column (whose square is constant) and a 0/1 column (whose square is
+itself), so that `--trace` files hold collinear and constant monomials,
+a p > n design, and a pure-noise design for `diagnose` on an empty
+model.  Every run uses one BLAS thread.
+"""
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SIMULATE_METHODS = ("rai", "rai_interactions", "stepwise_aic", "mean_model",
+                    "true_model")
+
+
+def write_csv(path: Path, X: np.ndarray, y: np.ndarray) -> None:
+    names = [f"x{j + 1}" for j in range(X.shape[1])] + ["y"]
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",",
+               header=",".join(names), comments="", fmt="%.17g")
+
+
+def make_inputs(work: Path) -> dict[str, Path]:
+    rng = np.random.default_rng(20151)
+    n = 300
+    X = rng.normal(1.0, 1.0, size=(n, 12))
+    X[:, 10] = rng.choice([-1.0, 1.0], n)
+    X[:, 11] = rng.integers(0, 2, n)
+    y = (X[:, 0] + X[:, 1] + 1.5 * X[:, 0] * X[:, 1] + 0.8 * X[:, 10]
+         + 0.8 * X[:, 11] + rng.normal(size=n))
+    product = work / "product.csv"
+    write_csv(product, X, y)
+
+    n, p = 40, 80
+    X = rng.normal(size=(n, p))
+    y = X[:, :3].sum(1) + 0.5 * rng.normal(size=n)
+    wide = work / "wide.csv"
+    write_csv(wide, X, y)
+
+    X = rng.normal(size=(100, 6))
+    null = work / "null.csv"
+    write_csv(null, X, rng.normal(size=100))
+    return {"product": product, "wide": wide, "null": null}
+
+
+def commands(inputs: dict[str, Path], work: Path):
+    """(name, argv, output files) for every run."""
+    flag_sets = {
+        "plain": [],
+        "interactions": ["--interactions"],
+        "order2": ["--interactions", "--max-order", "2", "--wealth", "0.5"],
+    }
+    for data in ("product", "wide"):
+        path = inputs[data]
+        for flags_name, flags in flag_sets.items():
+            name = f"select-{data}-{flags_name}"
+            report, trace = work / f"{name}.json", work / f"{name}.jsonl"
+            yield name, ["select", str(path), "--response", "y", *flags,
+                         "--json", str(report), "--trace", str(trace)], \
+                [report, trace]
+    for data, k in (("product", "3"), ("wide", "2"), ("null", "3")):
+        name = f"diagnose-{data}"
+        report = work / f"{name}.json"
+        yield name, ["diagnose", str(inputs[data]), "--response", "y",
+                     "--k", k, "--json", str(report)], [report]
+    for method in SIMULATE_METHODS:
+        name = f"simulate-{method}"
+        out = work / f"{name}.jsonl"
+        yield name, ["simulate", "--scenario", "single_interaction",
+                     "--n", "200", "--p", "20", "--reps", "3", "--seed", "5",
+                     "--method", method, "--out", str(out)], [out]
+
+
+def digest(data: bytes) -> str:
+    kept = [line for line in data.splitlines() if b"elapsed" not in line]
+    return hashlib.sha256(b"\n".join(kept)).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", help="the src directory holding the rai "
+                                    "package to run")
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
+               OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        inputs = make_inputs(work)
+        for name, argv, outputs in commands(inputs, work):
+            done = subprocess.run([sys.executable, "-m", "rai", *argv],
+                                  env=env, capture_output=True)
+            stdout = done.stdout.replace(str(work).encode(), b"<work>")
+            print(f"{digest(stdout)}  {name} stdout "
+                  f"(exit {done.returncode})")
+            for path in outputs:
+                data = path.read_bytes() if path.exists() else b"<missing>"
+                data = data.replace(str(work).encode(), b"<work>")
+                print(f"{digest(data)}  {name} {path.suffix[1:]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

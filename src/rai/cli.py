@@ -159,7 +159,7 @@ def _selection_report(dataset, state, trace, config, source, elapsed) -> dict:
         "r_squared": state.r_squared,
         "passes": trace.passes_traversed,
         "tests": trace.n_tests(),
-        "rejections": trace.n_rejections(),
+        "rejections": ledger.rejections,
         "wealth": {
             "initial": ledger.initial_wealth,
             "spent": ledger.total_spent(),
@@ -267,8 +267,8 @@ def cmd_diagnose(args) -> int:
     config = _config_from_args(args)
     dataset = standardize(X, y, names)
     state, trace = run_rai(dataset, config)
-    marginal_only = all(t.order == 1 for t in state.selected)
-    selected_idx = [t.powers[0][0] for t in state.selected if t.order == 1]
+    # diagnose searches no interactions, so every term is a marginal
+    selected_idx = [t.powers[0][0] for t in state.selected]
     k = args.k
     path = forward_stepwise(dataset, min(k, dataset.p)).selected
     best_set, best_r2 = brute_force_subset(dataset, min(k, dataset.p))
@@ -288,7 +288,7 @@ def cmd_diagnose(args) -> int:
     }
     l = len(state.selected)
     s_f = trace.first_rejection_pass()
-    if l >= 1 and marginal_only and len(selected_idx) < dataset.p:
+    if 1 <= l < dataset.p:
         gamma, details = submodularity_ratio(dataset, selected_idx, k,
                                              full_output=True)
         inputs = BoundInputs(r2_opt=best_r2, l=l, k=min(k, dataset.p),
@@ -307,7 +307,8 @@ def cmd_diagnose(args) -> int:
             "bound_slack": state.r_squared - bound,
         })
     else:
-        # empty or interaction-bearing model: guarantee is vacuous here
+        # an empty model, or one holding every column, which leaves no
+        # column to take gamma over: the guarantee is vacuous here
         report.update({"gamma": None, "s_f": s_f, "bound": 0.0,
                        "bound_holds": True,
                        "bound_slack": state.r_squared})

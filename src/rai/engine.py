@@ -38,8 +38,6 @@ TERMINATED_WEALTH = "wealth_exhausted"
 TERMINATED_PASSES = "max_passes"
 TERMINATED_STREAM = "stream_exhausted"
 
-_UNRESOLVED = object()
-
 # queue slots that are not screen slots
 _CONSTANT = -1          # a term whose monomial is constant
 _PENDING = -2           # a queued term whose column is not built yet
@@ -138,28 +136,24 @@ class SelectionTrace:
             return None
         return led.passes[led.decisions.index(REJECTED)]
 
-    def n_rejections(self) -> int:
-        return self.ledger.decisions.count(REJECTED)
-
 
 def test_candidate(state: ModelState, ledger: WealthLedger,
                    term: FeatureTerm, tlvl: float, alpha: float,
-                   pass_index: int = 0, column=_UNRESOLVED):
+                   pass_index: int = 0, *, column):
     """Run one candidate through the gate-spend-compare sequence.
 
     Returns (decision, state, |t| or None).  The spend always precedes
     the threshold comparison; a candidate is only attempted when wealth
     covers its alpha, a collinear or constant candidate is dropped
     without spending, and the threshold itself is strict.
-    `column=None` marks a term whose monomial is constant; a
-    column holding NaN or inf is dropped the same way.  Every outcome
-    is logged in the ledger; the charge is a run of one test.
+    `column` is the term's column, None for a term whose monomial is
+    constant; a column holding NaN or inf is dropped the same way.
+    Every outcome is logged in the ledger; the charge is a run of one
+    test.
     """
     if ledger.wealth < alpha:
         ledger.note(term, pass_index, alpha, HALTED_WEALTH)
         return HALTED_WEALTH, state, None
-    if column is _UNRESOLVED:
-        column = term_column(state.dataset, term)
     if column is None or not np.isfinite(column).all():
         ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
@@ -179,19 +173,18 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
 test_candidate.__test__ = False
 
 
-def skip_passes(terms, t_abs, ledger: WealthLedger, s: int, n: int,
+def skip_passes(terms, best: float, ledger: WealthLedger, s: int, n: int,
                 max_passes: int) -> tuple[int, bool, float]:
     """Jump past passes no known |t| can clear, paying for each skipped test.
 
-    `terms` is every remaining candidate in stream order and `t_abs`
-    their |t|.  Returns (next pass, halted, alpha charged); `halted`
-    means wealth died mid-charge at the returned pass.  Raises
-    NoFinitePass when all |t| are zero, since no finite threshold is
-    ever cleared.
+    `terms` is every remaining candidate in stream order and `best`
+    the largest of their |t|.  Returns (next pass, halted, alpha
+    charged); `halted` means wealth died mid-charge at the returned
+    pass.  Raises NoFinitePass when the largest |t| is zero, since no
+    finite threshold is ever cleared.
     """
     if not terms:
         raise NoFinitePass("no candidates left")
-    best = float(np.max(t_abs))
     if best <= 0.0:
         raise NoFinitePass("every remaining |t| is zero")
     root_n = math.sqrt(n)
@@ -210,23 +203,18 @@ def skip_passes(terms, t_abs, ledger: WealthLedger, s: int, n: int,
     return s_prime, False, charged
 
 
-def _rescore_top(t: np.ndarray, slots: np.ndarray, screened: np.ndarray,
-                 low: np.ndarray, high: np.ndarray, state: ModelState,
-                 screen: Screen) -> None:
-    """Make the largest of the |t| in `t` exact, in place.
+def _exact_max_t(slots: np.ndarray, low: np.ndarray, high: np.ndarray,
+                 state: ModelState, screen: Screen) -> float:
+    """The exact largest |t| over the screen slots `slots`.
 
-    `slots` holds the screen slot of each entry of `t`, and
-    `screened[slot]` says whether its |t| came from the screen, with
-    bounds low[slot] and high[slot].  skip_passes reads only the largest
-    |t|, so exact scores for every screened entry whose bounds reach the
-    largest lower bound make the jump exact.  A high bound of 0 is
-    already exact.
+    low[slot] and high[slot] bound each exact |t|, so only slots whose
+    high bound reaches the largest low bound can hold the maximum, and
+    only they are scored exactly.  A high bound of 0 is already exact.
     """
-    from_screen = screened[slots]
-    floor = np.where(from_screen, low[slots], t).max()
     top = high[slots]
-    for k in np.flatnonzero(from_screen & (top >= floor) & (top > 0.0)):
-        t[k] = abs(state.score(screen.column(int(slots[k])))[3])
+    reach = slots[(top >= low[slots].max()) & (top > 0.0)]
+    return max((abs(state.score(screen.column(int(j)))[3]) for j in reach),
+               default=0.0)
 
 
 def run_rai(dataset: Dataset,
@@ -266,9 +254,8 @@ def run_rai(dataset: Dataset,
     scores = None       # the screen's (|t|, low, high), until the model grows
     s = 1
     while s <= max_passes:
-        trace.passes_traversed = max(trace.passes_traversed, s)
+        trace.passes_traversed = s
         tlvl, alpha = pass_parameters(n, s)
-        t_known = []        # |t| of queue[:i], in runs
         rejected_any = False
         safe = None
         i = 0
@@ -308,14 +295,13 @@ def run_rai(dataset: Dataset,
                 terms = queue[i:i + run]
                 t_run = t_all[slots[i:i + run]]
                 paid = ledger.spend(alpha, terms, s, t_run)
-                t_known.append(t_run[:paid])
                 i += paid
                 if paid == run:
                     continue
                 # the next test cannot be paid for; test_candidate halts
             term = queue[i]
             slot = int(slots[i])
-            decision, state, t_abs = test_candidate(
+            decision, state, _ = test_candidate(
                 state, ledger, term, tlvl, alpha, pass_index=s,
                 column=None if slot == _CONSTANT else screen.column(slot))
             if decision == HALTED_WEALTH:
@@ -323,7 +309,6 @@ def run_rai(dataset: Dataset,
                 break
             k += 1
             if decision == NOT_REJECTED:
-                t_known.append([t_abs])
                 i += 1
                 continue
             del queue[i]
@@ -346,14 +331,13 @@ def run_rai(dataset: Dataset,
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
-            # t_known covers the whole queue, and no rejection has
-            # changed the scores since `safe` was computed
-            t = np.concatenate(t_known)
-            _rescore_top(t, slots, safe, t_low, t_high, state, screen)
+            # every queued term has a screen slot, and no rejection has
+            # changed the scores since they were computed
+            best = _exact_max_t(slots, t_low, t_high, state, screen)
             before = ledger.wealth
             try:
                 s_next, halted, charged = skip_passes(
-                    queue, t, ledger, s, n, max_passes)
+                    queue, best, ledger, s, n, max_passes)
             except NoFinitePass:
                 termination = TERMINATED_STREAM
                 break
@@ -362,11 +346,10 @@ def run_rai(dataset: Dataset,
                     s, s_next, len(queue), charged, before, ledger.wealth,
                     halted))
             if halted:
-                trace.passes_traversed = max(trace.passes_traversed, s_next)
+                trace.passes_traversed = s_next
                 termination = TERMINATED_WEALTH
                 break
-            trace.passes_traversed = max(
-                trace.passes_traversed, min(s_next - 1, max_passes))
+            trace.passes_traversed = min(s_next - 1, max_passes)
             s = s_next
         else:
             s += 1

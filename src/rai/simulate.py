@@ -275,7 +275,7 @@ def _run_method(method: str, dataset: Dataset, X, y, spec: SimSpec,
         state, trace = run_rai(dataset, config)
         return (_fitted_from_state(dataset, state), list(state.selected),
                 trace.passes_traversed, trace.ledger.total_spent(),
-                trace.n_rejections())
+                trace.ledger.rejections)
     if method == "stepwise_aic":
         state = forward_stepwise(dataset, None)
         terms = [FeatureTerm.marginal(j) for j in state.selected]

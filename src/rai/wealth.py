@@ -60,22 +60,12 @@ def running(start: float, step: float, count: int, op) -> np.ndarray:
     return op.accumulate(seq)
 
 
-@dataclass(frozen=True)
-class LedgerEvent:
-    """One charge, as a view of the event log."""
-
-    test_id: object
-    pass_index: int
-    alpha: float
-    rejected: bool
-
-
 class WealthLedger:
     """Mutable spend/earn account for one selection run.
 
     The event log has one entry per test or skip charge.  It is kept
     column by column, and each column grows by one item per run: the
-    run's test ids, pass, alpha, length, wealth before each charge, |t|
+    run's test ids, pass, alpha, wealth before each charge, |t|
     of each test (NaN where none was computed) and decision.  The
     properties `test_ids`, `passes`, `alphas`, `decisions`,
     `wealth_before` and `t_abs` give the columns entry by entry.
@@ -96,7 +86,6 @@ class WealthLedger:
         self._ids: list[list] = []
         self._passes: list[int] = []
         self._alphas: list[float] = []
-        self._lengths: list[int] = []
         self._before: list[np.ndarray] = []
         self._t_abs: list[np.ndarray] = []
         self._decisions: list[str] = []
@@ -106,13 +95,13 @@ class WealthLedger:
         self._ids.append(ids)
         self._passes.append(pass_index)
         self._alphas.append(alpha)
-        self._lengths.append(len(ids))
         self._before.append(before)
         self._t_abs.append(t_abs)
         self._decisions.append(decision)
 
     def _entries(self, column: list) -> list:
-        return list(chain.from_iterable(map(repeat, column, self._lengths)))
+        return list(chain.from_iterable(
+            map(repeat, column, map(len, self._before))))
 
     @property
     def test_ids(self) -> list:
@@ -137,15 +126,6 @@ class WealthLedger:
     @property
     def t_abs(self) -> np.ndarray:
         return np.concatenate([np.empty(0), *self._t_abs])
-
-    @property
-    def events(self) -> tuple[LedgerEvent, ...]:
-        """Every charge, in order."""
-        return tuple(
-            LedgerEvent(i, s, a, d == REJECTED)
-            for ids, s, a, d in zip(self._ids, self._passes, self._alphas,
-                                    self._decisions)
-            if d in _CHARGED for i in ids)
 
     def spend(self, alpha: float, test_ids, pass_index: int, t_abs=None,
               decision: str = NOT_REJECTED) -> int:
@@ -207,21 +187,22 @@ class WealthLedger:
 
     def total_spent(self) -> float:
         return math.fsum(chain.from_iterable(
-            repeat(a, k) for a, k, d in zip(self._alphas, self._lengths,
-                                            self._decisions)
+            repeat(a, len(b)) for a, b, d in zip(self._alphas, self._before,
+                                                 self._decisions)
             if d in _CHARGED))
 
     def replay(self) -> float:
         """Recompute wealth from alphas and decisions alone.
 
-        Walks the charges in order with the same arithmetic as the live
-        account, so the result is bitwise equal to `wealth`.
+        Walks the log entry by entry with the same arithmetic as the
+        live account, so the result is bitwise equal to `wealth`.
         """
         w = self.initial_wealth
-        for event in self.events:
-            w -= event.alpha
-            if event.rejected:
-                w += self.payout
+        for alpha, d in zip(self.alphas, self.decisions):
+            if d in _CHARGED:
+                w -= alpha
+                if d == REJECTED:
+                    w += self.payout
         return w
 
 

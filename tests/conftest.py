@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rai import standardize
+from rai.wealth import NOT_REJECTED, REJECTED, SKIPPED
 
 
 def ols_fit(cols, y):
@@ -134,6 +135,17 @@ def random_raw(seed, n, p, correlated=False):
     beta = rng.normal(size=k) * 1.5
     y = X[:, :k] @ beta + rng.normal(size=n)
     return X, y
+
+
+def charges(ledger):
+    """(test id, pass, alpha, rejected) for every charge in a ledger's
+    log, read from its columns; tests dropped without a charge are left
+    out, as the reference ledger never logs them."""
+    return [(test_id, s, alpha, decision == REJECTED)
+            for test_id, s, alpha, decision in zip(
+                ledger.test_ids, ledger.passes, ledger.alphas,
+                ledger.decisions)
+            if decision in (NOT_REJECTED, REJECTED, SKIPPED)]
 
 
 @pytest.fixture

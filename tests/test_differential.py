@@ -32,6 +32,7 @@ from rai.engine import NOT_REJECTED, REJECTED
 from rai.errors import SingularStep
 
 import reference_engine as ref
+from conftest import charges
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 T_REL_TOL = 1e-9
@@ -98,7 +99,8 @@ def assert_same_run(dataset, config, tally):
         else:
             assert got_rec.t_abs == want_rec.t_abs
     # the package logs each test under its term, the reference its powers
-    assert [(e.test_id.powers,) + astuple(e)[1:] for e in trace.ledger.events
+    assert [(term.powers, s, alpha, rejected)
+            for term, s, alpha, rejected in charges(trace.ledger)
             ] == [astuple(e) for e in want.ledger.events]
     assert trace.ledger.wealth == want.ledger.wealth
     assert trace.skips == want.skips

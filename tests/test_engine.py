@@ -11,10 +11,11 @@ from rai import (FeatureTerm, ModelState, RaiConfig, WealthLedger,
                  test_candidate)
 from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
-                        TERMINATED_STREAM, TERMINATED_WEALTH)
+                        TERMINATED_STREAM, TERMINATED_WEALTH, _exact_max_t)
 from rai.errors import NoFinitePass
+from rai.kernel import Screen
 
-from conftest import random_raw
+from conftest import charges, random_raw
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -34,32 +35,36 @@ class TestTestCandidate:
     def probe_t(self):
         led = WealthLedger()
         decision, _, t_abs = test_candidate(
-            self.state, led, self.term, tlvl=1e17, alpha=0.01, pass_index=1)
+            self.state, led, self.term, tlvl=1e17, alpha=0.01, pass_index=1,
+            column=self.ds.columns[:, 0])
         assert decision == NOT_REJECTED
         return t_abs
 
     def test_wealth_gate_blocks_without_event(self):
         led = WealthLedger(initial_wealth=0.005)
         decision, state, t = test_candidate(
-            self.state, led, self.term, tlvl=1.0, alpha=0.01, pass_index=1)
+            self.state, led, self.term, tlvl=1.0, alpha=0.01, pass_index=1,
+            column=self.ds.columns[:, 0])
         assert decision == HALTED_WEALTH
         assert t is None
-        assert led.events == ()
+        assert led.total_spent() == 0.0
         assert led.wealth == pytest.approx(0.005)
 
     def test_spend_precedes_comparison(self):
         led = WealthLedger()
         decision, _, _ = test_candidate(
-            self.state, led, self.term, tlvl=1e17, alpha=0.02, pass_index=1)
+            self.state, led, self.term, tlvl=1e17, alpha=0.02, pass_index=1,
+            column=self.ds.columns[:, 0])
         assert decision == NOT_REJECTED
         assert led.wealth == pytest.approx(0.23)
-        assert len(led.events) == 1 and not led.events[0].rejected
+        assert led.decisions == [NOT_REJECTED]
 
     def test_boundary_is_strict(self):
         t_abs = self.probe_t()
         led = WealthLedger()
         decision, _, _ = test_candidate(
-            self.state, led, self.term, tlvl=t_abs, alpha=0.01, pass_index=1)
+            self.state, led, self.term, tlvl=t_abs, alpha=0.01, pass_index=1,
+            column=self.ds.columns[:, 0])
         assert decision == NOT_REJECTED
 
     def test_rejection_just_below_boundary(self):
@@ -67,20 +72,21 @@ class TestTestCandidate:
         led = WealthLedger()
         decision, state, _ = test_candidate(
             self.state, led, self.term, tlvl=t_abs * (1 - 1e-9),
-            alpha=0.01, pass_index=1)
+            alpha=0.01, pass_index=1, column=self.ds.columns[:, 0])
         assert decision == REJECTED
         assert led.wealth == pytest.approx(0.25 - 0.01 + 0.05)
-        assert led.events[0].rejected
+        assert led.decisions == [REJECTED]
         assert list(state.selected) == [self.term]
 
     def test_collinear_removed_without_spend(self):
         state = self.state.add_feature(0)
         led = WealthLedger()
         decision, _, t = test_candidate(
-            state, led, self.term, tlvl=1.0, alpha=0.01, pass_index=1)
+            state, led, self.term, tlvl=1.0, alpha=0.01, pass_index=1,
+            column=self.ds.columns[:, 0])
         assert decision == REMOVED_COLLINEAR
         assert t is None
-        assert led.events == ()
+        assert led.total_spent() == 0.0
         assert led.wealth == pytest.approx(0.25)
 
     def test_constant_interaction_removed_without_spend(self):
@@ -97,7 +103,7 @@ class TestTestCandidate:
             ModelState.empty(ds), led, FeatureTerm.marginal(0),
             tlvl=1.0, alpha=0.01, pass_index=1, column=None)
         assert decision == REMOVED_COLLINEAR
-        assert led.events == ()
+        assert led.total_spent() == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_removed_without_spend(self, bad):
@@ -110,7 +116,7 @@ class TestTestCandidate:
             column=column)
         assert decision == REMOVED_COLLINEAR
         assert t is None
-        assert led.events == () and led.wealth == 0.25
+        assert led.total_spent() == 0.0 and led.wealth == 0.25
         assert after is state
         assert all(np.all(np.isfinite(q)) for q in after.basis)
 
@@ -145,8 +151,7 @@ class TestSkipPasses:
         t_star = math.sqrt(n) * 2.0 ** (-5 / 2.0) * 1.01
         terms = [FeatureTerm.marginal(0), FeatureTerm.marginal(1)]
         led = WealthLedger(initial_wealth=5.0)
-        s_next, halted, charged = skip_passes(
-            terms, np.array([0.4, t_star]), led, 1, n, 20)
+        s_next, halted, charged = skip_passes(terms, t_star, led, 1, n, 20)
         assert s_next == 5
         assert not halted
         expected = sum(2 * pass_parameters(n, u)[1] for u in (2, 3, 4))
@@ -159,21 +164,20 @@ class TestSkipPasses:
         t_star = math.sqrt(n) * 2.0 ** (-5 / 2.0)
         led = WealthLedger(initial_wealth=5.0)
         s_next, halted, _ = skip_passes(
-            [FeatureTerm.marginal(0)], np.array([t_star]), led, 1, n, 20)
+            [FeatureTerm.marginal(0)], t_star, led, 1, n, 20)
         assert s_next == 6
 
     def test_all_zero_raises(self):
         led = WealthLedger()
         with pytest.raises(NoFinitePass):
-            skip_passes([FeatureTerm.marginal(0)], np.array([0.0]), led, 1,
-                        100, 10)
+            skip_passes([FeatureTerm.marginal(0)], 0.0, led, 1, 100, 10)
 
     def test_halts_mid_charge_with_partial_commit(self):
         n = 100
         terms = [FeatureTerm.marginal(j) for j in range(4)]
-        t_abs = np.array([0.9, 0.9, 0.9, 1.3])  # the last clears pass 7
+        # the largest |t| first clears pass 6 (tlvl 1.25)
         led = WealthLedger(initial_wealth=0.08)
-        s_next, halted, charged = skip_passes(terms, t_abs, led, 1, n, 12)
+        s_next, halted, charged = skip_passes(terms, 1.3, led, 1, n, 12)
         assert halted
         assert charged > 0
         assert led.wealth == pytest.approx(0.08 - charged, abs=1e-15)
@@ -183,12 +187,48 @@ class TestSkipPasses:
         n = 400
         led = WealthLedger(initial_wealth=5.0)
         s_next, halted, charged = skip_passes(
-            [FeatureTerm.marginal(0)], np.array([0.9]), led, 1, n,
-            max_passes=3)
+            [FeatureTerm.marginal(0)], 0.9, led, 1, n, max_passes=3)
         assert s_next > 3
         assert not halted
         expected = sum(pass_parameters(n, u)[1] for u in (2, 3))
         assert charged == pytest.approx(expected, abs=1e-15)
+
+
+class TestExactMaxT:
+
+    @given(seeds, st.sampled_from(["gaussian", "duplicates", "exact_fit"]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_largest_exact_score(self, seed, design, data):
+        """Bit for bit the largest exact |t| over any set of slots,
+        including untrusted [0, inf] slots and an exhausted residual."""
+        rng = np.random.default_rng(seed)
+        n, p = 60, 8
+        X = rng.normal(size=(n, p))
+        y = X[:, :3] @ rng.normal(size=3) + rng.normal(size=n)
+        if design == "duplicates":
+            X[:, 5:] = X[:, :3]
+        elif design == "exact_fit":
+            y = X[:, 0] - 2.0 * X[:, 1]
+        ds = standardize(X, y)
+        screen = Screen(ds)
+        mix = ds.columns[:, 0] + ds.columns[:, 3]
+        # a second block of slots, as interaction columns get; None
+        # stands for a constant monomial and takes no slot
+        screen.add_columns(
+            iter([ds.columns[:, 2], None, mix / np.linalg.norm(mix)]), 3)
+        state = ModelState.empty(ds)
+        for j in range(data.draw(st.integers(0, 3))):
+            state = state.add_feature(j)
+        screen.sync(state)
+        _, low, high = screen.t_abs(state.df)
+        slots = np.array(data.draw(st.lists(
+            st.integers(0, p + 1), min_size=1, max_size=p + 2, unique=True)))
+        want = max(abs(state.score(screen.column(j))[3]) for j in slots)
+        got = _exact_max_t(slots, low, high, state, screen)
+        assert got.hex() == want.hex()
+        if design == "exact_fit" and state.size >= 2:
+            assert got == 0.0
 
 
 class TestRunRai:
@@ -211,7 +251,7 @@ class TestRunRai:
         state, trace = run_rai(ds)
         assert list(state.selected) == []
         assert trace.termination == TERMINATED_WEALTH
-        assert trace.n_rejections() == 0
+        assert trace.ledger.rejections == 0
 
     def test_signal_recovered(self):
         ds = signal_dataset(seed=5, n=200, p=8)
@@ -247,15 +287,15 @@ class TestRunRai:
         ds = signal_dataset(seed=7, n=130, p=9)
         _, trace = run_rai(ds)
         w = trace.ledger.initial_wealth
-        events = iter(trace.ledger.events)
+        events = iter(charges(trace.ledger))
         for rec in trace.tests:
             assert rec.wealth_before == pytest.approx(w, abs=1e-15)
             if rec.decision in (REJECTED, NOT_REJECTED):
-                ev = next(events)
-                w -= ev.alpha
-                assert ev.alpha == rec.alpha
+                _, _, alpha, rejected = next(events)
+                w -= alpha
+                assert alpha == rec.alpha
                 if rec.decision == REJECTED:
-                    assert ev.rejected
+                    assert rejected
                     w += trace.ledger.payout
             if rec.decision in (HALTED_WEALTH, REMOVED_COLLINEAR):
                 assert rec.wealth_after == rec.wealth_before

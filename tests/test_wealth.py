@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rai import MfdrCounts, WealthLedger, mfdr_estimate, pass_parameters
-from rai.wealth import ALPHA_FLOOR
+from rai.wealth import ALPHA_FLOOR, REJECTED
 
 import reference_engine as ref
+from conftest import charges
 
 
 class TestPassParameters:
@@ -78,7 +79,7 @@ class TestWealthLedger:
         led = WealthLedger(initial_wealth=0.005)
         assert led.spend(0.01, test_ids=[0], pass_index=1) == 0
         assert led.wealth == 0.005
-        assert led.events == ()
+        assert led.total_spent() == 0.0
         assert led.test_ids == [] and led.decisions == []
 
     def test_run_stops_before_the_first_unaffordable_charge(self):
@@ -101,7 +102,7 @@ class TestWealthLedger:
         led.earn(0)
         assert led.wealth == pytest.approx(0.29)
         assert led.rejections == 1
-        assert led.events[-1].rejected
+        assert led.decisions[-1] == REJECTED
 
     def test_earn_requires_matching_last_spend(self):
         led = WealthLedger()
@@ -157,7 +158,7 @@ class TestWealthLedger:
         assert led.wealth == pytest.approx(identity, abs=1e-12)
         assert led.wealth >= 0
         assert led.replay() == led.wealth
-        assert led.rejections == sum(e.rejected for e in led.events)
+        assert led.rejections == led.decisions.count(REJECTED)
         assert led.total_spent() <= (led.initial_wealth
                                      + led.payout * led.rejections + 1e-12)
 
@@ -236,8 +237,7 @@ class TestRunCharging:
                 led.earn(next_id)
                 want.earn(next_id)
                 next_id += 1
-        assert [astuple(e) for e in led.events] == [
-            astuple(e) for e in want.events]
+        assert charges(led) == [astuple(e) for e in want.events]
         assert led.replay().hex() == want.replay().hex() == led.wealth.hex()
         assert led.total_spent().hex() == want.total_spent().hex()
         assert led.rejections == want.rejections
