@@ -13,8 +13,9 @@ before hashing, so two runs of the same code print the same digests:
 The inputs are a gaussian design with a planted product plus a +-1
 column (whose square is constant) and a 0/1 column (whose square is
 itself), so that `--trace` files hold collinear and constant monomials,
-a p > n design, and a pure-noise design for `diagnose` on an empty
-model.  Every run uses one BLAS thread.
+a p > n design, a pure-noise design for `diagnose` on an empty model,
+and a noiseless y = x1 + x2, whose exact fit leaves no |t| that any
+pass can clear.  Every run uses one BLAS thread.
 """
 import argparse
 import hashlib
@@ -56,7 +57,11 @@ def make_inputs(work: Path) -> dict[str, Path]:
     X = rng.normal(size=(100, 6))
     null = work / "null.csv"
     write_csv(null, X, rng.normal(size=100))
-    return {"product": product, "wide": wide, "null": null}
+
+    X = rng.normal(size=(100, 5))
+    exact = work / "exact.csv"
+    write_csv(exact, X, X[:, 0] + X[:, 1])
+    return {"product": product, "wide": wide, "null": null, "exact": exact}
 
 
 def commands(inputs: dict[str, Path], work: Path):
@@ -66,14 +71,15 @@ def commands(inputs: dict[str, Path], work: Path):
         "interactions": ["--interactions"],
         "order2": ["--interactions", "--max-order", "2", "--wealth", "0.5"],
     }
-    for data in ("product", "wide"):
-        path = inputs[data]
-        for flags_name, flags in flag_sets.items():
-            name = f"select-{data}-{flags_name}"
-            report, trace = work / f"{name}.json", work / f"{name}.jsonl"
-            yield name, ["select", str(path), "--response", "y", *flags,
-                         "--json", str(report), "--trace", str(trace)], \
-                [report, trace]
+    selects = [(data, flags_name) for data in ("product", "wide")
+               for flags_name in flag_sets]
+    selects += [("exact", "plain"), ("exact", "interactions")]
+    for data, flags_name in selects:
+        name = f"select-{data}-{flags_name}"
+        report, trace = work / f"{name}.json", work / f"{name}.jsonl"
+        yield name, ["select", str(inputs[data]), "--response", "y",
+                     *flag_sets[flags_name], "--json", str(report),
+                     "--trace", str(trace)], [report, trace]
     for data, k in (("product", "3"), ("wide", "2"), ("null", "3")):
         name = f"diagnose-{data}"
         report = work / f"{name}.json"

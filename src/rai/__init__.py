@@ -23,7 +23,7 @@ from .oracles import (BoundInputs, aic, brute_force_subset, forward_stepwise,
                       theorem_bound_branches)
 from .terms import FeatureTerm, generate_candidates, monomial, realize
 from .wealth import (ALPHA_FLOOR, DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT,
-                     MfdrCounts, WealthLedger, mfdr_estimate, pass_parameters)
+                     WealthLedger, pass_parameters)
 from .simulate import METHODS, SCENARIOS, SimSpec, run_experiment
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "Dataset", "ModelState", "standardize", "r_squared_of",
     "COLLINEARITY_TOL", "T_STAT_MAX",
     # wealth
-    "WealthLedger", "pass_parameters", "MfdrCounts", "mfdr_estimate",
+    "WealthLedger", "pass_parameters",
     "DEFAULT_INITIAL_WEALTH", "DEFAULT_PAYOUT", "ALPHA_FLOOR",
     # terms
     "FeatureTerm", "generate_candidates", "monomial", "realize",

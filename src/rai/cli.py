@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 internal error, 2 usage or parse failure,
 3 degenerate data, 4 enumeration budget exceeded.  Error paths print a
-one-line message to stderr, never a stack trace.
+one-line message to stderr, never a stack trace.  Output files are
+written before stdout, and a reader that closes stdout early is no error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import warnings
@@ -222,21 +224,22 @@ def _write_trace(path: str, trace) -> None:
 
 
 def cmd_select(args) -> int:
-    names, X, y = _read_design(args.input, args.response)
     config = _config_from_args(args)
+    names, X, y = _read_design(args.input, args.response)
     t0 = time.perf_counter()
     dataset = standardize(X, y, names)
     state, trace = run_rai(dataset, config)
     elapsed = time.perf_counter() - t0
     report = _selection_report(dataset, state, trace, config,
                                args.input, elapsed)
-    _print_selection_report(report)
+    # files first, so a reader that closes stdout early loses none
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     if args.trace:
         _write_trace(args.trace, trace)
+    _print_selection_report(report)
     return EXIT_OK
 
 
@@ -312,15 +315,15 @@ def cmd_diagnose(args) -> int:
         report.update({"gamma": None, "s_f": s_f, "bound": 0.0,
                        "bound_holds": True,
                        "bound_slack": state.r_squared})
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     for key, value in report.items():
         if isinstance(value, float):
             print(f"{key:<24}{value:.6g}")
         else:
             print(f"{key:<24}{value}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     return EXIT_OK
 
 
@@ -399,7 +402,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; send the exit-time flush of stdout to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,8 +9,8 @@ the new term with the model to the tail of the stream, where they are
 reachable within the same pass.
 
 A pass that rejects nothing leaves every remaining |t| unchanged, so
-the engine can jump straight to the first future pass whose threshold
-some candidate clears, as long as it pays for every test it skips over.
+the engine can jump to the first later pass that some candidate clears,
+or past the last pass if none can, paying for every test it skips over.
 The jump charges the ledger for every candidate in stream order, one
 run per skipped pass, so that a skipping run and a literal pass-by-pass
 run hold identical wealth at every point.
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoFinitePass
 from .kernel import (COLLINEARITY_TOL, SCREEN_MARGIN, Dataset, ModelState,
                      Screen)
 from .terms import FeatureTerm, generate_candidates, realize, term_column
@@ -60,11 +59,14 @@ class RaiConfig:
     skip_passes: bool = True
 
     def __post_init__(self):
-        # an order below 2 would admit no product at all
-        if (self.max_interaction_order is not None
-                and not self.max_interaction_order >= 2):
+        # an order that admits no product would be ignored without a word
+        order = self.max_interaction_order
+        if order is not None and not self.interactions:
+            raise ValueError("max_interaction_order (--max-order) needs "
+                             "interactions (--interactions)")
+        if order is not None and not order >= 2:
             raise ValueError("max_interaction_order must be None or at "
-                             f"least 2, got {self.max_interaction_order}")
+                             f"least 2, got {order}")
 
     def resolve_max_passes(self, n: int) -> int:
         if self.max_passes is not None:
@@ -180,18 +182,18 @@ def skip_passes(terms, best: float, ledger: WealthLedger, s: int, n: int,
     `terms` is every remaining candidate in stream order and `best`
     the largest of their |t|.  Returns (next pass, halted, alpha
     charged); `halted` means wealth died mid-charge at the returned
-    pass.  Raises NoFinitePass when the largest |t| is zero, since no
-    finite threshold is ever cleared.
+    pass.  A `best` of 0.0 clears no threshold, so every pass up to
+    max_passes is charged, as the literal schedule would test them,
+    and the next pass is max_passes + 1.
     """
-    if not terms:
-        raise NoFinitePass("no candidates left")
-    if best <= 0.0:
-        raise NoFinitePass("every remaining |t| is zero")
-    root_n = math.sqrt(n)
-    target = math.floor(2.0 * math.log2(root_n / best)) + 1
-    s_prime = max(s + 1, target)
-    while root_n * 2.0 ** (-s_prime / 2.0) >= best:
-        s_prime += 1
+    if best == 0.0:
+        s_prime = max_passes + 1
+    else:
+        root_n = math.sqrt(n)
+        target = math.floor(2.0 * math.log2(root_n / best)) + 1
+        s_prime = max(s + 1, target)
+        while root_n * 2.0 ** (-s_prime / 2.0) >= best:
+            s_prime += 1
     charged = 0.0
     for u in range(s + 1, min(s_prime, max_passes + 1)):
         _, alpha_u = pass_parameters(n, u)
@@ -335,12 +337,8 @@ def run_rai(dataset: Dataset,
             # changed the scores since they were computed
             best = _exact_max_t(slots, t_low, t_high, state, screen)
             before = ledger.wealth
-            try:
-                s_next, halted, charged = skip_passes(
-                    queue, best, ledger, s, n, max_passes)
-            except NoFinitePass:
-                termination = TERMINATED_STREAM
-                break
+            s_next, halted, charged = skip_passes(
+                queue, best, ledger, s, n, max_passes)
             if halted or s_next > s + 1:
                 trace.skips.append(SkipRecord(
                     s, s_next, len(queue), charged, before, ledger.wealth,
@@ -374,14 +372,15 @@ def fit_terms(dataset: Dataset,
     for term in terms:
         if term.order == 1:
             j = term.powers[0][0]
-            cols.append(dataset.columns[:, j])
-            means.append(dataset.raw_means[j])
-            scales.append(dataset.raw_scales[j])
+            col, mean, scale = (dataset.columns[:, j], dataset.raw_means[j],
+                                dataset.raw_scales[j])
+        elif (out := realize(term, dataset.raw)) is None:
+            raise ValueError(f"term {term.display()} is constant")
         else:
-            col, mean, scale = realize(term, dataset.raw)
-            cols.append(col)
-            means.append(mean)
-            scales.append(scale)
+            col, mean, scale = out
+        cols.append(col)
+        means.append(mean)
+        scales.append(scale)
     M = np.column_stack(cols)
     b, *_ = np.linalg.lstsq(M, dataset.response, rcond=None)
     slopes = dataset.response_scale * b / np.asarray(scales)

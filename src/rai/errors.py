@@ -25,20 +25,12 @@ class SingularStep(RaiError):
     """Forward stepwise found no addable column (all remaining collinear)."""
 
 
-class NoFinitePass(RaiError):
-    """No future pass level can be cleared by any remaining candidate."""
-
-
 class BudgetExceeded(RaiError):
     """An enumeration would exceed the configured subset budget."""
 
 
 class AllSubsetsSingular(RaiError):
     """Every candidate subset was numerically singular."""
-
-
-class ConstantInteraction(RaiError):
-    """An interaction's column is constant and cannot be standardized."""
 
 
 class DegenerateTerms(RaiError):

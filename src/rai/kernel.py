@@ -90,9 +90,10 @@ def _unit_centered(col: np.ndarray) -> tuple[np.ndarray, float, float] | None:
 
     Returns (standardized, mean, scale), or None for a constant column.
     """
-    mean = _mean(col)
-    centered = col - mean
-    scale = _norm(centered)
+    with np.errstate(over="ignore"):    # _mean, _norm rescale overflows
+        mean = _mean(col)
+        centered = col - mean
+        scale = _norm(centered)
     if _constant(scale, mean, col.size):
         return None
     return centered / scale, mean, scale

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantInteraction
 from .kernel import Dataset, _unit_centered
 
 
@@ -102,18 +101,16 @@ def monomial(term: FeatureTerm, raw: np.ndarray) -> np.ndarray:
 
 
 def realize(term: FeatureTerm,
-            raw: np.ndarray) -> tuple[np.ndarray, float, float]:
+            raw: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     """Standardized column for a term, built on the original scale,
-    with its centering and scaling constants: (column, mean, scale).
+    with its centering and scaling constants: (column, mean, scale), or
+    None for a term whose monomial is constant.
 
     The monomial of the raw columns is formed first and only then
     centered and scaled to unit norm, so powers mean powers of the data
     the user supplied, not of centered copies.
     """
-    out = _unit_centered(monomial(term, raw))
-    if out is None:
-        raise ConstantInteraction(f"term {term.display()} is constant")
-    return out
+    return _unit_centered(monomial(term, raw))
 
 
 def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray | None:
@@ -121,7 +118,5 @@ def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray | None:
     term whose monomial is constant."""
     if term.order == 1:
         return dataset.columns[:, term.powers[0][0]]
-    try:
-        return realize(term, dataset.raw)[0]
-    except ConstantInteraction:
-        return None
+    out = realize(term, dataset.raw)
+    return None if out is None else out[0]

@@ -11,7 +11,6 @@ of equal-alpha charges is one vectorized step, not one call per test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -204,39 +203,3 @@ class WealthLedger:
                 if d == REJECTED:
                     w += self.payout
         return w
-
-
-@dataclass(frozen=True)
-class MfdrCounts:
-    """False rejection / rejection / replication tallies.
-
-    Associative under merge, so shards of a study can be combined in any
-    order.
-    """
-
-    false_rejections: int = 0
-    rejections: int = 0
-    replications: int = 0
-
-    def __post_init__(self):
-        if min(self.false_rejections, self.rejections,
-               self.replications) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.false_rejections > self.rejections:
-            raise ValueError("false rejections cannot exceed rejections")
-
-    def merge(self, other: "MfdrCounts") -> "MfdrCounts":
-        return MfdrCounts(
-            self.false_rejections + other.false_rejections,
-            self.rejections + other.rejections,
-            self.replications + other.replications,
-        )
-
-
-def mfdr_estimate(counts: MfdrCounts) -> float:
-    """Plug-in marginal FDR estimate, E(V) / (E(R) + 1), from averages."""
-    if counts.replications <= 0:
-        raise ValueError("need at least one replication")
-    v_bar = counts.false_rejections / counts.replications
-    r_bar = counts.rejections / counts.replications
-    return v_bar / (r_bar + 1.0)

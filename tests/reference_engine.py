@@ -28,7 +28,7 @@ from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
                         TERMINATED_STREAM, TERMINATED_WEALTH, RaiConfig,
                         SkipRecord)
-from rai.errors import NoFinitePass, RaiError, SingularStep
+from rai.errors import RaiError, SingularStep
 from rai.kernel import COLLINEARITY_TOL, Dataset, ModelState, _t_from_rho
 from rai.terms import FeatureTerm, generate_candidates, term_column
 from rai.wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT,
@@ -166,19 +166,19 @@ def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
 
     `known_t` maps every remaining candidate to its |t| in stream order.
     Returns (next pass, halted, alpha charged); `halted` means wealth
-    died mid-charge at the returned pass.  Raises NoFinitePass when all
-    |t| are zero, since no finite threshold is ever cleared.
+    died mid-charge at the returned pass.  When every |t| is zero no
+    threshold is ever cleared, so every pass up to max_passes is
+    charged and the next pass is max_passes + 1.
     """
-    if not known_t:
-        raise NoFinitePass("no candidates left")
-    best = max(known_t.values())
-    if best <= 0.0:
-        raise NoFinitePass("every remaining |t| is zero")
-    root_n = math.sqrt(n)
-    target = math.floor(2.0 * math.log2(root_n / best)) + 1
-    s_prime = max(s + 1, target)
-    while root_n * 2.0 ** (-s_prime / 2.0) >= best:
-        s_prime += 1
+    best = max(known_t.values(), default=0.0)
+    if best == 0.0:
+        s_prime = max_passes + 1
+    else:
+        root_n = math.sqrt(n)
+        target = math.floor(2.0 * math.log2(root_n / best)) + 1
+        s_prime = max(s + 1, target)
+        while root_n * 2.0 ** (-s_prime / 2.0) >= best:
+            s_prime += 1
     charged = 0.0
     for u in range(s + 1, min(s_prime, max_passes + 1)):
         _, alpha_u = pass_parameters(n, u)
@@ -306,12 +306,8 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
             break
         if not rejected_any and config.skip_passes and s < max_passes:
             before = ledger.wealth
-            try:
-                s_next, halted, charged = skip_passes(
-                    known_t, ledger, s, n, max_passes)
-            except NoFinitePass:
-                termination = TERMINATED_STREAM
-                break
+            s_next, halted, charged = skip_passes(
+                known_t, ledger, s, n, max_passes)
             if halted or s_next > s + 1:
                 trace.skips.append(SkipRecord(
                     s, s_next, len(known_t), charged, before, ledger.wealth,

@@ -274,6 +274,18 @@ class TestSelect:
         assert exc.value.code == 2
         assert "--max-order: must be at least 2" in capsys.readouterr().err
 
+    def test_max_order_without_interactions_exits_two(self, tmp_path,
+                                                      capsys):
+        # no product is generated, so the order would be ignored
+        path, _, _ = signal_file(tmp_path)
+        assert main(["select", str(path), "--response", "y",
+                     "--max-order", "3"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "--max-order" in err[0] and "--interactions" in err[0]
+
     def test_interactions_flag_reaches_config(self, tmp_path):
         rng = np.random.default_rng(4)
         X = rng.normal(loc=1.5, size=(300, 4))
@@ -465,6 +477,30 @@ print(sorted(m for m in sys.modules
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_no_error(self, tmp_path, unbuffered):
+        """A reader that leaves early (`rai select ... | head -1`) gets
+        exit 0, nothing on stderr, and every output file."""
+        path, _, _ = signal_file(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)      # closed before rai writes anything
+        src = os.path.dirname(os.path.dirname(rai.__file__))
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        report, trace = tmp_path / "r.json", tmp_path / "t.jsonl"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rai", "select", str(path),
+                 "--response", "y", "--json", str(report),
+                 "--trace", str(trace)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert json.loads(report.read_text())["selected"]
+        assert trace.read_text().splitlines()[-1].startswith('{"kind": "end"')
 
     def test_console_script_select(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -12,9 +12,9 @@ from rai import (FeatureTerm, ModelState, RaiConfig, WealthLedger,
 from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
                         TERMINATED_STREAM, TERMINATED_WEALTH, _exact_max_t)
-from rai.errors import NoFinitePass
 from rai.kernel import Screen
 
+import reference_engine as ref
 from conftest import charges, random_raw
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -167,10 +167,39 @@ class TestSkipPasses:
             [FeatureTerm.marginal(0)], t_star, led, 1, n, 20)
         assert s_next == 6
 
-    def test_all_zero_raises(self):
+    def test_zero_best_charges_every_remaining_pass(self):
+        # no threshold is ever cleared, so passes s+1..max_passes are
+        # charged as the literal schedule tests them
+        n = 100
+        terms = [FeatureTerm.marginal(j) for j in range(3)]
+        led = WealthLedger(initial_wealth=5.0)
+        s_next, halted, charged = skip_passes(terms, 0.0, led, 2, n, 7)
+        assert (s_next, halted) == (8, False)
+        assert sorted(set(led.passes)) == [3, 4, 5, 6, 7]
+        assert led.test_ids == terms * 5
+        want = WealthLedger(initial_wealth=5.0)
+        for u in range(3, 8):
+            for term in terms:
+                want.spend(pass_parameters(n, u)[1], [term], u)
+        assert led.wealth.hex() == want.wealth.hex()
+        assert charged == pytest.approx(5.0 - led.wealth, abs=1e-15)
+
+    def test_zero_best_halts_mid_charge(self):
+        n = 100
+        terms = [FeatureTerm.marginal(j) for j in range(3)]
+        # passes 2-5 cost about 0.27; pass 6 (alpha 0.21) pays one test
+        led = WealthLedger(initial_wealth=0.5)
+        s_next, halted, charged = skip_passes(terms, 0.0, led, 1, n, 20)
+        assert (s_next, halted) == (6, True)
+        assert led.passes == [2] * 3 + [3] * 3 + [4] * 3 + [5] * 3 + [6]
+        assert led.wealth < pass_parameters(n, 6)[1]
+        assert charged == pytest.approx(0.5 - led.wealth, abs=1e-15)
+
+    def test_zero_best_with_no_terms_charges_nothing(self):
         led = WealthLedger()
-        with pytest.raises(NoFinitePass):
-            skip_passes([FeatureTerm.marginal(0)], 0.0, led, 1, 100, 10)
+        assert skip_passes([], 0.0, led, 1, 100, 10) == (11, False, 0.0)
+        assert led.wealth == led.initial_wealth
+        assert led.passes == []
 
     def test_halts_mid_charge_with_partial_commit(self):
         n = 100
@@ -427,6 +456,11 @@ class TestRaiConfig:
         with pytest.raises(ValueError, match="max_interaction_order"):
             RaiConfig(interactions=True, max_interaction_order=order)
 
+    def test_order_without_interactions_rejected(self):
+        # no product is generated, so the order would be ignored
+        with pytest.raises(ValueError, match="--max-order.*--interactions"):
+            RaiConfig(max_interaction_order=3)
+
     @pytest.mark.parametrize("order", [None, 2])
     def test_valid_order_finds_the_product(self, product_data, order):
         state, _ = run_rai(product_data, RaiConfig(
@@ -452,6 +486,29 @@ class TestSkipEquivalence:
         assert s_on.selected == s_off.selected
         assert abs(t_on.ledger.wealth - t_off.ledger.wealth) <= 1e-12
         assert t_on.termination == t_off.termination
+
+    @given(seeds, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_fit_charges_the_literal_schedule(self, seed, interactions):
+        """Once an exact fit leaves every |t| at zero, no pass can reject;
+        the skip must still pay what the literal passes pay."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 150))
+        p = int(rng.integers(2, 9))
+        X = rng.normal(1.0, 1.0, size=(n, p))
+        cols = rng.choice(p, int(rng.integers(1, min(p, 3) + 1)),
+                          replace=False)
+        y = X[:, cols] @ rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], cols.size)
+        ds = standardize(X, y)
+        config = dict(interactions=interactions,
+                      initial_wealth=float(rng.choice([0.25, 5.0])))
+        runs = [run_rai(ds, RaiConfig(skip_passes=True, **config)),
+                run_rai(ds, RaiConfig(skip_passes=False, **config)),
+                ref.run_rai(ds, RaiConfig(skip_passes=False, **config))]
+        outcomes = {(tuple(state.selected), trace.termination,
+                     trace.passes_traversed, trace.ledger.wealth.hex())
+                    for state, trace in runs}
+        assert len(outcomes) == 1, outcomes
 
     def test_skip_with_interactions_equivalent(self):
         for seed in (11, 23, 35):
@@ -490,6 +547,13 @@ class TestFitTerms:
         beta, *_ = np.linalg.lstsq(design, y, rcond=None)
         ref = design @ beta
         np.testing.assert_allclose(pred, ref, atol=1e-8)
+
+    def test_constant_term_rejected(self):
+        # a column of -1s and 1s varies, but its square does not
+        X = np.column_stack([np.tile([-1.0, 1.0], 5), np.arange(10.0)])
+        ds = standardize(X, np.arange(10.0) ** 2)
+        with pytest.raises(ValueError, match="X1\\^2 is constant"):
+            rai.fit_terms(ds, [FeatureTerm.from_exponents({0: 2})])
 
     def test_empty_selection(self):
         ds = signal_dataset()

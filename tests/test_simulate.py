@@ -400,6 +400,54 @@ class TestRunExperiment:
         # aggregates computed over the surviving replications
         assert "risk_mean" in result["summary"]
 
+    def test_every_replication_failing_still_writes_a_summary(
+            self, monkeypatch, tmp_path):
+        def broken(*args):
+            raise RaiError("injected failure")
+
+        monkeypatch.setattr(simulate, "_run_method", broken)
+        spec = spec_for("global_null", n=100, p=5, reps=2, seed=1)
+        out = tmp_path / "rows.jsonl"
+        summary = run_experiment(spec, "rai", out_path=out)["summary"]
+        assert summary["failed"] == 2
+        assert summary["rejections_total"] == 0
+        # no replication to average over, so no estimate
+        assert "mfdr_estimate" not in summary
+        assert json.loads(out.read_text().splitlines()[-1]) == summary
+
+    @pytest.mark.parametrize("scenario, method, seed", [
+        ("single_interaction", "rai_interactions", 0),
+        ("single_interaction", "rai_interactions", 2),  # no false ones
+        ("global_null", "rai", 3),                       # all false
+    ])
+    def test_mfdr_estimate_is_the_plugin_ratio_of_the_rows(
+            self, monkeypatch, scenario, method, seed):
+        # one replication fails; the averages are over the other four
+        real = simulate._run_method
+
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RaiError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_run_method", fail_second)
+        spec = spec_for(scenario, n=150, p=40, reps=5, seed=seed)
+        result = run_experiment(spec, method)
+        rows = [row for row in result["rows"] if "error" not in row]
+        m = len(rows)
+        assert m == 4
+        v = sum(row["false_rejections"] for row in rows)
+        r = sum(row["rejections"] for row in rows)
+        summary = result["summary"]
+        assert summary["false_rejections_total"] == v
+        assert summary["rejections_total"] == r
+        assert 0 < r and v <= r
+        expected = (v / m) / (r / m + 1.0)
+        assert summary["mfdr_estimate"].hex() == expected.hex()
+
     def test_method_list_is_complete(self):
         assert set(METHODS) == {"rai", "rai_interactions", "stepwise_aic",
                                 "mean_model", "true_model"}

@@ -1,10 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rai import (FeatureTerm, generate_candidates, monomial, realize,
                  standardize)
-from rai.errors import ConstantInteraction
 from rai.terms import term_column
 
 exponent_maps = st.dictionaries(
@@ -160,8 +161,22 @@ class TestRealize:
 
     def test_constant_interaction(self):
         raw = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-        with pytest.raises(ConstantInteraction):
-            realize(FeatureTerm.from_exponents({0: 2}), raw)
+        assert realize(FeatureTerm.from_exponents({0: 2}), raw) is None
+
+    def test_overflowing_sum_of_squares_is_rescaled_silently(self):
+        # X1*X2 of data near 1e80 is finite, but its sum of squares
+        # overflows; the norm is taken rescaled, without a warning
+        raw = np.random.default_rng(3).normal(1.0, 1.0, size=(40, 2)) * 1e80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            col, mean, scale = realize(
+                FeatureTerm.from_exponents({0: 1, 1: 1}), raw)
+        prod = raw[:, 0] * raw[:, 1]
+        assert mean == prod.mean()
+        centered = prod - mean
+        top = np.max(np.abs(centered))
+        assert scale == top * np.sqrt(np.dot(centered / top, centered / top))
+        assert col.tobytes() == (centered / scale).tobytes()
 
     def test_term_column_is_none_for_constant_monomial(self):
         # a column of -1s and 1s varies, but its square does not

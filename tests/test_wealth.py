@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rai import MfdrCounts, WealthLedger, mfdr_estimate, pass_parameters
+from rai import WealthLedger, pass_parameters
 from rai.wealth import ALPHA_FLOOR, REJECTED
 
 import reference_engine as ref
@@ -241,36 +241,3 @@ class TestRunCharging:
         assert led.replay().hex() == want.replay().hex() == led.wealth.hex()
         assert led.total_spent().hex() == want.total_spent().hex()
         assert led.rejections == want.rejections
-
-
-class TestMfdr:
-
-    def test_zero_false_rejections(self):
-        assert mfdr_estimate(MfdrCounts(0, 37, 10)) == 0.0
-
-    def test_all_false(self):
-        assert mfdr_estimate(MfdrCounts(100, 100, 100)) == pytest.approx(0.5)
-
-    def test_plugin_formula(self):
-        counts = MfdrCounts(3, 10, 20)
-        expected = (3 / 20) / ((10 / 20) + 1.0)
-        assert mfdr_estimate(counts) == pytest.approx(expected)
-
-    def test_merge_is_associative_sum(self):
-        a = MfdrCounts(1, 4, 10)
-        b = MfdrCounts(2, 3, 5)
-        c = MfdrCounts(0, 1, 7)
-        ab_c = a.merge(b).merge(c)
-        a_bc = a.merge(b.merge(c))
-        assert ab_c == a_bc
-        assert ab_c.false_rejections == 3
-        assert ab_c.rejections == 8
-        assert ab_c.replications == 22
-
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            MfdrCounts(-1, 0, 1)
-        with pytest.raises(ValueError):
-            MfdrCounts(5, 3, 1)  # V > R
-        with pytest.raises(ValueError):
-            mfdr_estimate(MfdrCounts(0, 0, 0))
