@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rai import WealthLedger, pass_parameters
+from rai import WealthLedger, pass_parameters, simulate
+from rai.simulate import SimSpec, recovery_targets, run_experiment
+from rai.terms import FeatureTerm
 from rai.wealth import ALPHA_FLOOR, REJECTED
 
 import reference_engine as ref
@@ -241,3 +243,46 @@ class TestRunCharging:
         assert led.replay().hex() == want.replay().hex() == led.wealth.hex()
         assert led.total_spent().hex() == want.total_spent().hex()
         assert led.rejections == want.rejections
+
+
+def scripted_study(monkeypatch, selections):
+    """Run a single-interaction study whose replication `rep` selects
+    `selections[rep]`, so its false rejection and rejection totals are
+    set by hand: support is {X1, X2}, any term touching X3..X5 is false.
+    """
+    picks = iter(selections)
+
+    def scripted(method, dataset, X, y, spec, truth_cols):
+        selected = list(next(picks))
+        yhat = np.full(y.size, float(y.mean()))
+        return yhat, selected, 1, 0.0, len(selected)
+
+    monkeypatch.setattr(simulate, "_run_method", scripted)
+    spec = SimSpec(n=50, p=5, scenario="single_interaction",
+                   replications=len(selections), base_seed=0)
+    return run_experiment(spec, "rai")["summary"]
+
+
+class TestMfdr:
+    """The plug-in marginal FDR estimate of a study summary,
+    (V/m) / (R/m + 1) over its m replications."""
+
+    def test_zero_false_rejections(self, monkeypatch):
+        spec = SimSpec(n=50, p=5, scenario="single_interaction",
+                       replications=1)
+        true_terms = recovery_targets(spec)  # X1, X2 and X1*X2
+        summary = scripted_study(
+            monkeypatch, [true_terms[:rep % 4] for rep in range(10)])
+        assert summary["false_rejections_total"] == 0
+        assert summary["rejections_total"] == 13
+        assert summary["mfdr_estimate"] == 0.0
+
+    def test_plugin_formula(self, monkeypatch):
+        false, true = FeatureTerm.marginal(2), FeatureTerm.marginal(0)
+        selections = [[false]] * 3 + [[true]] * 7 + [[]] * 10
+        summary = scripted_study(monkeypatch, selections)
+        assert summary["false_rejections_total"] == 3
+        assert summary["rejections_total"] == 10
+        assert summary["failed"] == 0
+        expected = (3 / 20) / ((10 / 20) + 1.0)
+        assert summary["mfdr_estimate"] == pytest.approx(expected)
