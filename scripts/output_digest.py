@@ -15,7 +15,10 @@ column (whose square is constant) and a 0/1 column (whose square is
 itself), so that `--trace` files hold collinear and constant monomials,
 a p > n design, a pure-noise design for `diagnose` on an empty model,
 and a noiseless y = x1 + x2, whose exact fit leaves no |t| that any
-pass can clear.  Every run uses one BLAS thread.
+pass can clear.  Three runs that must fail (an unwritable `--trace`, a
+missing response column, `--max-order` without `--interactions`) come
+last, each digested by its standard error and exit code.  Every run
+uses one BLAS thread.
 """
 import argparse
 import hashlib
@@ -93,6 +96,26 @@ def commands(inputs: dict[str, Path], work: Path):
                      "--method", method, "--out", str(out)], [out]
 
 
+def failing_commands(inputs: dict[str, Path], work: Path):
+    """(name, argv) for every run that must exit with an error."""
+    select = ["select", str(inputs["product"]), "--response"]
+    yield "select-unwritable-trace", [
+        *select, "y", "--trace", str(work / "absent" / "trace.jsonl")]
+    yield "select-missing-response", [*select, "nope"]
+    yield "select-order-without-interactions", [
+        *select, "y", "--max-order", "3"]
+
+
+def run(argv: list[str], env: dict, work: Path):
+    """(exit code, stdout, stderr) of one rai run, with the work
+    directory written as <work>."""
+    done = subprocess.run([sys.executable, "-m", "rai", *argv], env=env,
+                          capture_output=True)
+    mask = str(work).encode()
+    return (done.returncode, done.stdout.replace(mask, b"<work>"),
+            done.stderr.replace(mask, b"<work>"))
+
+
 def digest(data: bytes) -> str:
     kept = [line for line in data.splitlines() if b"elapsed" not in line]
     return hashlib.sha256(b"\n".join(kept)).hexdigest()
@@ -109,15 +132,15 @@ def main() -> int:
         work = Path(tmp)
         inputs = make_inputs(work)
         for name, argv, outputs in commands(inputs, work):
-            done = subprocess.run([sys.executable, "-m", "rai", *argv],
-                                  env=env, capture_output=True)
-            stdout = done.stdout.replace(str(work).encode(), b"<work>")
-            print(f"{digest(stdout)}  {name} stdout "
-                  f"(exit {done.returncode})")
+            code, stdout, _ = run(argv, env, work)
+            print(f"{digest(stdout)}  {name} stdout (exit {code})")
             for path in outputs:
                 data = path.read_bytes() if path.exists() else b"<missing>"
                 data = data.replace(str(work).encode(), b"<work>")
                 print(f"{digest(data)}  {name} {path.suffix[1:]}")
+        for name, argv in failing_commands(inputs, work):
+            code, _, stderr = run(argv, env, work)
+            print(f"{digest(stderr)}  {name} stderr (exit {code})")
     return 0
 
 

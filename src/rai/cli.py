@@ -16,6 +16,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -200,27 +201,26 @@ def _print_selection_report(report: dict) -> None:
     print("\n".join(out))
 
 
+@contextmanager
+def _writing(path: str):
+    """An OSError raised inside, opening or writing `path`, becomes a
+    ParseFailure that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc}")
+
+
+def _write_json(path: str, report: dict) -> None:
+    with _writing(path), open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_trace(path: str, trace) -> None:
-    with open(path, "w") as fh:
-        for rec in trace.tests:
-            fh.write(json.dumps({
-                "kind": "test", "pass": rec.pass_index,
-                "term": rec.term.display(), "t_abs": rec.t_abs,
-                "tlvl": rec.tlvl, "alpha": rec.alpha,
-                "wealth_before": rec.wealth_before,
-                "wealth_after": rec.wealth_after,
-                "decision": rec.decision}) + "\n")
-        for rec in trace.skips:
-            fh.write(json.dumps({
-                "kind": "skip", "from_pass": rec.from_pass,
-                "to_pass": rec.to_pass, "n_candidates": rec.n_candidates,
-                "alpha_charged": rec.alpha_charged,
-                "wealth_before": rec.wealth_before,
-                "wealth_after": rec.wealth_after,
-                "halted": rec.halted}) + "\n")
-        fh.write(json.dumps({
-            "kind": "end", "termination": trace.termination,
-            "passes": trace.passes_traversed}) + "\n")
+    with _writing(path), open(path, "w") as fh:
+        for rec in trace.records():
+            fh.write(json.dumps(rec) + "\n")
 
 
 def cmd_select(args) -> int:
@@ -234,9 +234,7 @@ def cmd_select(args) -> int:
                                args.input, elapsed)
     # files first, so a reader that closes stdout early loses none
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, report)
     if args.trace:
         _write_trace(args.trace, trace)
     _print_selection_report(report)
@@ -247,8 +245,10 @@ def cmd_simulate(args) -> int:
     spec = SimSpec(n=args.n, p=args.p, scenario=args.scenario,
                    replications=args.reps, base_seed=args.seed,
                    target_r2=args.target_r2)
-    result = run_experiment(spec, args.method, out_path=args.out,
-                            include_timing=args.timing)
+    # the study's only file access is writing --out
+    with _writing(args.out):
+        result = run_experiment(spec, args.method, out_path=args.out,
+                                include_timing=args.timing)
     summary = result["summary"]
     print(f"scenario={args.scenario} method={args.method} n={args.n} "
           f"p={args.p} reps={args.reps} seed={args.seed}")
@@ -316,9 +316,7 @@ def cmd_diagnose(args) -> int:
                        "bound_holds": True,
                        "bound_slack": state.r_squared})
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, report)
     for key, value in report.items():
         if isinstance(value, float):
             print(f"{key:<24}{value:.6g}")

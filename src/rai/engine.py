@@ -22,7 +22,7 @@ exhausted, or when the stream runs dry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,21 +77,9 @@ class RaiConfig:
 
 
 @dataclass(frozen=True)
-class TestRecord:
-    """One test, as a view of the ledger's event log."""
-
-    pass_index: int
-    term: FeatureTerm
-    t_abs: float | None
-    tlvl: float
-    alpha: float
-    wealth_before: float
-    wealth_after: float
-    decision: str
-
-
-@dataclass(frozen=True)
 class SkipRecord:
+    """One pass skip; the fields, in order, are its trace record's keys."""
+
     from_pass: int
     to_pass: int
     n_candidates: int
@@ -103,12 +91,9 @@ class SkipRecord:
 
 @dataclass
 class SelectionTrace:
-    """What a run did, read from its ledger's event log.
-
-    The log holds every test and every skip charge; `tests` builds a
-    TestRecord for each test on demand.  `n` is the number of
-    observations, which fixes each pass's threshold.
-    """
+    """What a run did: its ledger's event log, the pass skips and how
+    the run ended.  `n` is the number of observations, which fixes each
+    pass's threshold."""
 
     ledger: WealthLedger
     n: int
@@ -116,32 +101,40 @@ class SelectionTrace:
     termination: str = ""
     passes_traversed: int = 0
 
-    @property
-    def tests(self) -> list[TestRecord]:
-        led = self.ledger
-        tlvl = {s: pass_parameters(self.n, s)[0] for s in set(led.passes)}
-        rows = zip(led.passes, led.test_ids, led.t_abs.tolist(), led.alphas,
-                   led.wealth_before.tolist(), led.wealth_after().tolist(),
-                   led.decisions)
-        # NaN marks a test with no |t|
-        return [TestRecord(s, term, None if t != t else t, tlvl[s], a,
-                           before, after, d)
-                for s, term, t, a, before, after, d in rows if d != SKIPPED]
+    def records(self):
+        """The `--trace` file's records as dicts, in file order: one per
+        test (skip charges are left out), one per skip, then the end."""
+        payout = self.ledger.payout
+        for run in self.ledger.runs:
+            if run.decision == SKIPPED:
+                continue
+            tlvl = pass_parameters(self.n, run.pass_index)[0]
+            for term, t, before, after in zip(
+                    run.ids, run.t_abs.tolist(), run.before.tolist(),
+                    run.after(payout).tolist()):
+                # NaN marks a test with no |t|
+                yield {"kind": "test", "pass": run.pass_index,
+                       "term": term.display(), "t_abs": None if t != t else t,
+                       "tlvl": tlvl, "alpha": run.alpha,
+                       "wealth_before": before, "wealth_after": after,
+                       "decision": run.decision}
+        for rec in self.skips:
+            yield {"kind": "skip", **asdict(rec)}
+        yield {"kind": "end", "termination": self.termination,
+               "passes": self.passes_traversed}
 
     def n_tests(self) -> int:
-        decisions = self.ledger.decisions
-        return len(decisions) - decisions.count(SKIPPED)
+        return sum(len(run.ids) for run in self.ledger.runs
+                   if run.decision != SKIPPED)
 
     def first_rejection_pass(self) -> int | None:
-        led = self.ledger
-        if REJECTED not in led.decisions:
-            return None
-        return led.passes[led.decisions.index(REJECTED)]
+        return next((run.pass_index for run in self.ledger.runs
+                     if run.decision == REJECTED), None)
 
 
 def test_candidate(state: ModelState, ledger: WealthLedger,
                    term: FeatureTerm, tlvl: float, alpha: float,
-                   pass_index: int = 0, *, column):
+                   pass_index: int, *, column):
     """Run one candidate through the gate-spend-compare sequence.
 
     Returns (decision, state, |t| or None).  The spend always precedes

@@ -2,16 +2,18 @@
 
 Each test spends its level alpha from a wealth account before the
 threshold comparison; each rejection pays a fixed payout back in.  The
-ledger keeps one event log, column by column, with an entry for every
-test and every charge a pass skip makes, so a run's wealth trajectory
-can be replayed and audited exactly.  Tests are charged in runs: a run
-of equal-alpha charges is one vectorized step, not one call per test.
+ledger keeps one event log, with an entry for every test and every
+charge a pass skip makes, so a run's wealth trajectory can be replayed
+and audited exactly.  Tests are charged and logged in runs: a run of
+equal-alpha charges is one vectorized step and one log item, not one
+call per test.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,15 +61,34 @@ def running(start: float, step: float, count: int, op) -> np.ndarray:
     return op.accumulate(seq)
 
 
+class Run(NamedTuple):
+    """One log entry per item of `ids`, all at one pass and alpha with
+    one decision: `before` holds the wealth before each entry and
+    `t_abs` each test's |t| (NaN where none was computed)."""
+
+    ids: list
+    pass_index: int
+    alpha: float
+    before: np.ndarray
+    t_abs: np.ndarray
+    decision: str
+
+    def after(self, payout: float) -> np.ndarray:
+        """Wealth right after each entry, by the live account's
+        arithmetic: before - alpha, plus the payout on a rejection."""
+        if self.decision not in _CHARGED:
+            return self.before
+        after = self.before - self.alpha
+        if self.decision == REJECTED:
+            after = after + payout
+        return after
+
+
 class WealthLedger:
     """Mutable spend/earn account for one selection run.
 
-    The event log has one entry per test or skip charge.  It is kept
-    column by column, and each column grows by one item per run: the
-    run's test ids, pass, alpha, wealth before each charge, |t|
-    of each test (NaN where none was computed) and decision.  The
-    properties `test_ids`, `passes`, `alphas`, `decisions`,
-    `wealth_before` and `t_abs` give the columns entry by entry.
+    `runs` is the event log: one Run per spend that charged anything and
+    one per test logged without a charge, in the order they happened.
     """
 
     def __init__(self, initial_wealth: float = DEFAULT_INITIAL_WEALTH,
@@ -82,49 +103,7 @@ class WealthLedger:
         self.payout = payout
         self.wealth = initial_wealth
         self.rejections = 0
-        self._ids: list[list] = []
-        self._passes: list[int] = []
-        self._alphas: list[float] = []
-        self._before: list[np.ndarray] = []
-        self._t_abs: list[np.ndarray] = []
-        self._decisions: list[str] = []
-
-    def _log(self, ids: list, pass_index: int, alpha: float,
-             before: np.ndarray, t_abs: np.ndarray, decision: str) -> None:
-        self._ids.append(ids)
-        self._passes.append(pass_index)
-        self._alphas.append(alpha)
-        self._before.append(before)
-        self._t_abs.append(t_abs)
-        self._decisions.append(decision)
-
-    def _entries(self, column: list) -> list:
-        return list(chain.from_iterable(
-            map(repeat, column, map(len, self._before))))
-
-    @property
-    def test_ids(self) -> list:
-        return list(chain.from_iterable(self._ids))
-
-    @property
-    def passes(self) -> list[int]:
-        return self._entries(self._passes)
-
-    @property
-    def alphas(self) -> list[float]:
-        return self._entries(self._alphas)
-
-    @property
-    def decisions(self) -> list[str]:
-        return self._entries(self._decisions)
-
-    @property
-    def wealth_before(self) -> np.ndarray:
-        return np.concatenate([np.empty(0), *self._before])
-
-    @property
-    def t_abs(self) -> np.ndarray:
-        return np.concatenate([np.empty(0), *self._t_abs])
+        self.runs: list[Run] = []
 
     def spend(self, alpha: float, test_ids, pass_index: int, t_abs=None,
               decision: str = NOT_REJECTED) -> int:
@@ -145,50 +124,37 @@ class WealthLedger:
         paid = int(np.count_nonzero(wealth[:count] >= alpha))
         self.wealth = float(wealth[paid])
         if paid:
-            self._log(list(test_ids[:paid]), pass_index, alpha,
-                      wealth[:paid],
-                      np.full(paid, np.nan) if t_abs is None
-                      else np.asarray(t_abs[:paid], dtype=float), decision)
+            self.runs.append(Run(
+                list(test_ids[:paid]), pass_index, alpha, wealth[:paid],
+                np.full(paid, np.nan) if t_abs is None
+                else np.asarray(t_abs[:paid], dtype=float), decision))
         return paid
 
     def note(self, test_id, pass_index: int, alpha: float,
              decision: str) -> None:
         """Log a test that charged nothing: REMOVED_COLLINEAR or
         HALTED_WEALTH."""
-        self._log([test_id], pass_index, alpha, np.array([self.wealth]),
-                  np.array([np.nan]), decision)
+        self.runs.append(Run([test_id], pass_index, alpha,
+                             np.array([self.wealth]), np.array([np.nan]),
+                             decision))
 
     def earn(self, test_id) -> None:
         """Credit the payout for rejecting the most recent test, which
         must have been charged as a run of one."""
-        if not self._ids:
+        if not self.runs:
             raise ValueError("earn before any spend")
-        if (self._ids[-1] != [test_id]
-                or self._decisions[-1] != NOT_REJECTED):
+        last = self.runs[-1]
+        if last.ids != [test_id] or last.decision != NOT_REJECTED:
             raise ValueError("payout must follow its own one-test spend "
                              "immediately")
-        self._decisions[-1] = REJECTED
+        self.runs[-1] = last._replace(decision=REJECTED)
         self.wealth += self.payout
         self.rejections += 1
 
-    def wealth_after(self) -> np.ndarray:
-        """Wealth right after each log entry, by the live account's
-        arithmetic: before - alpha, plus the payout on a rejection."""
-        after = [np.empty(0)]
-        for before, alpha, d in zip(self._before, self._alphas,
-                                    self._decisions):
-            if d in _CHARGED:
-                before = before - alpha
-                if d == REJECTED:
-                    before = before + self.payout
-            after.append(before)
-        return np.concatenate(after)
-
     def total_spent(self) -> float:
         return math.fsum(chain.from_iterable(
-            repeat(a, len(b)) for a, b, d in zip(self._alphas, self._before,
-                                                 self._decisions)
-            if d in _CHARGED))
+            repeat(run.alpha, len(run.ids)) for run in self.runs
+            if run.decision in _CHARGED))
 
     def replay(self) -> float:
         """Recompute wealth from alphas and decisions alone.
@@ -197,9 +163,11 @@ class WealthLedger:
         live account, so the result is bitwise equal to `wealth`.
         """
         w = self.initial_wealth
-        for alpha, d in zip(self.alphas, self.decisions):
-            if d in _CHARGED:
-                w -= alpha
-                if d == REJECTED:
+        for run in self.runs:
+            if run.decision not in _CHARGED:
+                continue
+            for _ in run.ids:
+                w -= run.alpha
+                if run.decision == REJECTED:
                     w += self.payout
         return w

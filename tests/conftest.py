@@ -139,13 +139,26 @@ def random_raw(seed, n, p, correlated=False):
 
 def charges(ledger):
     """(test id, pass, alpha, rejected) for every charge in a ledger's
-    log, read from its columns; tests dropped without a charge are left
+    log, read from its runs; tests dropped without a charge are left
     out, as the reference ledger never logs them."""
-    return [(test_id, s, alpha, decision == REJECTED)
-            for test_id, s, alpha, decision in zip(
-                ledger.test_ids, ledger.passes, ledger.alphas,
-                ledger.decisions)
-            if decision in (NOT_REJECTED, REJECTED, SKIPPED)]
+    return [(test_id, run.pass_index, run.alpha, run.decision == REJECTED)
+            for run in ledger.runs
+            if run.decision in (NOT_REJECTED, REJECTED, SKIPPED)
+            for test_id in run.ids]
+
+
+def entries(ledger, field):
+    """One field of a ledger's runs as a list with an item per log entry:
+    `ids`, `before` and `t_abs` hold one item per entry already, and
+    `pass_index`, `alpha` and `decision` repeat once per entry."""
+    seq = []
+    for run in ledger.runs:
+        value = getattr(run, field)
+        if field in ("ids", "before", "t_abs"):
+            seq.extend(value)
+        else:
+            seq.extend([value] * len(run.ids))
+    return seq
 
 
 @pytest.fixture

@@ -42,6 +42,23 @@ def orthogonal_file(tmp_path, seed=3, n=48, p=4):
     return path
 
 
+def product_file(tmp_path):
+    """A planted x1*x2 product, a +-1 column (x11) whose square is
+    constant and a 0/1 column (x12) whose square is itself, so a search
+    with interactions meets collinear and constant monomials."""
+    rng = np.random.default_rng(20151)
+    n = 300
+    X = rng.normal(1.0, 1.0, size=(n, 12))
+    X[:, 10] = rng.choice([-1.0, 1.0], n)
+    X[:, 11] = rng.integers(0, 2, n)
+    y = (X[:, 0] + X[:, 1] + 1.5 * X[:, 0] * X[:, 1] + 0.8 * X[:, 10]
+         + 0.8 * X[:, 11] + rng.normal(size=n))
+    path = tmp_path / "product.csv"
+    write_table(path, [f"x{j + 1}" for j in range(12)] + ["y"],
+                np.column_stack([X, y]))
+    return path
+
+
 class TestReadTable:
 
     def test_comma_and_tab_agree(self, tmp_path):
@@ -213,6 +230,38 @@ class TestSelect:
         np.testing.assert_allclose(spent, report["wealth"]["spent"],
                                    rtol=1e-10)
 
+    def test_trace_file_audits_exactly(self, tmp_path):
+        """Each test record obeys the ledger's rules on its own: a
+        charged test spends alpha from wealth that covers it before the
+        strict compare, a rejection earns the payout back, and a test
+        dropped without a charge spends nothing and has no |t|."""
+        path = product_file(tmp_path)
+        out, trace_path = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        assert main(["select", str(path), "--response", "y",
+                     "--interactions", "--json", str(out),
+                     "--trace", str(trace_path)]) == EXIT_OK
+        payout = json.loads(out.read_text())["config"]["payout"]
+        records = [json.loads(line)
+                   for line in trace_path.read_text().splitlines()]
+        tests = [r for r in records if r["kind"] == "test"]
+        assert {r["decision"] for r in tests} == {
+            "rejected", "not_rejected", "removed_collinear", "halted_wealth"}
+        assert any(r["kind"] == "skip" for r in records)
+        for rec in tests:
+            before, after = rec["wealth_before"], rec["wealth_after"]
+            if rec["decision"] in ("rejected", "not_rejected"):
+                assert rec["alpha"] <= before, rec
+                want = before - rec["alpha"]
+                if rec["decision"] == "rejected":
+                    want += payout
+                assert after == want, rec
+                assert (rec["decision"] == "rejected") == (
+                    rec["t_abs"] > rec["tlvl"]), rec
+            else:
+                assert after == before, rec
+                assert rec["t_abs"] is None, rec
+            assert after >= 0.0, rec
+
     def test_constant_response_exits_three(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         write_table(path, ["a", "y"],
@@ -299,6 +348,29 @@ class TestSelect:
         report = json.loads(out.read_text())
         assert "a*b" in [s["term"] for s in report["selected"]]
         assert report["config"]["interactions"] is True
+
+
+class TestUnwritableOutput:
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command,flag", [
+        ("select", "--json"), ("select", "--trace"),
+        ("diagnose", "--json"), ("simulate", "--out")])
+    def test_exits_two_naming_the_path(self, tmp_path, capsys, command,
+                                       flag, target):
+        data, _, _ = signal_file(tmp_path)
+        bad = (tmp_path / "absent" / "out" if target == "missing_dir"
+               else tmp_path)
+        argv = {"select": ["select", str(data), "--response", "y"],
+                "diagnose": ["diagnose", str(data), "--response", "y"],
+                "simulate": ["simulate", "--scenario", "global_null",
+                             "--n", "40", "--p", "5", "--reps", "1"]}
+        assert main([*argv[command], flag, str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {bad}: "), err
 
 
 class TestVersion:

@@ -15,7 +15,7 @@ from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
 from rai.kernel import Screen
 
 import reference_engine as ref
-from conftest import charges, random_raw
+from conftest import charges, entries, random_raw
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -23,6 +23,16 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def signal_dataset(seed=0, n=120, p=6):
     X, y = random_raw(seed, n, p)
     return standardize(X, y)
+
+
+def trace_tests(trace):
+    """The trace's test records, in file order."""
+    return [rec for rec in trace.records() if rec["kind"] == "test"]
+
+
+def marginal_names(p):
+    """Display name -> column index of the p marginal terms."""
+    return {FeatureTerm.marginal(j).display(): j for j in range(p)}
 
 
 class TestTestCandidate:
@@ -57,7 +67,7 @@ class TestTestCandidate:
             column=self.ds.columns[:, 0])
         assert decision == NOT_REJECTED
         assert led.wealth == pytest.approx(0.23)
-        assert led.decisions == [NOT_REJECTED]
+        assert entries(led, "decision") == [NOT_REJECTED]
 
     def test_boundary_is_strict(self):
         t_abs = self.probe_t()
@@ -75,7 +85,7 @@ class TestTestCandidate:
             alpha=0.01, pass_index=1, column=self.ds.columns[:, 0])
         assert decision == REJECTED
         assert led.wealth == pytest.approx(0.25 - 0.01 + 0.05)
-        assert led.decisions == [REJECTED]
+        assert entries(led, "decision") == [REJECTED]
         assert list(state.selected) == [self.term]
 
     def test_collinear_removed_without_spend(self):
@@ -135,10 +145,12 @@ class TestTestCandidate:
 
         monkeypatch.setattr(rai.engine, "term_column", poisoned)
         state, trace = run_rai(ds, RaiConfig(interactions=True))
-        recs = [rec for rec in trace.tests if rec.term.order > 1]
+        marginals = marginal_names(ds.p)
+        recs = [rec for rec in trace_tests(trace) if rec["term"] not in marginals]
         assert recs
-        assert all(rec.decision == REMOVED_COLLINEAR for rec in recs)
-        assert all(rec.wealth_after == rec.wealth_before for rec in recs)
+        assert all(rec["decision"] == REMOVED_COLLINEAR for rec in recs)
+        assert all(rec["wealth_after"] == rec["wealth_before"]
+                   for rec in recs)
         assert all(t.order == 1 for t in state.selected)
         assert np.all(np.isfinite(state.residual))
 
@@ -175,8 +187,8 @@ class TestSkipPasses:
         led = WealthLedger(initial_wealth=5.0)
         s_next, halted, charged = skip_passes(terms, 0.0, led, 2, n, 7)
         assert (s_next, halted) == (8, False)
-        assert sorted(set(led.passes)) == [3, 4, 5, 6, 7]
-        assert led.test_ids == terms * 5
+        assert sorted(set(entries(led, "pass_index"))) == [3, 4, 5, 6, 7]
+        assert entries(led, "ids") == terms * 5
         want = WealthLedger(initial_wealth=5.0)
         for u in range(3, 8):
             for term in terms:
@@ -191,7 +203,8 @@ class TestSkipPasses:
         led = WealthLedger(initial_wealth=0.5)
         s_next, halted, charged = skip_passes(terms, 0.0, led, 1, n, 20)
         assert (s_next, halted) == (6, True)
-        assert led.passes == [2] * 3 + [3] * 3 + [4] * 3 + [5] * 3 + [6]
+        assert entries(led, "pass_index") == (
+            [2] * 3 + [3] * 3 + [4] * 3 + [5] * 3 + [6])
         assert led.wealth < pass_parameters(n, 6)[1]
         assert charged == pytest.approx(0.5 - led.wealth, abs=1e-15)
 
@@ -199,7 +212,7 @@ class TestSkipPasses:
         led = WealthLedger()
         assert skip_passes([], 0.0, led, 1, 100, 10) == (11, False, 0.0)
         assert led.wealth == led.initial_wealth
-        assert led.passes == []
+        assert led.runs == []
 
     def test_halts_mid_charge_with_partial_commit(self):
         n = 100
@@ -268,8 +281,9 @@ class TestRunRai:
         state, trace = run_rai(ds)
         assert [t.display() for t in state.selected] == ["X1"]
         assert state.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert trace.tests[0].pass_index == 1
-        assert trace.tests[0].decision == REJECTED
+        first = trace_tests(trace)[0]
+        assert first["pass"] == 1
+        assert first["decision"] == REJECTED
         assert trace.termination == TERMINATED_STREAM
 
     def test_null_data_selects_nothing(self):
@@ -299,15 +313,15 @@ class TestRunRai:
         ds = signal_dataset(seed=9, n=150, p=5)
         _, trace = run_rai(ds, RaiConfig(max_passes=2))
         assert trace.passes_traversed <= 2
-        for rec in trace.tests:
-            assert rec.pass_index <= 2
+        for rec in trace_tests(trace):
+            assert rec["pass"] <= 2
 
     def test_determinism(self):
         ds = signal_dataset(seed=3, n=90, p=7)
         s1, t1 = run_rai(ds, RaiConfig(interactions=True))
         s2, t2 = run_rai(ds, RaiConfig(interactions=True))
         assert s1.selected == s2.selected
-        assert t1.tests == t2.tests
+        assert list(t1.records()) == list(t2.records())
         assert t1.skips == t2.skips
         assert t1.termination == t2.termination
         assert t1.ledger.wealth == t2.ledger.wealth
@@ -317,20 +331,20 @@ class TestRunRai:
         _, trace = run_rai(ds)
         w = trace.ledger.initial_wealth
         events = iter(charges(trace.ledger))
-        for rec in trace.tests:
-            assert rec.wealth_before == pytest.approx(w, abs=1e-15)
-            if rec.decision in (REJECTED, NOT_REJECTED):
+        for rec in trace_tests(trace):
+            assert rec["wealth_before"] == pytest.approx(w, abs=1e-15)
+            if rec["decision"] in (REJECTED, NOT_REJECTED):
                 _, _, alpha, rejected = next(events)
                 w -= alpha
-                assert alpha == rec.alpha
-                if rec.decision == REJECTED:
+                assert alpha == rec["alpha"]
+                if rec["decision"] == REJECTED:
                     assert rejected
                     w += trace.ledger.payout
-            if rec.decision in (HALTED_WEALTH, REMOVED_COLLINEAR):
-                assert rec.wealth_after == rec.wealth_before
-            assert rec.wealth_after == pytest.approx(w, abs=1e-15)
+            if rec["decision"] in (HALTED_WEALTH, REMOVED_COLLINEAR):
+                assert rec["wealth_after"] == rec["wealth_before"]
+            assert rec["wealth_after"] == pytest.approx(w, abs=1e-15)
             # skip charges interleave; fold them in when the cursor moved
-            w = rec.wealth_after
+            w = rec["wealth_after"]
         for _ in events:
             pass
         assert trace.ledger.replay() == trace.ledger.wealth
@@ -350,13 +364,14 @@ class TestRunRai:
             ds = signal_dataset(seed=seed, n=100, p=8)
             state, trace = run_rai(ds)
             rebuilt = ModelState.empty(ds)
-            for rec in trace.tests:
-                if rec.decision != REJECTED:
+            column = marginal_names(ds.p)
+            for rec in trace_tests(trace):
+                if rec["decision"] != REJECTED:
                     continue
                 before = rebuilt.r_squared
                 df = ds.n - rebuilt.size - 2
-                floor = rec.tlvl ** 2 / (rec.tlvl ** 2 + df)
-                j = rec.term.powers[0][0]
+                floor = rec["tlvl"] ** 2 / (rec["tlvl"] ** 2 + df)
+                j = column[rec["term"]]
                 rebuilt = rebuilt.add_feature(j)
                 gained = rebuilt.r_squared - before
                 assert gained >= floor * (1.0 - before) - 1e-8
@@ -372,23 +387,25 @@ class TestRunRai:
         prod = FeatureTerm.from_exponents({0: 1, 1: 1})
         assert prod in state.selected
         first_marginal_pass = min(
-            rec.pass_index for rec in trace.tests
-            if rec.decision == REJECTED)
-        prod_rec = next(rec for rec in trace.tests if rec.term == prod)
-        assert prod_rec.pass_index == first_marginal_pass
+            rec["pass"] for rec in trace_tests(trace)
+            if rec["decision"] == REJECTED)
+        prod_rec = next(rec for rec in trace_tests(trace)
+                        if rec["term"] == prod.display())
+        assert prod_rec["pass"] == first_marginal_pass
 
     def test_interactions_off_never_streams_products(self):
         ds = signal_dataset(seed=2, n=150, p=6)
         _, trace = run_rai(ds)
-        assert all(rec.term.order == 1 for rec in trace.tests)
+        marginals = marginal_names(ds.p)
+        assert all(rec["term"] in marginals for rec in trace_tests(trace))
 
     def test_no_term_streamed_twice_per_pass(self):
         ds = signal_dataset(seed=6, n=140, p=7)
         _, trace = run_rai(ds, RaiConfig(interactions=True))
         seen = set()
-        for rec in trace.tests:
-            key = (rec.pass_index, rec.term.powers)
-            if rec.decision == HALTED_WEALTH:
+        for rec in trace_tests(trace):
+            key = (rec["pass"], rec["term"])
+            if rec["decision"] == HALTED_WEALTH:
                 continue
             assert key not in seen
             seen.add(key)
@@ -397,9 +414,10 @@ class TestRunRai:
         ds = signal_dataset(seed=13, n=160, p=8)
         state, trace = run_rai(ds)
         for term in state.selected:
-            hits = [rec for rec in trace.tests if rec.term == term]
-            assert hits[-1].decision == REJECTED
-            assert all(r.decision != REJECTED for r in hits[:-1])
+            hits = [rec["decision"] for rec in trace_tests(trace)
+                    if rec["term"] == term.display()]
+            assert hits[-1] == REJECTED
+            assert REJECTED not in hits[:-1]
 
     def test_settled_terms_never_return(self):
         # X3 is binary, so X3^2 equals X3 and any product holding X3^2
@@ -418,7 +436,8 @@ class TestRunRai:
             led = trace.ledger
             settled = set()
             # every log entry, skip charges included
-            for term, decision in zip(led.test_ids, led.decisions):
+            for term, decision in zip(entries(led, "ids"),
+                                      entries(led, "decision")):
                 assert term not in settled, (seed, term.display())
                 if decision in (REJECTED, REMOVED_COLLINEAR):
                     settled.add(term)
@@ -578,8 +597,8 @@ class TestExtremeScales:
         assert len(unit_state.selected) >= 2
         assert [t.powers for t in state.selected] == [
             t.powers for t in unit_state.selected]
-        assert [(r.term.powers, r.decision) for r in trace.tests] == [
-            (r.term.powers, r.decision) for r in unit_trace.tests]
+        assert [(r["term"], r["decision"]) for r in trace_tests(trace)] == [
+            (r["term"], r["decision"]) for r in trace_tests(unit_trace)]
         assert trace.termination == unit_trace.termination
         assert state.r_squared == pytest.approx(unit_state.r_squared,
                                                 rel=1e-12)

@@ -11,7 +11,7 @@ from rai.terms import FeatureTerm
 from rai.wealth import ALPHA_FLOOR, REJECTED
 
 import reference_engine as ref
-from conftest import charges
+from conftest import charges, entries
 
 
 class TestPassParameters:
@@ -82,15 +82,15 @@ class TestWealthLedger:
         assert led.spend(0.01, test_ids=[0], pass_index=1) == 0
         assert led.wealth == 0.005
         assert led.total_spent() == 0.0
-        assert led.test_ids == [] and led.decisions == []
+        assert led.runs == []
 
     def test_run_stops_before_the_first_unaffordable_charge(self):
         led = WealthLedger(initial_wealth=0.25)
         assert led.spend(0.1, [0, 1, 2, 3], 1, [0.5, 0.6, 0.7, 0.8]) == 2
         assert led.wealth == 0.25 - 0.1 - 0.1
-        assert led.test_ids == [0, 1]
-        assert led.t_abs.tolist() == [0.5, 0.6]
-        assert led.wealth_before.tolist() == [0.25, 0.25 - 0.1]
+        assert entries(led, "ids") == [0, 1]
+        assert entries(led, "t_abs") == [0.5, 0.6]
+        assert entries(led, "before") == [0.25, 0.25 - 0.1]
 
     def test_two_spends(self):
         led = WealthLedger()
@@ -104,7 +104,7 @@ class TestWealthLedger:
         led.earn(0)
         assert led.wealth == pytest.approx(0.29)
         assert led.rejections == 1
-        assert led.decisions[-1] == REJECTED
+        assert entries(led, "decision")[-1] == REJECTED
 
     def test_earn_requires_matching_last_spend(self):
         led = WealthLedger()
@@ -160,7 +160,7 @@ class TestWealthLedger:
         assert led.wealth == pytest.approx(identity, abs=1e-12)
         assert led.wealth >= 0
         assert led.replay() == led.wealth
-        assert led.rejections == led.decisions.count(REJECTED)
+        assert led.rejections == entries(led, "decision").count(REJECTED)
         assert led.total_spent() <= (led.initial_wealth
                                      + led.payout * led.rejections + 1e-12)
 
