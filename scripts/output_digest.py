@@ -10,6 +10,15 @@ before hashing, so two runs of the same code print the same digests:
     python3 scripts/output_digest.py /path/to/other/src > before.txt
     diff before.txt after.txt
 
+or in one call, which prints only the digests that differ:
+
+    python3 scripts/output_digest.py src --against /path/to/other/src
+
+With `--against`, each differing line shows the digest of both trees,
+and each differing `--trace` file gets one more line: how many records
+differ, whether every difference is the `t_abs` of a `not_rejected`
+test record, and the largest relative difference in |t|.
+
 The inputs are a gaussian design with a planted product plus a +-1
 column (whose square is constant) and a 0/1 column (whose square is
 itself), so that `--trace` files hold collinear and constant monomials,
@@ -22,6 +31,7 @@ uses one BLAS thread.
 """
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -121,26 +131,81 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(b"\n".join(kept)).hexdigest()
 
 
+def outputs(src: str) -> list[tuple[str, str, bytes]]:
+    """(key, label, data) for every output of every run of the `rai`
+    under `src`, with the work directory written as <work>.  `key`
+    names the output; `label` adds the exit code of a stream."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
+               OPENBLAS_NUM_THREADS="1")
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        inputs = make_inputs(work)
+        for name, argv, paths in commands(inputs, work):
+            code, stdout, _ = run(argv, env, work)
+            found.append((f"{name} stdout", f"{name} stdout (exit {code})",
+                          stdout))
+            for path in paths:
+                data = path.read_bytes() if path.exists() else b"<missing>"
+                data = data.replace(str(work).encode(), b"<work>")
+                key = f"{name} {path.suffix[1:]}"
+                found.append((key, key, data))
+        for name, argv in failing_commands(inputs, work):
+            code, _, stderr = run(argv, env, work)
+            found.append((f"{name} stderr", f"{name} stderr (exit {code})",
+                          stderr))
+    return found
+
+
+def trace_difference(ours: bytes, theirs: bytes) -> str:
+    """How two `--trace` files differ, record by record."""
+    a = [json.loads(line) for line in ours.splitlines()]
+    b = [json.loads(line) for line in theirs.splitlines()]
+    differing = abs(len(a) - len(b))
+    only_t = differing == 0
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        differing += 1
+        tx, ty = x.get("t_abs"), y.get("t_abs")
+        if ({**x, "t_abs": None} != {**y, "t_abs": None}
+                or x["kind"] != "test" or x["decision"] != "not_rejected"
+                or tx is None or ty is None):
+            only_t = False
+            continue
+        worst = max(worst, abs(tx - ty) / max(abs(tx), abs(ty)))
+    return (f"{differing} records differ; only not_rejected t_abs: "
+            f"{'yes' if only_t else 'no'}; largest relative |t| "
+            f"difference {worst:.3g}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", help="the src directory holding the rai "
                                     "package to run")
+    parser.add_argument("--against", metavar="OTHER_SRC", default=None,
+                        help="a second src directory; print only the "
+                             "digests that differ between the two")
     args = parser.parse_args()
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
-               OPENBLAS_NUM_THREADS="1")
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        inputs = make_inputs(work)
-        for name, argv, outputs in commands(inputs, work):
-            code, stdout, _ = run(argv, env, work)
-            print(f"{digest(stdout)}  {name} stdout (exit {code})")
-            for path in outputs:
-                data = path.read_bytes() if path.exists() else b"<missing>"
-                data = data.replace(str(work).encode(), b"<work>")
-                print(f"{digest(data)}  {name} {path.suffix[1:]}")
-        for name, argv in failing_commands(inputs, work):
-            code, _, stderr = run(argv, env, work)
-            print(f"{digest(stderr)}  {name} stderr (exit {code})")
+    ours = outputs(args.src)
+    if args.against is None:
+        for _, label, data in ours:
+            print(f"{digest(data)}  {label}")
+        return 0
+    theirs = {key: (label, data) for key, label, data in
+              outputs(args.against)}
+    for key, label, data in ours:
+        other_label, other = theirs.get(key, (key, b"<missing>"))
+        if digest(data) == digest(other) and label == other_label:
+            continue
+        print(f"{digest(data)}  {label}")
+        print(f"{digest(other)}  {other_label}  (against)")
+        if key.startswith("select-") and key.endswith(" jsonl"):
+            try:
+                print(f"    {trace_difference(data, other)}")
+            except ValueError:   # a missing or unparsable file
+                print("    not comparable as trace records")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 internal error, 2 usage or parse failure,
 3 degenerate data, 4 enumeration budget exceeded.  Error paths print a
-one-line message to stderr, never a stack trace.  Output files are
-written before stdout, and a reader that closes stdout early is no error.
+one-line message to stderr, never a stack trace.  Output paths are
+checked before any input is read, output files are written before
+stdout, and a reader that closes stdout early is no error.
 """
 
 from __future__ import annotations
@@ -211,6 +212,21 @@ def _writing(path: str):
         raise ParseFailure(f"cannot write {path}: {exc}")
 
 
+def _check_writable(*paths) -> None:
+    """Fail as writing each given path would, before any input is read
+    or any work is done.  An existing path is opened for appending, so
+    nothing is truncated; a new one is created and removed again."""
+    for path in paths:
+        if path is None:
+            continue
+        with _writing(path):
+            if os.path.lexists(path):
+                open(path, "a").close()
+            else:
+                open(path, "x").close()
+                os.remove(path)
+
+
 def _write_json(path: str, report: dict) -> None:
     with _writing(path), open(path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -224,6 +240,7 @@ def _write_trace(path: str, trace) -> None:
 
 
 def cmd_select(args) -> int:
+    _check_writable(args.json, args.trace)
     config = _config_from_args(args)
     names, X, y = _read_design(args.input, args.response)
     t0 = time.perf_counter()
@@ -242,6 +259,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_writable(args.out)
     spec = SimSpec(n=args.n, p=args.p, scenario=args.scenario,
                    replications=args.reps, base_seed=args.seed,
                    target_r2=args.target_r2)
@@ -266,6 +284,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    _check_writable(args.json)
     names, X, y = _read_design(args.input, args.response)
     config = _config_from_args(args)
     dataset = standardize(X, y, names)

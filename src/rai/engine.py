@@ -37,11 +37,6 @@ TERMINATED_WEALTH = "wealth_exhausted"
 TERMINATED_PASSES = "max_passes"
 TERMINATED_STREAM = "stream_exhausted"
 
-# queue slots that are not screen slots
-_CONSTANT = -1          # a term whose monomial is constant
-_PENDING = -2           # a queued term whose column is not built yet
-
-
 @dataclass(frozen=True)
 class RaiConfig:
     """Knobs for one selection run.
@@ -182,10 +177,9 @@ def skip_passes(terms, best: float, ledger: WealthLedger, s: int, n: int,
     if best == 0.0:
         s_prime = max_passes + 1
     else:
-        root_n = math.sqrt(n)
-        target = math.floor(2.0 * math.log2(root_n / best)) + 1
+        target = math.floor(2.0 * math.log2(math.sqrt(n) / best)) + 1
         s_prime = max(s + 1, target)
-        while root_n * 2.0 ** (-s_prime / 2.0) >= best:
+        while pass_parameters(n, s_prime)[0] >= best:
             s_prime += 1
     charged = 0.0
     for u in range(s + 1, min(s_prime, max_passes + 1)):
@@ -221,14 +215,16 @@ def run_rai(dataset: Dataset,
     stream.  Returns the final model state (selected entries are
     FeatureTerms) and the full trace.
 
-    Each pass is screened in bulk: a Screen scores every remaining
-    candidate from cached inner products, and each run of candidates it
-    places safely below the threshold is charged and logged as not
-    rejected in one ledger call, without further arithmetic.  Every
-    other candidate (near or above the threshold, nearly collinear,
-    constant or non-finite) goes through `test_candidate`, so each
-    decision, basis vector and residual comes from the exact scalar
-    path.
+    A pass is one repeated step: charge the settled stretch, test the
+    first open candidate.  A Screen scores every realized candidate from
+    cached inner products; the stretch of candidates from the current
+    one up to the first whose upper bound is not safely below the
+    threshold is charged and logged as not rejected in one ledger call,
+    without further arithmetic.  That first open candidate (near or
+    above the threshold, nearly collinear, constant or non-finite) goes
+    through `test_candidate`, so each decision, basis vector and
+    residual comes from the exact scalar path.  The screen rescores
+    only after a rejection or a realization.
     """
     if config is None:
         config = RaiConfig()
@@ -242,73 +238,58 @@ def run_rai(dataset: Dataset,
     seen: set[FeatureTerm] = set()
     state = ModelState.empty(dataset)
     screen = Screen(dataset)
-    # screen slot of each queued term, or _CONSTANT or _PENDING
+    # screen slot of each term of the realized prefix queue[:len(slots)]
     slots = np.arange(dataset.p)
 
     termination = None
-    scores = None       # the screen's (|t|, low, high), until the model grows
+    # the screen's (|t|, low, high), until the model or the screen grows
+    scores = None
     s = 1
     while s <= max_passes:
         trace.passes_traversed = s
         tlvl, alpha = pass_parameters(n, s)
+        safe_below = tlvl * (1.0 - SCREEN_MARGIN)
         rejected_any = False
-        safe = None
         i = 0
         while i < len(queue):
-            if slots[i] == _PENDING:
+            if i == len(slots):
                 # terms appended since the last realization fill the tail;
                 # realize only as many as the wealth pays tests for, so a
                 # run that halts never realizes the rest
                 count = min(len(queue) - i, int(ledger.wealth / alpha) + 1)
-                slots[i:i + count] = [
-                    _CONSTANT if slot is None else slot
-                    for slot in screen.add_columns(
-                        (term_column(dataset, term)
-                         for term in queue[i:i + count]),
-                        count)]
-                safe = scores = None
-            if safe is None:
+                slots = np.append(slots, screen.add_columns(
+                    (term_column(dataset, term)
+                     for term in queue[i:i + count]), count))
+                scores = None
+            if scores is None:
                 if state.df < 1:
                     # saturated model: nothing further is testable
                     termination = TERMINATED_STREAM
                     break
-                if scores is None:
-                    scores = screen.t_abs(state.df)
-                t_all, t_low, t_high = scores
-                safe = t_high <= tlvl * (1.0 - SCREEN_MARGIN)
-                # queue positions from i on that the screen cannot
-                # settle; each removal from the queue shifts them down
-                rest = slots[i:]
-                stops = (i + np.flatnonzero(
-                    (rest < 0) | ~safe[np.maximum(rest, 0)])).tolist()
-                stops.append(len(queue))
-                k = removed = 0
-            # the candidates up to the next stop are charged as one run,
-            # which ends early only when the wealth runs out
-            run = stops[k] - removed - i
-            if run:
-                terms = queue[i:i + run]
-                t_run = t_all[slots[i:i + run]]
-                paid = ledger.spend(alpha, terms, s, t_run)
-                i += paid
-                if paid == run:
+                scores = screen.t_abs(state.df)
+            t_all, t_low, t_high = scores
+            # charge the stretch the screen settles below the threshold
+            # as one run, which ends early only when the wealth runs out
+            unsettled = np.flatnonzero(~(t_high[slots[i:]] <= safe_below))
+            stop = i + int(unsettled[0]) if len(unsettled) else len(slots)
+            if stop > i:
+                i += ledger.spend(alpha, queue[i:stop], s,
+                                  t_all[slots[i:stop]])
+                if i == len(slots):
                     continue
-                # the next test cannot be paid for; test_candidate halts
+            # the first open candidate, or one the wealth cannot pay for
             term = queue[i]
-            slot = int(slots[i])
             decision, state, _ = test_candidate(
                 state, ledger, term, tlvl, alpha, pass_index=s,
-                column=None if slot == _CONSTANT else screen.column(slot))
+                column=screen.column(int(slots[i])))
             if decision == HALTED_WEALTH:
                 termination = TERMINATED_WEALTH
                 break
-            k += 1
             if decision == NOT_REJECTED:
                 i += 1
                 continue
             del queue[i]
             slots = np.delete(slots, i)
-            removed += 1
             if decision == REJECTED:
                 rejected_any = True
                 screen.sync(state)
@@ -318,8 +299,7 @@ def run_rai(dataset: Dataset,
                         max_order=config.max_interaction_order, seen=seen)
                     seen.update(added)
                     queue += added
-                    slots = np.append(slots, np.full(len(added), _PENDING))
-                safe = scores = None
+                scores = None
         if termination is not None:
             break
         if not queue:
@@ -361,22 +341,15 @@ def fit_terms(dataset: Dataset,
     terms = list(terms)
     if not terms:
         return np.zeros(0), dataset.response_mean
-    cols, means, scales = [], [], []
-    for term in terms:
-        if term.order == 1:
-            j = term.powers[0][0]
-            col, mean, scale = (dataset.columns[:, j], dataset.raw_means[j],
-                                dataset.raw_scales[j])
-        elif (out := realize(term, dataset.raw)) is None:
+    M = np.empty((dataset.n, len(terms)))
+    means, scales = np.empty(len(terms)), np.empty(len(terms))
+    for k, term in enumerate(terms):
+        # a marginal realizes to its dataset column, mean and scale
+        # bit for bit, as standardize builds each column alone
+        if (out := realize(term, dataset.raw)) is None:
             raise ValueError(f"term {term.display()} is constant")
-        else:
-            col, mean, scale = out
-        cols.append(col)
-        means.append(mean)
-        scales.append(scale)
-    M = np.column_stack(cols)
+        M[:, k], means[k], scales[k] = out
     b, *_ = np.linalg.lstsq(M, dataset.response, rcond=None)
-    slopes = dataset.response_scale * b / np.asarray(scales)
-    intercept = dataset.response_mean - float(
-        np.dot(slopes, np.asarray(means)))
+    slopes = dataset.response_scale * b / scales
+    intercept = dataset.response_mean - float(np.dot(slopes, means))
     return slopes, intercept

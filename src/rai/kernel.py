@@ -377,36 +377,27 @@ class Screen:
         self._state = state
         self.rnorm = float(np.linalg.norm(state.residual))
 
-    def add_columns(self, columns, count: int) -> list:
-        """Append unit-norm columns as new slots; None entries (constant
-        terms) get no slot.  Returns each entry's slot or None.
+    def add_columns(self, columns, count: int) -> np.ndarray:
+        """Append `count` unit-norm columns as new slots and return
+        their slots, np.arange(start, start + count).  A None entry (a
+        constant term) gets a NaN row, which the bounds never trust.
 
-        `columns` yields at most `count` entries and is consumed one at
-        a time, so a generator that realizes them lazily never holds
-        more than one outside the screen.
+        `columns` yields `count` entries and is consumed one at a time,
+        so a generator that realizes them lazily never holds more than
+        one outside the screen.
         """
         start = len(self.gram)
         block = np.empty((count, self._state.dataset.n))
-        slots: list = []
-        kept = 0
-        for col in columns:
-            if col is None:
-                slots.append(None)
-                continue
-            block[kept] = col
-            slots.append(start + kept)
-            kept += 1
-        if kept:
-            block = block[:kept]
-            gram = np.zeros(kept)
-            for q in self._state.basis:
-                gram += (block @ q) ** 2
-            self._starts.append(start)
-            self._blocks.append(block)
-            self.gram = np.concatenate((self.gram, gram))
-            self.inner = np.concatenate(
-                (self.inner, block @ self._state.residual))
-        return slots
+        for row, col in zip(block, columns):
+            row[:] = np.nan if col is None else col
+        gram = np.zeros(count)
+        for q in self._state.basis:
+            gram += (block @ q) ** 2
+        self._starts.append(start)
+        self._blocks.append(block)
+        self.gram = np.concatenate((self.gram, gram))
+        self.inner = np.concatenate((self.inner, block @ self._state.residual))
+        return np.arange(start, start + count)
 
     def rho_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(|rho|, low, high) for every slot.

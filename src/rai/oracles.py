@@ -54,7 +54,8 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     until no column is addable, or until a perfect fit, and the first
     of its states with the least AIC is returned.  The state's
     `selected` is the path.  Gain ties break toward the lowest column
-    index.
+    index; past an exhausted residual (norm below 1e-15) every step
+    takes the lowest-index column still addable.
     """
     if k is not None and not 0 <= k <= dataset.p:
         raise ValueError(f"k must lie in [0, {dataset.p}]")
@@ -66,14 +67,23 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     while state.size < limit:
         # gain = rho^2 ||r||^2, so the screen's rho bounds pick the few
         # columns that can win; their exact Gram-Schmidt gains decide,
-        # lowest index on ties
-        _, low, high = screen.rho_bounds()
-        contenders = live & ~(high < np.max(low[live]))
+        # lowest index on ties.  An exhausted residual (the cut
+        # ModelState.score uses) gains nothing anywhere, so the lowest
+        # addable column is taken
+        exhausted = screen.rnorm < 1e-15
+        if exhausted:
+            contenders = live
+        else:
+            _, low, high = screen.rho_bounds()
+            contenders = live & ~(high < np.max(low[live]))
         best_j, best_gain, best_adj = -1, -np.inf, None
         for j in np.flatnonzero(contenders).tolist():
             adj, nrm, _, _ = state.score(dataset.columns[:, j])
             if nrm <= COLLINEARITY_TOL:
                 continue
+            if exhausted:
+                best_j, best_adj = j, adj
+                break
             g = float(np.dot(state.residual, adj) / nrm) ** 2
             if g > best_gain:
                 best_j, best_gain, best_adj = j, g, adj

@@ -350,7 +350,9 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     With `k` the path stops at that size.  With k=None the path grows
     until no column is addable and the state of the prefix minimizing
     AIC (the shortest on ties) is returned.  Gain ties break toward the
-    lowest column index.
+    lowest column index.  Once the residual norm falls below 1e-15 (the
+    cut ModelState.score uses), no column has a gain above rounding
+    error, so each step takes the lowest-index addable column.
     """
     if k is not None and not 0 <= k <= dataset.p:
         raise ValueError(f"k must lie in [0, {dataset.p}]")
@@ -358,6 +360,7 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     limit = dataset.p if k is None else k
     while len(states) - 1 < limit:
         state = states[-1]
+        exhausted = float(np.linalg.norm(state.residual)) < 1e-15
         best_j, best_gain, best_adj = -1, -np.inf, None
         for j in range(dataset.p):
             if j in state.selected:
@@ -366,6 +369,10 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
             nrm = float(np.linalg.norm(adj))
             if nrm <= COLLINEARITY_TOL:
                 continue
+            if exhausted:
+                # no gain left: the lowest addable column
+                best_j, best_adj = j, adj
+                break
             g = float(np.dot(state.residual, adj) / nrm) ** 2
             if g > best_gain:
                 best_j, best_gain, best_adj = j, g, adj

@@ -352,12 +352,20 @@ class TestSelect:
 
 class TestUnwritableOutput:
 
+    @staticmethod
+    def forbid_work(monkeypatch):
+        """Make reading the input or running a study fail loudly."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the output check")
+        monkeypatch.setattr(rai.cli, "_read_design", forbidden)
+        monkeypatch.setattr(rai.cli, "run_experiment", forbidden)
+
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     @pytest.mark.parametrize("command,flag", [
         ("select", "--json"), ("select", "--trace"),
         ("diagnose", "--json"), ("simulate", "--out")])
-    def test_exits_two_naming_the_path(self, tmp_path, capsys, command,
-                                       flag, target):
+    def test_exits_two_naming_the_path(self, tmp_path, capsys, monkeypatch,
+                                       command, flag, target):
         data, _, _ = signal_file(tmp_path)
         bad = (tmp_path / "absent" / "out" if target == "missing_dir"
                else tmp_path)
@@ -365,12 +373,41 @@ class TestUnwritableOutput:
                 "diagnose": ["diagnose", str(data), "--response", "y"],
                 "simulate": ["simulate", "--scenario", "global_null",
                              "--n", "40", "--p", "5", "--reps", "1"]}
+        files = sorted(tmp_path.rglob("*"))
+        self.forbid_work(monkeypatch)
         assert main([*argv[command], flag, str(bad)]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: cannot write {bad}: "), err
+        assert err[0].startswith(f"error: cannot write {bad}: [Errno "), err
+        assert sorted(tmp_path.rglob("*")) == files
+
+    def test_simulate_missing_directory(self, tmp_path, capsys, monkeypatch):
+        self.forbid_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scenario", "global_null", "--n", "40",
+                     "--p", "5", "--reps", "1",
+                     "--out", "missing/x.jsonl"]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: cannot write missing/x.jsonl: [Errno 2] No such file "
+            "or directory: 'missing/x.jsonl'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_writes_nothing(self, tmp_path, capsys):
+        # a writable --json beside an unwritable --trace is not created,
+        # and an existing --json keeps its bytes when the input is bad
+        data, _, _ = signal_file(tmp_path)
+        report = tmp_path / "report.json"
+        assert main(["select", str(data), "--response", "y", "--json",
+                     str(report), "--trace",
+                     str(tmp_path / "absent" / "t.jsonl")]) == EXIT_PARSE
+        assert not report.exists()
+        report.write_text("kept\n")
+        assert main(["select", str(tmp_path / "none.csv"), "--response",
+                     "y", "--json", str(report)]) == EXIT_PARSE
+        assert report.read_text() == "kept\n"
+        assert "cannot read" in capsys.readouterr().err
 
 
 class TestVersion:

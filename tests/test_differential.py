@@ -234,6 +234,20 @@ def with_interactions(rng):
                                max_interaction_order=order)
 
 
+def sign_factor(rng):
+    # a +-1 column: its even powers are constant monomials, which the
+    # screen holds as NaN rows and the exact path drops uncharged
+    n = int(rng.integers(40, 250))
+    p = int(rng.integers(2, 8))
+    X = rng.normal(1.0, 1.0, size=(n, p))
+    X[:, 0] = rng.choice([-1.0, 1.0], n)
+    y = (X[:, 0] * (1.0 + X[:, -1]) + X[:, -1] * rng.normal()
+         + rng.normal(size=n))
+    order = None if rng.integers(2) else int(rng.integers(2, 5))
+    return X, y, random_config(rng, interactions=True,
+                               max_interaction_order=order)
+
+
 @pytest.mark.parametrize("family, make", [
     ("gaussian", gaussian),
     ("common factor", common_factor),
@@ -241,6 +255,7 @@ def with_interactions(rng):
     ("binary columns", binary),
     ("p > n", wide),
     ("interactions", with_interactions),
+    ("sign factor", sign_factor),
 ])
 def test_engines_agree(capsys, family, make):
     run_family(capsys, family, make)

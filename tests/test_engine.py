@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import rai
 from rai import (FeatureTerm, ModelState, RaiConfig, WealthLedger,
-                 pass_parameters, run_rai, skip_passes, standardize,
+                 pass_parameters, realize, run_rai, skip_passes, standardize,
                  test_candidate)
 from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
@@ -256,7 +256,8 @@ class TestExactMaxT:
         screen = Screen(ds)
         mix = ds.columns[:, 0] + ds.columns[:, 3]
         # a second block of slots, as interaction columns get; None
-        # stands for a constant monomial and takes no slot
+        # stands for a constant monomial and gets a NaN slot, which the
+        # engine has always tested and dropped before a skip
         screen.add_columns(
             iter([ds.columns[:, 2], None, mix / np.linalg.norm(mix)]), 3)
         state = ModelState.empty(ds)
@@ -264,8 +265,10 @@ class TestExactMaxT:
             state = state.add_feature(j)
         screen.sync(state)
         _, low, high = screen.t_abs(state.df)
+        finite = [j for j in range(p + 3) if j != p + 1]
         slots = np.array(data.draw(st.lists(
-            st.integers(0, p + 1), min_size=1, max_size=p + 2, unique=True)))
+            st.sampled_from(finite), min_size=1, max_size=p + 2,
+            unique=True)))
         want = max(abs(state.score(screen.column(j))[3]) for j in slots)
         got = _exact_max_t(slots, low, high, state, screen)
         assert got.hex() == want.hex()
@@ -445,6 +448,61 @@ class TestRunRai:
                                      and term.order > 1)
         assert removed_products > 0
 
+    @staticmethod
+    def duplicate_and_sign_design():
+        """X5 duplicates X1 and X6 is +-1, so X6^2 is a constant
+        monomial; the planted X1*X2 is realized only after X1 and X2.
+        X7 is X2 plus a little noise, too close to X2 for the screen to
+        settle once X2 is in the model, so it is tested exactly."""
+        rng = np.random.default_rng(3)
+        n = 300
+        X = rng.normal(1.0, 1.0, size=(n, 7))
+        X[:, 4] = X[:, 0]
+        X[:, 5] = rng.choice([-1.0, 1.0], n)
+        X[:, 6] = X[:, 1] + 1e-3 * rng.normal(size=n)
+        y = (X[:, 0] + X[:, 1] + 1.5 * X[:, 0] * X[:, 1] + 0.8 * X[:, 5]
+             + rng.normal(size=n))
+        return standardize(X, y)
+
+    def test_screen_rescored_only_after_rejection_or_realization(
+            self, monkeypatch):
+        log = []
+
+        def logged(name, call):
+            def wrapper(*args, **kwargs):
+                out = call(*args, **kwargs)
+                log.append(out[0] if name == "test_candidate" else name)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(Screen, "t_abs", logged("t_abs", Screen.t_abs))
+        monkeypatch.setattr(Screen, "add_columns",
+                            logged("add_columns", Screen.add_columns))
+        monkeypatch.setattr(rai.engine, "test_candidate", logged(
+            "test_candidate", rai.engine.test_candidate))
+        run_rai(self.duplicate_and_sign_design(),
+                RaiConfig(interactions=True))
+        assert log[0] == "t_abs"
+        for before, call in zip(log, log[1:]):
+            if call == "t_abs":
+                assert before in (REJECTED, "add_columns"), log
+        # exact tests that changed nothing, each with more of the pass
+        # to come, so a rescore after them would show
+        for decision in (NOT_REJECTED, REMOVED_COLLINEAR):
+            assert decision in log[:-1], log
+        assert log.count("t_abs") == 1 + log.count(REJECTED) + log.count(
+            "add_columns")
+
+    def test_duplicate_and_constant_monomial_dropped_without_charge(self):
+        _, trace = run_rai(self.duplicate_and_sign_design(),
+                           RaiConfig(interactions=True))
+        dropped = [rec for rec in trace_tests(trace)
+                   if rec["decision"] == REMOVED_COLLINEAR]
+        assert {rec["term"] for rec in dropped} == {"X5", "X6^2"}
+        for rec in dropped:
+            assert rec["t_abs"] is None
+            assert rec["wealth_after"] == rec["wealth_before"]
+
     def test_saturation_stops_cleanly(self):
         # tiny n: the model runs out of degrees of freedom, not wealth
         rng = np.random.default_rng(40)
@@ -566,6 +624,17 @@ class TestFitTerms:
         beta, *_ = np.linalg.lstsq(design, y, rcond=None)
         ref = design @ beta
         np.testing.assert_allclose(pred, ref, atol=1e-8)
+
+    def test_marginal_realizes_to_its_dataset_column(self):
+        # fit_terms realizes marginals too; that is the dataset's own
+        # standardization bit for bit, at any column scale
+        rng = np.random.default_rng(8)
+        X = rng.normal(3.0, 1.0, size=(50, 4)) * [1e-150, 1.0, 1e7, 1e150]
+        ds = standardize(X, rng.normal(size=50))
+        for j in range(ds.p):
+            col, mean, scale = realize(FeatureTerm.marginal(j), ds.raw)
+            assert np.array_equal(col, ds.columns[:, j])
+            assert (mean, scale) == (ds.raw_means[j], ds.raw_scales[j])
 
     def test_constant_term_rejected(self):
         # a column of -1s and 1s varies, but its square does not

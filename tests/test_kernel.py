@@ -427,11 +427,14 @@ class TestScreen:
         screen.sync(state)
         bad = small_dataset.columns[:, 1].copy()
         bad[0] = np.nan
+        p = small_dataset.p
         slots = screen.add_columns([None, bad], 2)
-        assert slots == [None, small_dataset.p]
+        assert slots.tolist() == [p, p + 1]
+        # a constant term's slot holds a NaN row, as non-finite ones do
+        assert np.isnan(screen.column(p)).all()
         _, low, high = screen.rho_bounds()
-        # column 0 is in the model's span; the NaN column is unscorable
-        for slot in (0, small_dataset.p):
+        # column 0 is in the model's span; the NaN columns are unscorable
+        for slot in (0, p, p + 1):
             assert low[slot] == 0.0 and high[slot] == np.inf
         _, _, t_high = screen.t_abs(state.df)
-        assert t_high[0] == np.inf and t_high[small_dataset.p] == np.inf
+        assert (t_high[[0, p, p + 1]] == np.inf).all()

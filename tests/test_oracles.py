@@ -11,6 +11,7 @@ from rai import (BoundInputs, ModelState, aic, brute_force_subset,
                  submodularity_ratio, theorem_bound, theorem_bound_branches)
 from rai.errors import (AllSubsetsSingular, BudgetExceeded, SingularStep)
 
+import reference_engine as ref
 from conftest import ols_r2, random_raw
 from reference_kernel import gain
 
@@ -104,6 +105,16 @@ class TestForwardStepwise:
             qualifying += 1
             assert sorted(forward_stepwise(ds).selected) == [0, 1, 2], seed
         assert qualifying == 174
+
+    def test_exhausted_residual_takes_lowest_addable_column(self):
+        # past an exact fit every gain is rounding error, so a fixed-k
+        # path goes on in column order, as the scalar reference's does
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 400))
+        ds = standardize(X, X[:, :3].sum(axis=1))
+        path = forward_stepwise(ds, 40).selected
+        assert path == (2, 0, 1, *range(3, 40))
+        assert ref.forward_stepwise(ds, 40).selected == path
 
     def test_singular_step(self):
         rng = np.random.default_rng(5)
