@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 from . import errors
 from .engine import (RaiConfig, SelectionTrace, SkipRecord, fit_terms,
                      run_rai, skip_passes, test_candidate)
-from .kernel import (COLLINEARITY_TOL, T_STAT_MAX, Dataset, ModelState,
-                     r_squared_of, standardize)
+from .kernel import (COLLINEARITY_TOL, RESIDUAL_TOL, T_STAT_MAX, Dataset,
+                     ModelState, r_squared_of, standardize)
 from .oracles import (BoundInputs, aic, brute_force_subset, forward_stepwise,
                       submodularity_ratio, theorem_bound,
                       theorem_bound_branches)
@@ -31,7 +31,7 @@ __all__ = [
     "errors",
     # kernel
     "Dataset", "ModelState", "standardize", "r_squared_of",
-    "COLLINEARITY_TOL", "T_STAT_MAX",
+    "COLLINEARITY_TOL", "RESIDUAL_TOL", "T_STAT_MAX",
     # wealth
     "WealthLedger", "pass_parameters",
     "DEFAULT_INITIAL_WEALTH", "DEFAULT_PAYOUT", "ALPHA_FLOOR",

@@ -136,15 +136,15 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     the threshold comparison; a candidate is only attempted when wealth
     covers its alpha, a collinear or constant candidate is dropped
     without spending, and the threshold itself is strict.
-    `column` is the term's column, None for a term whose monomial is
-    constant; a column holding NaN or inf is dropped the same way.
-    Every outcome is logged in the ledger; the charge is a run of one
-    test.
+    `column` is the term's column; one holding NaN or inf, as a
+    constant or overflowing monomial realizes to, is dropped the same
+    way.  Every outcome is logged in the ledger; the charge is a run of
+    one test.
     """
     if ledger.wealth < alpha:
         ledger.note(term, pass_index, alpha, HALTED_WEALTH)
         return HALTED_WEALTH, state, None
-    if column is None or not np.isfinite(column).all():
+    if not np.isfinite(column).all():
         ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
     adj, nrm, _, t = state.score(column)
@@ -192,18 +192,18 @@ def skip_passes(terms, best: float, ledger: WealthLedger, s: int, n: int,
     return s_prime, False, charged
 
 
-def _exact_max_t(slots: np.ndarray, low: np.ndarray, high: np.ndarray,
-                 state: ModelState, screen: Screen) -> float:
-    """The exact largest |t| over the screen slots `slots`.
+def _exact_max_t(terms, slots: np.ndarray, low: np.ndarray,
+                 high: np.ndarray, state: ModelState) -> float:
+    """The exact largest |t| over `terms`, at the screen slots `slots`.
 
-    low[slot] and high[slot] bound each exact |t|, so only slots whose
+    low[slot] and high[slot] bound each exact |t|, so only terms whose
     high bound reaches the largest low bound can hold the maximum, and
     only they are scored exactly.  A high bound of 0 is already exact.
     """
     top = high[slots]
-    reach = slots[(top >= low[slots].max()) & (top > 0.0)]
-    return max((abs(state.score(screen.column(int(j)))[3]) for j in reach),
-               default=0.0)
+    reach = np.flatnonzero((top >= low[slots].max()) & (top > 0.0))
+    return max((abs(state.score(term_column(state.dataset, terms[k]))[3])
+                for k in reach.tolist()), default=0.0)
 
 
 def run_rai(dataset: Dataset,
@@ -222,9 +222,9 @@ def run_rai(dataset: Dataset,
     threshold is charged and logged as not rejected in one ledger call,
     without further arithmetic.  That first open candidate (near or
     above the threshold, nearly collinear, constant or non-finite) goes
-    through `test_candidate`, so each decision, basis vector and
-    residual comes from the exact scalar path.  The screen rescores
-    only after a rejection or a realization.
+    through `test_candidate` with its `term_column`, so each decision,
+    basis vector and residual comes from the exact scalar path.  The
+    screen rescores only after a rejection or a realization.
     """
     if config is None:
         config = RaiConfig()
@@ -257,9 +257,8 @@ def run_rai(dataset: Dataset,
                 # realize only as many as the wealth pays tests for, so a
                 # run that halts never realizes the rest
                 count = min(len(queue) - i, int(ledger.wealth / alpha) + 1)
-                slots = np.append(slots, screen.add_columns(
-                    (term_column(dataset, term)
-                     for term in queue[i:i + count]), count))
+                block, _, _ = realize(queue[i:i + count], dataset.raw)
+                slots = np.append(slots, screen.add_columns(block))
                 scores = None
             if scores is None:
                 if state.df < 1:
@@ -281,7 +280,7 @@ def run_rai(dataset: Dataset,
             term = queue[i]
             decision, state, _ = test_candidate(
                 state, ledger, term, tlvl, alpha, pass_index=s,
-                column=screen.column(int(slots[i])))
+                column=term_column(dataset, term))
             if decision == HALTED_WEALTH:
                 termination = TERMINATED_WEALTH
                 break
@@ -308,7 +307,7 @@ def run_rai(dataset: Dataset,
         if not rejected_any and config.skip_passes and s < max_passes:
             # every queued term has a screen slot, and no rejection has
             # changed the scores since they were computed
-            best = _exact_max_t(slots, t_low, t_high, state, screen)
+            best = _exact_max_t(queue, slots, t_low, t_high, state)
             before = ledger.wealth
             s_next, halted, charged = skip_passes(
                 queue, best, ledger, s, n, max_passes)
@@ -336,20 +335,16 @@ def fit_terms(dataset: Dataset,
 
     Returns (slopes, intercept) on the original data scale, with slopes
     aligned to `terms`.  Used to report a selected model in units the
-    caller supplied, including interaction terms.
+    caller supplied, including interaction terms.  Raises ValueError
+    naming each term whose monomial is constant or not finite.
     """
     terms = list(terms)
-    if not terms:
-        return np.zeros(0), dataset.response_mean
-    M = np.empty((dataset.n, len(terms)))
-    means, scales = np.empty(len(terms)), np.empty(len(terms))
-    for k, term in enumerate(terms):
-        # a marginal realizes to its dataset column, mean and scale
-        # bit for bit, as standardize builds each column alone
-        if (out := realize(term, dataset.raw)) is None:
-            raise ValueError(f"term {term.display()} is constant")
-        M[:, k], means[k], scales[k] = out
-    b, *_ = np.linalg.lstsq(M, dataset.response, rcond=None)
+    rows, means, scales = realize(terms, dataset.raw)
+    if bad := [t.display() for t, row in zip(terms, rows)
+               if not np.isfinite(row).all()]:
+        raise ValueError("; ".join(f"term {name} is constant or not finite"
+                                   for name in bad))
+    b, *_ = np.linalg.lstsq(rows.T, dataset.response, rcond=None)
     slopes = dataset.response_scale * b / scales
     intercept = dataset.response_mean - float(np.dot(slopes, means))
     return slopes, intercept

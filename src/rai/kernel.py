@@ -19,7 +19,6 @@ take everything else through the exact ModelState arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 import warnings
@@ -39,43 +38,12 @@ from .errors import (
 # lying in span(S): untestable, removable without an alpha charge.
 COLLINEARITY_TOL = 1e-8
 
+# A residual norm below this is exhausted: every candidate scores 0.
+RESIDUAL_TOL = 1e-15
+
 # Stand-in for an infinite t-statistic when a candidate explains the
 # residual exactly (rho^2 == 1).  Larger than any usable threshold.
 T_STAT_MAX = 1e18
-
-
-def _norm(r: np.ndarray) -> float:
-    """Euclidean norm of a contiguous vector.
-
-    Wherever the sum of squares is a finite normal number this is
-    np.linalg.norm bit for bit.  Where it overflowed or underflowed, as
-    for data near 1e160 or 1e-160, the norm is taken of r / max|r| and
-    scaled back, so that such a column keeps a finite, accurate scale.
-    """
-    ss = float(np.dot(r, r))
-    if sys.float_info.min <= ss < math.inf:
-        return math.sqrt(ss)
-    m = float(np.max(np.abs(r)))
-    if m == 0.0 or not math.isfinite(m):
-        return math.sqrt(ss)
-    u = r / m
-    return m * math.sqrt(float(np.dot(u, u)))
-
-
-def _mean(r: np.ndarray) -> float:
-    """Mean of a contiguous vector.
-
-    Wherever the plain mean is finite this is r.mean() bit for bit.
-    Where a finite vector's sum overflowed, as for data near 1e306, the
-    mean is taken of r / max|r| and scaled back.
-    """
-    mean = float(r.mean())
-    if math.isfinite(mean):
-        return mean
-    m = float(np.max(np.abs(r)))
-    if not math.isfinite(m):
-        return mean
-    return m * float(np.mean(r / m))
 
 
 def _constant(scale, mean, n: int):
@@ -85,36 +53,45 @@ def _constant(scale, mean, n: int):
     return scale <= 1e-12 * math.sqrt(n) * np.abs(mean)
 
 
-def _unit_centered(col: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """Center and scale one column to unit norm.
+def _center_rows(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center each row of `work` in place and return every row's mean
+    and centered norm.  Each row is laid out contiguously, so every
+    mean and norm is bit for bit what that row gives alone, whatever
+    the other rows hold.
 
-    Returns (standardized, mean, scale), or None for a constant column.
+    Where a finite row's sum overflowed, as for data near 1e306, its
+    mean is taken of row / max|row| and scaled back; where its sum of
+    squares overflowed or underflowed, as near 1e160 or 1e-160, so is
+    its norm, so that such a row keeps a finite, accurate scale.
     """
-    with np.errstate(over="ignore"):    # _mean, _norm rescale overflows
-        mean = _mean(col)
-        centered = col - mean
-        scale = _norm(centered)
-    if _constant(scale, mean, col.size):
-        return None
-    return centered / scale, mean, scale
-
-
-def _means_and_scales(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and centered norm of every column of X, in one pass over a
-    transposed working copy.  Each row of the copy is one column, laid
-    out contiguously, so every mean and norm is bit for bit what
-    `_unit_centered` gives for that column alone."""
-    work = X.T.copy()
     means = work.mean(axis=1)
     for j in np.flatnonzero(~np.isfinite(means)):
-        means[j] = _mean(work[j])
+        m = float(np.max(np.abs(work[j])))
+        if math.isfinite(m):
+            means[j] = m * float(np.mean(work[j] / m))
     work -= means[:, None]
-    # vecdot takes each row's np.dot; only a sum of squares that is not
-    # a finite normal number needs _norm's rescaling
+    # vecdot takes each row's np.dot, and its square root is
+    # np.linalg.norm bit for bit wherever the sum is a finite normal
     ss = np.vecdot(work, work)
     scales = np.sqrt(ss)
     for j in np.flatnonzero(~((ss >= sys.float_info.min) & (ss < math.inf))):
-        scales[j] = _norm(work[j])
+        m = float(np.max(np.abs(work[j])))
+        if 0.0 < m < math.inf:
+            u = work[j] / m
+            scales[j] = m * math.sqrt(float(np.dot(u, u)))
+    return means, scales
+
+
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center and scale each row of `rows` to unit norm, in place, and
+    return (means, scales).  A constant row is left NaN, and a row
+    that is not finite stays so: either is untestable."""
+    # _center_rows rescales what overflows, and a constant row divides
+    # 0 by 0 before it is set to NaN
+    with np.errstate(all="ignore"):
+        means, scales = _center_rows(rows)
+        rows /= scales[:, None]
+    rows[_constant(scales, means, rows.shape[1])] = np.nan
     return means, scales
 
 
@@ -133,15 +110,12 @@ class Dataset:
     columns: np.ndarray          # (n, p), C order, centered, unit norm
     response: np.ndarray         # (n,), centered, unit norm
     names: tuple[str, ...]
-    raw_means: np.ndarray        # (p,)
-    raw_scales: np.ndarray       # (p,)
     response_mean: float
     response_scale: float
     raw: np.ndarray              # (n, p), original uncentered columns
 
     def __post_init__(self) -> None:
-        for arr in (self.columns, self.response, self.raw_means,
-                    self.raw_scales, self.raw):
+        for arr in (self.columns, self.response, self.raw):
             arr.setflags(write=False)
 
     @cached_property
@@ -168,7 +142,7 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     Constant predictor columns are dropped with a warning.  Raises
     AllColumnsConstant when nothing survives and ConstantResponse when
     the response has no variance.  Every standardized value is the one
-    `_unit_centered` gives for its column alone.
+    `_unit_rows` gives for its column alone, as a row.
     """
     X = np.asarray(raw_matrix, dtype=float)
     y = np.asarray(raw_response, dtype=float)
@@ -186,12 +160,12 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     elif len(names) != p:
         raise ValueError("names length does not match the design")
 
-    with np.errstate(over="ignore"):    # _norm rescales what overflows
-        resp = _unit_centered(y)
-        means, scales = _means_and_scales(X)
-    if resp is None:
+    with np.errstate(over="ignore"):    # _center_rows rescales overflows
+        means, scales = _center_rows(X.T.copy())
+    y_std = np.array(y, ndmin=2)        # the response as a one-row block
+    (y_mean,), (y_scale,) = _unit_rows(y_std)
+    if np.isnan(y_std).all():
         raise ConstantResponse("response is constant")
-    y_std, y_mean, y_scale = resp
 
     keep = ~_constant(scales, means, n)
     if not keep.any():
@@ -208,12 +182,10 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
 
     return Dataset(
         columns=columns,
-        response=y_std,
+        response=y_std[0],
         names=tuple(names[j] for j in np.flatnonzero(keep)),
-        raw_means=means,
-        raw_scales=scales,
-        response_mean=y_mean,
-        response_scale=y_scale,
+        response_mean=float(y_mean),
+        response_scale=float(y_scale),
         raw=raw,
     )
 
@@ -231,7 +203,7 @@ class ModelState:
     """Selected set, orthonormal basis, residual and R^2 for one model.
 
     Instances are values: `add_feature`/`add_adjusted` return a new
-    state and never mutate the receiver, so traces can hold snapshots.
+    state and never mutate the receiver, so a caller may keep earlier ones.
     `selected` is an ordered list of whatever labels the caller adds
     (column indices here, feature terms in the selection engine).
     """
@@ -280,7 +252,7 @@ class ModelState:
         adj = self.adjusted_vector(x)
         nrm = float(np.linalg.norm(adj))
         rnorm = float(np.linalg.norm(self.residual))
-        if nrm <= COLLINEARITY_TOL or rnorm < 1e-15:
+        if nrm <= COLLINEARITY_TOL or rnorm < RESIDUAL_TOL:
             return adj, nrm, 0.0, 0.0
         rho = float(np.dot(self.residual, adj) / (rnorm * nrm))
         rho = min(1.0, max(-1.0, rho))
@@ -349,15 +321,10 @@ class Screen:
         # slots in blocks of rows: the dataset's columns (a transposed
         # view, not a copy), then one block per add_columns call
         self._blocks = [dataset.columns.T]
-        self._starts = [0]
         self._state = ModelState.empty(dataset)             # last synced
         self.gram = np.zeros(dataset.p)                     # ||Q^T x||^2
         self.inner = dataset.correlations.copy()            # x . r
         self.rnorm = float(np.linalg.norm(dataset.response))
-
-    def column(self, slot: int) -> np.ndarray:
-        b = bisect.bisect_right(self._starts, slot) - 1
-        return self._blocks[b][slot - self._starts[b]]
 
     def _products(self, v: np.ndarray) -> np.ndarray:
         """x . v for every slot, one GEMV per block."""
@@ -377,27 +344,19 @@ class Screen:
         self._state = state
         self.rnorm = float(np.linalg.norm(state.residual))
 
-    def add_columns(self, columns, count: int) -> np.ndarray:
-        """Append `count` unit-norm columns as new slots and return
-        their slots, np.arange(start, start + count).  A None entry (a
-        constant term) gets a NaN row, which the bounds never trust.
-
-        `columns` yields `count` entries and is consumed one at a time,
-        so a generator that realizes them lazily never holds more than
-        one outside the screen.
-        """
+    def add_columns(self, block: np.ndarray) -> np.ndarray:
+        """Append the rows of `block`, unit-norm columns as `realize`
+        returns them, as new slots, np.arange(start, start + len(block)),
+        and return those.  The screen keeps the block, not a copy, and
+        never trusts a row that is not finite."""
         start = len(self.gram)
-        block = np.empty((count, self._state.dataset.n))
-        for row, col in zip(block, columns):
-            row[:] = np.nan if col is None else col
-        gram = np.zeros(count)
+        gram = np.zeros(len(block))
         for q in self._state.basis:
             gram += (block @ q) ** 2
-        self._starts.append(start)
         self._blocks.append(block)
         self.gram = np.concatenate((self.gram, gram))
         self.inner = np.concatenate((self.inner, block @ self._state.residual))
-        return np.arange(start, start + count)
+        return np.arange(start, start + len(block))
 
     def rho_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(|rho|, low, high) for every slot.
@@ -423,7 +382,7 @@ class Screen:
     def t_abs(self, df: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(|t|, low, high) for every slot on df degrees of freedom."""
         rho, low, high = self.rho_bounds()
-        if self.rnorm < 1e-15:
+        if self.rnorm < RESIDUAL_TOL:
             # an exhausted residual scores every candidate 0, as the
             # exact path does; only untrusted slots stay open
             zero = np.zeros_like(rho)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (AllSubsetsSingular, BudgetExceeded, SingularStep,
                      SingularSubset)
-from .kernel import (COLLINEARITY_TOL, Dataset, ModelState, Screen,
-                     r_squared_of)
+from .kernel import (COLLINEARITY_TOL, RESIDUAL_TOL, Dataset, ModelState,
+                     Screen, r_squared_of)
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 ENUM_BUDGET_ENV = "RAI_ENUM_BUDGET"
@@ -54,7 +54,7 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     until no column is addable, or until a perfect fit, and the first
     of its states with the least AIC is returned.  The state's
     `selected` is the path.  Gain ties break toward the lowest column
-    index; past an exhausted residual (norm below 1e-15) every step
+    index; past an exhausted residual (norm below RESIDUAL_TOL) every step
     takes the lowest-index column still addable.
     """
     if k is not None and not 0 <= k <= dataset.p:
@@ -70,7 +70,7 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
         # lowest index on ties.  An exhausted residual (the cut
         # ModelState.score uses) gains nothing anywhere, so the lowest
         # addable column is taken
-        exhausted = screen.rnorm < 1e-15
+        exhausted = screen.rnorm < RESIDUAL_TOL
         if exhausted:
             contenders = live
         else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Dataset, _unit_centered
+from .kernel import Dataset, _unit_rows
 
 
 @dataclass(frozen=True)
@@ -100,23 +100,28 @@ def monomial(term: FeatureTerm, raw: np.ndarray) -> np.ndarray:
     return col
 
 
-def realize(term: FeatureTerm,
-            raw: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """Standardized column for a term, built on the original scale,
-    with its centering and scaling constants: (column, mean, scale), or
-    None for a term whose monomial is constant.
+def realize(terms, raw: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Standardized rows for a list of terms, built on the original
+    scale, with their centering and scaling constants: (rows, means,
+    scales), one row of the block per term.
 
-    The monomial of the raw columns is formed first and only then
+    Each monomial of the raw columns is formed first and only then
     centered and scaled to unit norm, so powers mean powers of the data
-    the user supplied, not of centered copies.
+    the user supplied, not of centered copies.  A constant monomial
+    gets a NaN row, an overflowing one a row that is not finite.  A
+    marginal gets its dataset column, mean and scale bit for bit, and
+    every row the bits its term realizes to alone.
     """
-    return _unit_centered(monomial(term, raw))
+    rows = np.empty((len(terms), raw.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, term in zip(rows, terms):
+            row[:] = monomial(term, raw)
+    means, scales = _unit_rows(rows)
+    return rows, means, scales
 
 
-def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray | None:
-    """Standardized column for any term of the dataset, or None for a
-    term whose monomial is constant."""
+def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray:
+    """Standardized column for any term of the dataset, as `realize`."""
     if term.order == 1:
         return dataset.columns[:, term.powers[0][0]]
-    out = realize(term, dataset.raw)
-    return None if out is None else out[0]
+    return realize([term], dataset.raw)[0][0]

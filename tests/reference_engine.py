@@ -203,13 +203,14 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     the threshold comparison; a candidate is only attempted when wealth
     covers its alpha, a collinear or constant candidate is dropped
     without spending, and the threshold itself is strict.
-    `column=None` marks a term whose realized column is constant.
+    A column that is not finite, as a constant monomial realizes to,
+    is dropped the same way.
     """
     if ledger.wealth < alpha:
         return HALTED_WEALTH, state, None
     if column is _UNRESOLVED:
         column = term_column(state.dataset, term)
-    if column is None:
+    if not np.isfinite(column).all():
         return REMOVED_COLLINEAR, state, None
     adj = state.adjusted_vector(column)
     nrm = float(np.linalg.norm(adj))

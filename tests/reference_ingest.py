@@ -109,19 +109,15 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     y_std, y_mean, y_scale = resp
 
     kept_cols, kept_names, kept_raw = [], [], []
-    means, scales = [], []
     dropped = []
     for j in range(p):
         out = _unit_centered(X[:, j])
         if out is None:
             dropped.append(names[j])
             continue
-        col, mean, scale = out
-        kept_cols.append(col)
+        kept_cols.append(out[0])
         kept_names.append(names[j])
         kept_raw.append(X[:, j])
-        means.append(mean)
-        scales.append(scale)
     if not kept_cols:
         raise AllColumnsConstant("every predictor column is constant")
     if dropped:
@@ -132,8 +128,6 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
         columns=np.column_stack(kept_cols),
         response=y_std,
         names=tuple(kept_names),
-        raw_means=np.asarray(means),
-        raw_scales=np.asarray(scales),
         response_mean=y_mean,
         response_scale=y_scale,
         raw=np.column_stack(kept_raw),

@@ -259,3 +259,46 @@ def sign_factor(rng):
 ])
 def test_engines_agree(capsys, family, make):
     run_family(capsys, family, make)
+
+
+def signed_design(rng):
+    # interactions over gaussian columns, a +-1 column and a 0/1 column
+    n = int(rng.integers(40, 250))
+    p = int(rng.integers(3, 8))
+    X = rng.normal(1.0, 1.0, size=(n, p))
+    X[:, 0] = rng.choice([-1.0, 1.0], n)
+    X[:, 1] = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+    y = (X[:, 1] * X[:, -1] + X[:, 0] * X[:, -1] * rng.normal()
+         + X[:, -1] ** 2 * rng.normal() + rng.normal(size=n))
+    order = None if rng.integers(2) else int(rng.integers(2, 5))
+    return X, y, random_config(rng, interactions=True,
+                               max_interaction_order=order)
+
+
+@given(seeds, st.data())
+@settings(max_examples=80, deadline=None)
+def test_sign_flips_change_nothing(seed, data):
+    """Flipping the sign of any columns negates their standardized
+    columns and the odd monomials over them, which no |t| can see: the
+    selection, every decision and every wealth value stay bit for bit,
+    and the |t| and the residual within the screened |t| bound.  The
+    square of the 0/1 column is that column again, so it is never
+    selected."""
+    X, y, config = signed_design(np.random.default_rng(seed))
+    flips = data.draw(st.lists(st.booleans(), min_size=X.shape[1],
+                               max_size=X.shape[1]))
+    runs = [run_rai(standardize(X * np.where(signs, -1.0, 1.0), y), config)
+            for signs in ([False] * X.shape[1], flips)]
+    (state, trace), (flipped, flipped_trace) = runs
+    assert state.selected == flipped.selected
+    for rec, got in zip(trace.records(), flipped_trace.records(),
+                        strict=True):
+        assert {**rec, "t_abs": None} == {**got, "t_abs": None}
+        if rec.get("t_abs") is not None:
+            assert math.isclose(got["t_abs"], rec["t_abs"],
+                                rel_tol=T_REL_TOL, abs_tol=T_ABS_TOL)
+    assert flipped_trace.ledger.wealth == trace.ledger.wealth
+    np.testing.assert_allclose(flipped.residual, state.residual,
+                               rtol=T_REL_TOL, atol=T_ABS_TOL)
+    for selected in (state.selected, flipped.selected):
+        assert all(dict(term.powers).get(1, 0) < 2 for term in selected)

@@ -13,6 +13,7 @@ from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
                         TERMINATED_STREAM, TERMINATED_WEALTH, _exact_max_t)
 from rai.kernel import Screen
+from rai.terms import term_column
 
 import reference_engine as ref
 from conftest import charges, entries, random_raw
@@ -100,18 +101,17 @@ class TestTestCandidate:
         assert led.wealth == pytest.approx(0.25)
 
     def test_constant_interaction_removed_without_spend(self):
-        raw = np.column_stack([np.full(20, 2.0) + 0.0,
-                               np.arange(20.0)])
-        raw[0, 0] = 2.0
-        ds = standardize(np.column_stack([np.arange(20.0) ** 2,
-                                          np.arange(20.0)]),
-                         np.arange(20.0) + 1.0)
+        # a column of -1s and 1s varies, but its square does not, and
+        # realizes to a NaN column, as every constant monomial does
+        X = np.column_stack([np.tile([-1.0, 1.0], 10), np.arange(20.0)])
+        ds = standardize(X, np.arange(20.0) + 1.0)
+        term = FeatureTerm.from_exponents({0: 2})
+        column = term_column(ds, term)
+        assert np.isnan(column).all()
         led = WealthLedger()
-        # a term whose realized column is constant: X1^0 impossible, so
-        # feed the resolved column directly as the engine does
         decision, _, _ = test_candidate(
-            ModelState.empty(ds), led, FeatureTerm.marginal(0),
-            tlvl=1.0, alpha=0.01, pass_index=1, column=None)
+            ModelState.empty(ds), led, term,
+            tlvl=1.0, alpha=0.01, pass_index=1, column=column)
         assert decision == REMOVED_COLLINEAR
         assert led.total_spent() == 0.0
 
@@ -132,18 +132,21 @@ class TestTestCandidate:
 
     def test_non_finite_interaction_never_rejected(self, monkeypatch):
         # the batched screen must hand a non-finite column to the exact
-        # path, which drops it; realization is patched to produce one
+        # path, which drops it; realization is patched to produce one,
+        # under both names it is called by: the engine's, for the
+        # screen's blocks, and the terms module's, for term_column
         rng = np.random.default_rng(8)
         X = rng.normal(1.0, 1.0, size=(200, 3))
         y = X[:, 0] + 3.0 * X[:, 0] * X[:, 1] + rng.normal(size=200)
         ds = standardize(X, y)
-        realize = rai.engine.term_column
 
-        def poisoned(dataset, term):
-            col = realize(dataset, term)
-            return np.full_like(col, np.nan) if term.order > 1 else col
+        def poisoned(terms, raw):
+            rows, means, scales = realize(terms, raw)
+            rows[[t.order > 1 for t in terms]] = np.nan
+            return rows, means, scales
 
-        monkeypatch.setattr(rai.engine, "term_column", poisoned)
+        monkeypatch.setattr(rai.engine, "realize", poisoned)
+        monkeypatch.setattr(rai.terms, "realize", poisoned)
         state, trace = run_rai(ds, RaiConfig(interactions=True))
         marginals = marginal_names(ds.p)
         recs = [rec for rec in trace_tests(trace) if rec["term"] not in marginals]
@@ -254,12 +257,15 @@ class TestExactMaxT:
             y = X[:, 0] - 2.0 * X[:, 1]
         ds = standardize(X, y)
         screen = Screen(ds)
-        mix = ds.columns[:, 0] + ds.columns[:, 3]
-        # a second block of slots, as interaction columns get; None
-        # stands for a constant monomial and gets a NaN slot, which the
-        # engine has always tested and dropped before a skip
-        screen.add_columns(
-            iter([ds.columns[:, 2], None, mix / np.linalg.norm(mix)]), 3)
+        # a second block of slots, as interaction columns get: X3 again,
+        # a NaN row as a constant monomial realizes to, which the engine
+        # has always tested and dropped before a skip, and a product
+        extra = [FeatureTerm.marginal(2),
+                 FeatureTerm.from_exponents({0: 1, 3: 1})]
+        block, _, _ = realize(extra, ds.raw)
+        screen.add_columns(np.insert(block, 1, np.nan, axis=0))
+        pool = [FeatureTerm.marginal(j) for j in range(p)] + [
+            extra[0], None, extra[1]]
         state = ModelState.empty(ds)
         for j in range(data.draw(st.integers(0, 3))):
             state = state.add_feature(j)
@@ -269,8 +275,9 @@ class TestExactMaxT:
         slots = np.array(data.draw(st.lists(
             st.sampled_from(finite), min_size=1, max_size=p + 2,
             unique=True)))
-        want = max(abs(state.score(screen.column(j))[3]) for j in slots)
-        got = _exact_max_t(slots, low, high, state, screen)
+        terms = [pool[j] for j in slots]
+        want = max(abs(state.score(term_column(ds, t))[3]) for t in terms)
+        got = _exact_max_t(terms, slots, low, high, state)
         assert got.hex() == want.hex()
         if design == "exact_fit" and state.size >= 2:
             assert got == 0.0
@@ -631,10 +638,13 @@ class TestFitTerms:
         rng = np.random.default_rng(8)
         X = rng.normal(3.0, 1.0, size=(50, 4)) * [1e-150, 1.0, 1e7, 1e150]
         ds = standardize(X, rng.normal(size=50))
-        for j in range(ds.p):
-            col, mean, scale = realize(FeatureTerm.marginal(j), ds.raw)
+        marginals = [FeatureTerm.marginal(j) for j in range(ds.p)]
+        cols, means, scales = realize(marginals, ds.raw)
+        for j, (col, mean, scale) in enumerate(zip(cols, means, scales)):
             assert np.array_equal(col, ds.columns[:, j])
-            assert (mean, scale) == (ds.raw_means[j], ds.raw_scales[j])
+            # the mean and scale standardize used: they rebuild its column
+            assert np.array_equal((ds.raw[:, j] - mean) / scale,
+                                  ds.columns[:, j])
 
     def test_constant_term_rejected(self):
         # a column of -1s and 1s varies, but its square does not
@@ -642,6 +652,19 @@ class TestFitTerms:
         ds = standardize(X, np.arange(10.0) ** 2)
         with pytest.raises(ValueError, match="X1\\^2 is constant"):
             rai.fit_terms(ds, [FeatureTerm.from_exponents({0: 2})])
+
+    def test_overflowing_term_rejected_silently(self, capfd):
+        # X2^4 of data near 1e80 overflows to inf: the fit names it
+        # before any solver sees the column, and nothing is printed
+        rng = np.random.default_rng(4)
+        X = rng.normal(1.0, 1.0, size=(40, 3)) * 1e80
+        ds = standardize(X, rng.normal(size=40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="X2\\^4 is constant"):
+                rai.fit_terms(ds, [FeatureTerm.marginal(0),
+                                   FeatureTerm.from_exponents({1: 4})])
+        assert capfd.readouterr() == ("", "")
 
     def test_empty_selection(self):
         ds = signal_dataset()
@@ -692,8 +715,10 @@ class TestExtremeScales:
             warnings.simplefilter("error")
             ds = standardize(X * scale_x, y * scale_y)
         assert ds.p == 4
-        np.testing.assert_allclose(ds.raw_means, unit_ds.raw_means * scale_x,
-                                   rtol=1e-12)
+        marginals = [FeatureTerm.marginal(j) for j in range(4)]
+        np.testing.assert_allclose(realize(marginals, ds.raw)[1],
+                                   realize(marginals, unit_ds.raw)[1]
+                                   * scale_x, rtol=1e-12)
         assert ds.response_mean == pytest.approx(
             unit_ds.response_mean * scale_y, rel=1e-12)
         np.testing.assert_allclose(ds.columns, unit_ds.columns, atol=1e-12)
@@ -704,8 +729,8 @@ class TestExtremeScales:
             t.powers for t in unit_state.selected]
 
     # order-4 products of such data overflow to inf; those candidates
-    # are removed as non-finite, with warnings
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # are removed as non-finite, without a warning
+    @pytest.mark.filterwarnings("error")
     def test_interaction_of_large_data_keeps_its_scale(self):
         """X1^2 of data near 1e80 has a sum of squares past the double
         range; it must still be realized and selected as at scale 1,

@@ -27,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 import rai.cli
 from rai.cli import _read_table
-from rai.kernel import _unit_centered, standardize
+from rai import FeatureTerm, realize
+from rai.kernel import _unit_rows, standardize
 
 import reference_ingest as ref
 
@@ -219,8 +220,13 @@ def standardize_with_warnings(fn, X, y):
     return out, [str(w.message) for w in caught]
 
 
-FIELDS = ("columns", "response", "raw_means", "raw_scales", "raw",
-          "response_mean", "response_scale")
+FIELDS = ("columns", "response", "raw", "response_mean", "response_scale")
+
+
+def marginal_constants(ds):
+    """(means, scales) of every column, as fit_terms realizes them."""
+    return realize([FeatureTerm.marginal(j) for j in range(ds.p)],
+                   ds.raw)[1:]
 
 
 def assert_same_dataset(X, y):
@@ -236,6 +242,12 @@ def assert_same_dataset(X, y):
     assert got.names == want.names
     for name in FIELDS:
         assert same_bits(getattr(got, name), getattr(want, name)), name
+    # the reference's constants are those of each column alone
+    want_means, want_scales = zip(*(ref._unit_centered(col)[1:]
+                                    for col in want.raw.T))
+    means, scales = marginal_constants(got)
+    assert same_bits(means, np.array(want_means))
+    assert same_bits(scales, np.array(want_scales))
     assert got.columns.flags.c_contiguous
     if not got_warn:
         assert np.shares_memory(got.raw, X)     # no copy of the design
@@ -259,9 +271,9 @@ def test_standardize_matches_reference_at_size(n, p):
 
 def test_extreme_columns_match_each_column_alone():
     # sums of squares near 1e160 overflow and near 1e-160 underflow, so
-    # those columns take _norm's rescaling while the ordinary ones take
+    # those columns take the rescaled sums while the ordinary ones take
     # the vectorized sums; every column must still get the bits that
-    # _unit_centered gives it alone, and the ordinary ones the reference's
+    # _unit_rows gives it alone, and the ordinary ones the reference's
     rng = np.random.default_rng(11)
     n = 500
     sizes = [1.0, 1e160, 3.0, 1e-160, 2e-158, 7e159, 0.01]
@@ -270,14 +282,54 @@ def test_extreme_columns_match_each_column_alone():
     y = X[:, 0] + rng.normal(size=n)
     ds = standardize(X, y)
     assert ds.p == len(sizes)
+    means, scales = marginal_constants(ds)
     for j in range(len(sizes)):
-        with np.errstate(over="ignore"):    # as standardize calls it
-            col, mean, scale = _unit_centered(np.ascontiguousarray(X[:, j]))
-        assert same_bits(ds.columns[:, j], col), j
-        assert same_bits(ds.raw_means[j], mean), j
-        assert same_bits(ds.raw_scales[j], scale), j
+        col = X[:, j].copy()[None]
+        (mean,), (scale,) = _unit_rows(col)
+        assert same_bits(ds.columns[:, j], col[0]), j
+        assert same_bits(means[j], mean), j
+        assert same_bits(scales[j], scale), j
     ordinary = [j for j, size in enumerate(sizes) if 1e-3 < size < 1e3]
     assert_same_dataset(np.ascontiguousarray(X[:, ordinary]), y)
+
+
+ROW_KINDS = {
+    "ordinary": lambda rng, n: rng.normal(rng.normal(), 1.0, n),
+    "constant": lambda rng, n: np.full(n, rng.normal()),
+    "sign": lambda rng, n: rng.permutation(np.resize([-1.0, 1.0], n)),
+    "huge": lambda rng, n: 1e160 * rng.normal(rng.normal(), 1.0, n),
+    "tiny": lambda rng, n: 1e-160 * rng.normal(rng.normal(), 1.0, n),
+    # a mean near 1e306: the plain sum overflows
+    "near_max": lambda rng, n: 1e306 * rng.normal(1.0, 0.5, n),
+}
+
+
+@given(seeds, st.integers(3, 700),
+       st.lists(st.sampled_from(sorted(ROW_KINDS)), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_mixed_block_rows_match_each_row_alone(seed, n, kinds):
+    """Every row of a block gets from _unit_rows the bits it gets alone,
+    whatever the other rows hold, and the bits standardize gives it as
+    a column; a constant row is NaN, and standardize drops it."""
+    rng = np.random.default_rng(seed)
+    raw = np.array([ROW_KINDS[kind](rng, n) for kind in kinds])
+    block = raw.copy()
+    means, scales = _unit_rows(block)
+    for j, kind in enumerate(kinds):
+        row = raw[j].copy()[None]
+        (mean,), (scale,) = _unit_rows(row)
+        assert same_bits(block[j], row[0]), kind
+        assert same_bits(means[j], mean), kind
+        assert same_bits(scales[j], scale), kind
+        assert np.isnan(row).all() == (kind == "constant"), kind
+    live = [j for j, kind in enumerate(kinds) if kind != "constant"]
+    if not live:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # dropped constant columns
+        ds = standardize(raw.T, rng.normal(size=n))
+    assert ds.names == tuple(f"X{j + 1}" for j in live)
+    assert same_bits(ds.columns, np.ascontiguousarray(block[live].T))
 
 
 def test_dropped_columns_warned_and_columns_c_contiguous():

@@ -402,15 +402,14 @@ class TestScreen:
         extra -= extra.mean(axis=1, keepdims=True)
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         half = int(rng.integers(0, 3))
-        screen.add_columns(extra[:half], half)
+        screen.add_columns(extra[:half])
         for j in rng.permutation(ds.p)[:min(3, ds.p - 1)]:
             state = state.add_feature(int(j))
             screen.sync(state)
-        screen.add_columns(extra[half:], 3 - half)
+        screen.add_columns(extra[half:])
         rho, low, high = screen.rho_bounds()
         t, t_low, t_high = screen.t_abs(state.df)
-        for slot in range(ds.p + 3):
-            column = screen.column(slot)
+        for slot, column in enumerate(np.vstack((ds.columns.T, extra))):
             _, nrm, exact_rho, exact_t = state.score(column)
             if nrm ** 2 < 1e-3:
                 continue   # in the span: the screen need not resolve it
@@ -428,10 +427,12 @@ class TestScreen:
         bad = small_dataset.columns[:, 1].copy()
         bad[0] = np.nan
         p = small_dataset.p
-        slots = screen.add_columns([None, bad], 2)
+        # a constant term's row is all NaN, a non-finite one partly so
+        block = np.vstack((np.full(small_dataset.n, np.nan), bad))
+        slots = screen.add_columns(block)
         assert slots.tolist() == [p, p + 1]
-        # a constant term's slot holds a NaN row, as non-finite ones do
-        assert np.isnan(screen.column(p)).all()
+        # both slots score NaN, as the screen's products with a NaN do
+        assert np.isnan(screen.inner[p:]).all()
         _, low, high = screen.rho_bounds()
         # column 0 is in the model's span; the NaN columns are unscorable
         for slot in (0, p, p + 1):

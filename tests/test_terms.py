@@ -121,12 +121,18 @@ class TestGenerateCandidates:
                        FeatureTerm.from_exponents({2: 2})]
 
 
+def realize_one(term, raw):
+    """realize on a block of one term: (column, mean, scale)."""
+    rows, means, scales = realize([term], raw)
+    return rows[0], means[0], scales[0]
+
+
 class TestRealize:
 
     def test_marginal_matches_standardized_column(self):
         rng = np.random.default_rng(0)
         raw = rng.normal(2.0, 1.0, size=(30, 3))
-        col, _, _ = realize(FeatureTerm.marginal(1), raw)
+        col, _, _ = realize_one(FeatureTerm.marginal(1), raw)
         ref = raw[:, 1] - raw[:, 1].mean()
         ref /= np.linalg.norm(ref)
         np.testing.assert_allclose(col, ref, atol=1e-12)
@@ -134,15 +140,15 @@ class TestRealize:
     def test_constant_factor_cancels(self):
         raw = np.column_stack([np.array([1.0, 2.0, 3.0]),
                                np.full(3, 2.0)])
-        prod, _, _ = realize(FeatureTerm.from_exponents({0: 1, 1: 1}), raw)
-        alone, _, _ = realize(FeatureTerm.marginal(0), raw)
+        prod, _, _ = realize_one(FeatureTerm.from_exponents({0: 1, 1: 1}), raw)
+        alone, _, _ = realize_one(FeatureTerm.marginal(0), raw)
         np.testing.assert_allclose(prod, alone, atol=1e-12)
 
     def test_matches_direct_product(self):
         rng = np.random.default_rng(1)
         raw = rng.normal(1.0, 1.0, size=(40, 4))
         term = FeatureTerm.from_exponents({0: 1, 2: 2})
-        col, mean, scale = realize(term, raw)
+        col, mean, scale = realize_one(term, raw)
         ref = raw[:, 0] * raw[:, 2] ** 2
         assert mean == pytest.approx(ref.mean(), rel=1e-12)
         ref = ref - ref.mean()
@@ -161,7 +167,8 @@ class TestRealize:
 
     def test_constant_interaction(self):
         raw = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-        assert realize(FeatureTerm.from_exponents({0: 2}), raw) is None
+        col, _, _ = realize_one(FeatureTerm.from_exponents({0: 2}), raw)
+        assert np.isnan(col).all()
 
     def test_overflowing_sum_of_squares_is_rescaled_silently(self):
         # X1*X2 of data near 1e80 is finite, but its sum of squares
@@ -169,7 +176,7 @@ class TestRealize:
         raw = np.random.default_rng(3).normal(1.0, 1.0, size=(40, 2)) * 1e80
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            col, mean, scale = realize(
+            col, mean, scale = realize_one(
                 FeatureTerm.from_exponents({0: 1, 1: 1}), raw)
         prod = raw[:, 0] * raw[:, 1]
         assert mean == prod.mean()
@@ -178,11 +185,33 @@ class TestRealize:
         assert scale == top * np.sqrt(np.dot(centered / top, centered / top))
         assert col.tobytes() == (centered / scale).tobytes()
 
-    def test_term_column_is_none_for_constant_monomial(self):
+    def test_block_rows_match_each_term_alone(self):
+        # ordinary, constant (the +-1 column squared) and overflowing
+        # (1e80^4) terms in one block: each row keeps its own bits
+        rng = np.random.default_rng(5)
+        raw = rng.normal(1.0, 1.0, size=(50, 3))
+        raw[:, 1] = np.tile([-1.0, 1.0], 25)
+        raw[:, 2] *= 1e80
+        terms = [FeatureTerm.from_exponents(e) for e in (
+            {0: 1}, {1: 2}, {0: 1, 1: 1}, {2: 4}, {0: 2, 2: 1})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, means, scales = realize(terms, raw)
+        for term, row, mean, scale in zip(terms, rows, means, scales):
+            alone = realize_one(term, raw)
+            assert row.tobytes() == alone[0].tobytes(), term
+            assert (np.array([mean, scale]).tobytes()
+                    == np.array(alone[1:]).tobytes()), term
+        assert np.isnan(rows[1]).all()
+        assert not np.isfinite(rows[3]).any()
+        assert np.isfinite(rows[[0, 2, 4]]).all()
+
+    def test_term_column_is_nan_for_constant_monomial(self):
         # a column of -1s and 1s varies, but its square does not
         X = np.column_stack([np.tile([-1.0, 1.0], 5), np.arange(10.0)])
         ds = standardize(X, np.arange(10.0) ** 2)
-        assert term_column(ds, FeatureTerm.from_exponents({0: 2})) is None
+        assert np.isnan(
+            term_column(ds, FeatureTerm.from_exponents({0: 2}))).all()
         np.testing.assert_array_equal(
             term_column(ds, FeatureTerm.marginal(1)), ds.columns[:, 1])
 
@@ -192,7 +221,7 @@ class TestRealize:
         rng = np.random.default_rng(seed)
         raw = rng.normal(rng.normal(0, 2, 3), 1.0, size=(25, 3))
         term = FeatureTerm.from_exponents({0: 1, 1: 1, 2: 1})
-        col, _, _ = realize(term, raw)
+        col, _, _ = realize_one(term, raw)
         assert abs(col.sum()) <= 1e-8 * 25
         assert abs(np.linalg.norm(col) - 1.0) <= 1e-10
 
