@@ -17,7 +17,9 @@ or in one call, which prints only the digests that differ:
 With `--against`, each differing line shows the digest of both trees,
 and each differing `--trace` file gets one more line: how many records
 differ, whether every difference is the `t_abs` of a `not_rejected`
-test record, and the largest relative difference in |t|.
+test record, and the largest relative difference in |t|.  The exit
+status is 1 when any digest differs and 0 when none does, so the
+comparison can gate a script.
 
 The inputs are a gaussian design with a planted product plus a +-1
 column (whose square is constant) and a 0/1 column (whose square is
@@ -195,10 +197,12 @@ def main() -> int:
         return 0
     theirs = {key: (label, data) for key, label, data in
               outputs(args.against)}
+    code = 0
     for key, label, data in ours:
         other_label, other = theirs.get(key, (key, b"<missing>"))
         if digest(data) == digest(other) and label == other_label:
             continue
+        code = 1
         print(f"{digest(data)}  {label}")
         print(f"{digest(other)}  {other_label}  (against)")
         if key.startswith("select-") and key.endswith(" jsonl"):
@@ -206,7 +210,7 @@ def main() -> int:
                 print(f"    {trace_difference(data, other)}")
             except ValueError:   # a missing or unparsable file
                 print("    not comparable as trace records")
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .oracles import (BoundInputs, brute_force_subset, forward_stepwise,
                       r_squared_of, submodularity_ratio, theorem_bound,
                       theorem_bound_branches)
 from .simulate import METHODS, SCENARIOS, SimSpec, run_experiment
+from .wealth import DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -239,6 +240,13 @@ def _write_trace(path: str, trace) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _print_values(items) -> None:
+    """One line per (key, value) pair, floats to six significant digits."""
+    for key, value in items:
+        spec = ".6g" if isinstance(value, float) else ""
+        print(f"{key:<24}{value:{spec}}")
+
+
 def cmd_select(args) -> int:
     _check_writable(args.json, args.trace)
     config = _config_from_args(args)
@@ -270,14 +278,8 @@ def cmd_simulate(args) -> int:
     summary = result["summary"]
     print(f"scenario={args.scenario} method={args.method} n={args.n} "
           f"p={args.p} reps={args.reps} seed={args.seed}")
-    for key in sorted(summary):
-        if key == "kind":
-            continue
-        value = summary[key]
-        if isinstance(value, float):
-            print(f"{key:<24}{value:.6g}")
-        else:
-            print(f"{key:<24}{value}")
+    _print_values((key, summary[key]) for key in sorted(summary)
+                  if key != "kind")
     if args.out:
         print(f"rows written to {args.out}")
     return EXIT_OK
@@ -285,8 +287,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     _check_writable(args.json)
-    names, X, y = _read_design(args.input, args.response)
     config = _config_from_args(args)
+    names, X, y = _read_design(args.input, args.response)
     dataset = standardize(X, y, names)
     state, trace = run_rai(dataset, config)
     # diagnose searches no interactions, so every term is a marginal
@@ -336,11 +338,7 @@ def cmd_diagnose(args) -> int:
                        "bound_slack": state.r_squared})
     if args.json:
         _write_json(args.json, report)
-    for key, value in report.items():
-        if isinstance(value, float):
-            print(f"{key:<24}{value:.6g}")
-        else:
-            print(f"{key:<24}{value}")
+    _print_values(report.items())
     return EXIT_OK
 
 
@@ -364,10 +362,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_flags(p, interactions=True):
-        p.add_argument("--wealth", type=float, default=0.25,
-                       help="initial alpha-wealth (default 0.25)")
-        p.add_argument("--payout", type=float, default=0.05,
-                       help="wealth earned per rejection (default 0.05)")
+        p.add_argument("--wealth", type=float, default=DEFAULT_INITIAL_WEALTH,
+                       help="initial alpha-wealth (default %(default)s)")
+        p.add_argument("--payout", type=float, default=DEFAULT_PAYOUT,
+                       help="wealth earned per rejection (default "
+                            "%(default)s)")
         p.add_argument("--max-passes", type=int, default=None,
                        help="pass budget (default ceil(log2 n) + 2)")
         if interactions:

@@ -31,7 +31,7 @@ from .kernel import (COLLINEARITY_TOL, SCREEN_MARGIN, Dataset, ModelState,
 from .terms import FeatureTerm, generate_candidates, realize, term_column
 from .wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT, HALTED_WEALTH,
                      NOT_REJECTED, REJECTED, REMOVED_COLLINEAR, SKIPPED,
-                     WealthLedger, pass_parameters, running)
+                     WealthLedger, check_account, pass_parameters, running)
 
 TERMINATED_WEALTH = "wealth_exhausted"
 TERMINATED_PASSES = "max_passes"
@@ -54,6 +54,9 @@ class RaiConfig:
     skip_passes: bool = True
 
     def __post_init__(self):
+        check_account(self.initial_wealth, self.payout)
+        if self.max_passes is not None and self.max_passes < 1:
+            raise ValueError("max_passes must be positive")
         # an order that admits no product would be ignored without a word
         order = self.max_interaction_order
         if order is not None and not self.interactions:
@@ -65,8 +68,6 @@ class RaiConfig:
 
     def resolve_max_passes(self, n: int) -> int:
         if self.max_passes is not None:
-            if self.max_passes < 1:
-                raise ValueError("max_passes must be positive")
             return self.max_passes
         return math.ceil(math.log2(n)) + 2
 
@@ -177,8 +178,7 @@ def skip_passes(terms, best: float, ledger: WealthLedger, s: int, n: int,
     if best == 0.0:
         s_prime = max_passes + 1
     else:
-        target = math.floor(2.0 * math.log2(math.sqrt(n) / best)) + 1
-        s_prime = max(s + 1, target)
+        s_prime = s + 1
         while pass_parameters(n, s_prime)[0] >= best:
             s_prime += 1
     charged = 0.0

@@ -1,10 +1,11 @@
 """Standardized regression data and incremental least-squares state.
 
-Everything downstream works on a fixed standardized view of the data:
-predictor columns and the response are centered and scaled to unit
-Euclidean norm.  On that scale squared correlations are R^2 increments,
-so partial correlations, t-statistics and fit gains all come from plain
-inner products against an orthonormal basis of the selected columns.
+Everything downstream works on unit rows: `_unit_rows`, the one
+standardizer, centers and scales the predictor columns, the response
+and realized products to unit Euclidean norm.  On that scale squared
+correlations are R^2 increments, so partial correlations, t-statistics
+and fit gains all come from plain inner products against an orthonormal
+basis of the selected columns.
 
 The orthonormal basis is grown one column at a time by modified
 Gram-Schmidt with one reorthogonalization sweep, which keeps the basis
@@ -53,44 +54,37 @@ def _constant(scale, mean, n: int):
     return scale <= 1e-12 * math.sqrt(n) * np.abs(mean)
 
 
-def _center_rows(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center each row of `work` in place and return every row's mean
-    and centered norm.  Each row is laid out contiguously, so every
-    mean and norm is bit for bit what that row gives alone, whatever
-    the other rows hold.
+# overflows are rescaled below, and a constant row divides 0 by 0
+# before it is set to NaN
+@np.errstate(all="ignore")
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center and scale each row of `rows` to unit norm, in place, and
+    return (means, scales).  Each row is laid out contiguously, so every
+    row gets the bits it gets alone, whatever the other rows hold.  A
+    constant row is left NaN, and a row that is not finite stays so:
+    either is untestable.
 
     Where a finite row's sum overflowed, as for data near 1e306, its
     mean is taken of row / max|row| and scaled back; where its sum of
     squares overflowed or underflowed, as near 1e160 or 1e-160, so is
     its norm, so that such a row keeps a finite, accurate scale.
     """
-    means = work.mean(axis=1)
+    means = rows.mean(axis=1)
     for j in np.flatnonzero(~np.isfinite(means)):
-        m = float(np.max(np.abs(work[j])))
+        m = float(np.max(np.abs(rows[j])))
         if math.isfinite(m):
-            means[j] = m * float(np.mean(work[j] / m))
-    work -= means[:, None]
+            means[j] = m * float(np.mean(rows[j] / m))
+    rows -= means[:, None]
     # vecdot takes each row's np.dot, and its square root is
     # np.linalg.norm bit for bit wherever the sum is a finite normal
-    ss = np.vecdot(work, work)
+    ss = np.vecdot(rows, rows)
     scales = np.sqrt(ss)
     for j in np.flatnonzero(~((ss >= sys.float_info.min) & (ss < math.inf))):
-        m = float(np.max(np.abs(work[j])))
+        m = float(np.max(np.abs(rows[j])))
         if 0.0 < m < math.inf:
-            u = work[j] / m
+            u = rows[j] / m
             scales[j] = m * math.sqrt(float(np.dot(u, u)))
-    return means, scales
-
-
-def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center and scale each row of `rows` to unit norm, in place, and
-    return (means, scales).  A constant row is left NaN, and a row
-    that is not finite stays so: either is untestable."""
-    # _center_rows rescales what overflows, and a constant row divides
-    # 0 by 0 before it is set to NaN
-    with np.errstate(all="ignore"):
-        means, scales = _center_rows(rows)
-        rows /= scales[:, None]
+    rows /= scales[:, None]
     rows[_constant(scales, means, rows.shape[1])] = np.nan
     return means, scales
 
@@ -99,7 +93,8 @@ def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Dataset:
     """Immutable standardized design.
 
-    `columns` holds only the surviving (non-constant) predictors; `names`
+    `columns` holds only the surviving (non-constant) predictors, each
+    one contiguous row of a C-order block, as realized terms are; `names`
     maps them back to the caller's labels.  `raw` keeps the matching
     uncentered columns so higher-order terms can be formed on the
     original scale before standardizing.  When no column was dropped it
@@ -107,7 +102,7 @@ class Dataset:
     caller must not write to that matrix while the dataset is in use.
     """
 
-    columns: np.ndarray          # (n, p), C order, centered, unit norm
+    columns: np.ndarray          # (n, p) view of (p, n) C-order rows
     response: np.ndarray         # (n,), centered, unit norm
     names: tuple[str, ...]
     response_mean: float
@@ -160,8 +155,8 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     elif len(names) != p:
         raise ValueError("names length does not match the design")
 
-    with np.errstate(over="ignore"):    # _center_rows rescales overflows
-        means, scales = _center_rows(X.T.copy())
+    rows = X.T.copy()
+    means, scales = _unit_rows(rows)
     y_std = np.array(y, ndmin=2)        # the response as a one-row block
     (y_mean,), (y_scale,) = _unit_rows(y_std)
     if np.isnan(y_std).all():
@@ -170,18 +165,16 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     keep = ~_constant(scales, means, n)
     if not keep.any():
         raise AllColumnsConstant("every predictor column is constant")
+    raw = X.view()
     if not keep.all():
         dropped = [names[j] for j in np.flatnonzero(~keep)]
         warnings.warn(f"dropped constant columns: {', '.join(dropped)}",
                       stacklevel=2)
-        raw, means, scales = X[:, keep], means[keep], scales[keep]
-    else:
-        raw = X.view()
-    columns = np.subtract(raw, means, order="C")
-    columns /= scales
+        rows = rows[keep]           # the full block is freed before raw
+        raw = X[:, keep]
 
     return Dataset(
-        columns=columns,
+        columns=rows.T,
         response=y_std[0],
         names=tuple(names[j] for j in np.flatnonzero(keep)),
         response_mean=float(y_mean),
@@ -309,8 +302,8 @@ class Screen:
     simply x . r.  The screen keeps ||Q^T x||^2 and x . r for every
     slot, so a whole stream is scored in a few vectorized operations,
     and each new basis vector costs one GEMV over the slots.  Slots
-    0..p-1 are the dataset's columns, read in place; `add_columns`
-    appends more (interaction columns).
+    0..p-1 are the dataset's columns, read in place as rows;
+    `add_columns` appends more (interaction columns).
 
     Screened scores come with intervals that hold the exact scores.
     Callers decide with them only what the intervals settle and send
@@ -318,8 +311,6 @@ class Screen:
     """
 
     def __init__(self, dataset: Dataset):
-        # slots in blocks of rows: the dataset's columns (a transposed
-        # view, not a copy), then one block per add_columns call
         self._blocks = [dataset.columns.T]
         self._state = ModelState.empty(dataset)             # last synced
         self.gram = np.zeros(dataset.p)                     # ||Q^T x||^2

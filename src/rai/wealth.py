@@ -84,6 +84,16 @@ class Run(NamedTuple):
         return after
 
 
+def check_account(initial_wealth: float, payout: float) -> None:
+    """Raise ValueError unless the wealth is positive and finite and the
+    payout non-negative and finite.  NaN fails both checks, as it must:
+    a NaN account would never refuse an overdraft."""
+    if not 0 < initial_wealth < math.inf:
+        raise ValueError("initial wealth must be positive and finite")
+    if not 0 <= payout < math.inf:
+        raise ValueError("payout must be non-negative and finite")
+
+
 class WealthLedger:
     """Mutable spend/earn account for one selection run.
 
@@ -93,12 +103,7 @@ class WealthLedger:
 
     def __init__(self, initial_wealth: float = DEFAULT_INITIAL_WEALTH,
                  payout: float = DEFAULT_PAYOUT):
-        # NaN fails these checks; a NaN account would never refuse an
-        # overdraft
-        if not 0 < initial_wealth < math.inf:
-            raise ValueError("initial wealth must be positive and finite")
-        if not 0 <= payout < math.inf:
-            raise ValueError("payout must be non-negative and finite")
+        check_account(initial_wealth, payout)
         self.initial_wealth = initial_wealth
         self.payout = payout
         self.wealth = initial_wealth

@@ -174,10 +174,9 @@ def skip_passes(known_t, ledger: WealthLedger, s: int, n: int,
     if best == 0.0:
         s_prime = max_passes + 1
     else:
-        root_n = math.sqrt(n)
-        target = math.floor(2.0 * math.log2(root_n / best)) + 1
-        s_prime = max(s + 1, target)
-        while root_n * 2.0 ** (-s_prime / 2.0) >= best:
+        # the first pass after s whose threshold best strictly clears
+        s_prime = s + 1
+        while math.sqrt(n) * 2.0 ** (-s_prime / 2.0) >= best:
             s_prime += 1
     charged = 0.0
     for u in range(s + 1, min(s_prime, max_passes + 1)):

@@ -312,6 +312,20 @@ class TestSelect:
                      value]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["select", "diagnose"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-passes", "0", "max_passes must be positive"),
+        ("--wealth", "0", "initial wealth must be positive and finite"),
+        ("--wealth", "nan", "initial wealth must be positive and finite"),
+        ("--payout", "nan", "payout must be non-negative and finite")])
+    def test_bad_config_flag_exits_two_before_reading_input(
+            self, tmp_path, capsys, command, flag, value, message):
+        # the input file is missing, so a run that read it first would
+        # name the file, not the flag
+        assert main([command, str(tmp_path / "none.csv"), "--response",
+                     "y", flag, value]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("order", ["-1", "0", "1"])
     def test_max_order_below_two_exits_two(self, tmp_path, capsys, order):
         # an order below 2 admits no interaction, so the search would

@@ -182,6 +182,19 @@ class TestSkipPasses:
             [FeatureTerm.marginal(0)], t_star, led, 1, n, 20)
         assert s_next == 6
 
+    @pytest.mark.parametrize("n", [100, 400, 2000, 4321])
+    def test_lands_on_first_clearable_pass_at_every_threshold(self, n):
+        # best at a threshold or one ulp either side: the literal
+        # schedule rejects in the first pass whose threshold best
+        # strictly clears, so the skip must land there, not one past it
+        for k in range(2, 40):
+            tlvl = pass_parameters(n, k)[0]
+            for best, want in ((math.nextafter(tlvl, 0.0), k + 1),
+                               (tlvl, k + 1),
+                               (math.nextafter(tlvl, math.inf), k)):
+                got = skip_passes([], best, WealthLedger(), 1, n, 40)
+                assert got == (want, False, 0.0), (k, best)
+
     def test_zero_best_charges_every_remaining_pass(self):
         # no threshold is ever cleared, so passes s+1..max_passes are
         # charged as the literal schedule tests them
@@ -640,6 +653,9 @@ class TestFitTerms:
         ds = standardize(X, rng.normal(size=50))
         marginals = [FeatureTerm.marginal(j) for j in range(ds.p)]
         cols, means, scales = realize(marginals, ds.raw)
+        # one block of every marginal is the design's rows, in their layout
+        assert np.array_equal(cols, ds.columns.T)
+        assert ds.columns.T.flags.c_contiguous
         for j, (col, mean, scale) in enumerate(zip(cols, means, scales)):
             assert np.array_equal(col, ds.columns[:, j])
             # the mean and scale standardize used: they rebuild its column

@@ -248,7 +248,7 @@ def assert_same_dataset(X, y):
     means, scales = marginal_constants(got)
     assert same_bits(means, np.array(want_means))
     assert same_bits(scales, np.array(want_scales))
-    assert got.columns.flags.c_contiguous
+    assert got.columns.T.flags.c_contiguous     # each column is one row
     if not got_warn:
         assert np.shares_memory(got.raw, X)     # no copy of the design
     assert not got.raw.flags.writeable
@@ -341,7 +341,7 @@ def test_dropped_columns_warned_and_columns_c_contiguous():
                       match=r"^dropped constant columns: b, d$"):
         ds = standardize(X, rng.normal(size=30), list("abcde"))
     assert ds.names == ("a", "c", "e")
-    assert ds.columns.flags.c_contiguous
+    assert ds.columns.T.flags.c_contiguous      # each column is one row
     assert same_bits(ds.raw, X[:, [0, 2, 4]])
 
 

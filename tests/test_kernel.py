@@ -420,6 +420,20 @@ class TestScreen:
             assert t[slot] == pytest.approx(abs(exact_t), rel=1e-9,
                                             abs=1e-12)
 
+    def test_design_rows_are_read_in_place(self, small_dataset):
+        # slots 0..p-1 score the design's own rows, not a copy: a write
+        # to row 0 shows in the next sync's products
+        ds = small_dataset
+        rows = ds.columns.T.copy()
+        own = rai.Dataset(rows.T, ds.response, ds.names, ds.response_mean,
+                          ds.response_scale, ds.raw)
+        screen = Screen(own)
+        rows[0] = rows[1]
+        screen.sync(ModelState.empty(own).add_feature(1))
+        assert screen.gram[0] == pytest.approx(1.0)
+        assert screen.gram[2] == pytest.approx(
+            float(np.dot(rows[2], rows[1])) ** 2)
+
     def test_unresolvable_and_non_finite_slots_stay_open(self, small_dataset):
         state = ModelState.empty(small_dataset).add_feature(0)
         screen = Screen(small_dataset)
