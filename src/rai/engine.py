@@ -223,8 +223,10 @@ def run_rai(dataset: Dataset,
     without further arithmetic.  That first open candidate (near or
     above the threshold, nearly collinear, constant or non-finite) goes
     through `test_candidate` with its `term_column`, so each decision,
-    basis vector and residual comes from the exact scalar path.  The
-    screen rescores only after a rejection or a realization.
+    basis vector and residual comes from the exact scalar path.  Each
+    screen chunk takes in the rejections' basis vectors when the stretch
+    reaches it, and only then are its slots rescored; a realization
+    rescores every slot.
     """
     if config is None:
         config = RaiConfig()
@@ -242,7 +244,8 @@ def run_rai(dataset: Dataset,
     slots = np.arange(dataset.p)
 
     termination = None
-    # the screen's (|t|, low, high), until the model or the screen grows
+    # the screen's (|t|, low, high); each chunk's slots are rescored in
+    # place after it takes something in, all of them after a realization
     scores = None
     s = 1
     while s <= max_passes:
@@ -260,17 +263,26 @@ def run_rai(dataset: Dataset,
                 block, _, _ = realize(queue[i:i + count], dataset.raw)
                 slots = np.append(slots, screen.add_columns(block))
                 scores = None
-            if scores is None:
-                if state.df < 1:
-                    # saturated model: nothing further is testable
-                    termination = TERMINATED_STREAM
+            if state.df < 1:
+                # saturated model: nothing further is testable
+                termination = TERMINATED_STREAM
+                break
+            # charge the stretch the screen settles below the threshold as
+            # one run; each chunk it reaches first takes in what it lacks
+            stop = i
+            while stop < len(slots):
+                span, took = screen.catch_up(int(slots[stop]))
+                if scores is None:
+                    scores = screen.t_abs(state.df, slice(None))
+                elif took:
+                    for old, new in zip(scores, screen.t_abs(state.df, span)):
+                        old[span] = new
+                t_all, t_low, t_high = scores
+                chunk = slots[stop:int(np.searchsorted(slots, span.stop))]
+                unsettled = np.flatnonzero(~(t_high[chunk] <= safe_below))
+                stop += int(unsettled[0]) if len(unsettled) else len(chunk)
+                if len(unsettled):
                     break
-                scores = screen.t_abs(state.df)
-            t_all, t_low, t_high = scores
-            # charge the stretch the screen settles below the threshold
-            # as one run, which ends early only when the wealth runs out
-            unsettled = np.flatnonzero(~(t_high[slots[i:]] <= safe_below))
-            stop = i + int(unsettled[0]) if len(unsettled) else len(slots)
             if stop > i:
                 i += ledger.spend(alpha, queue[i:stop], s,
                                   t_all[slots[i:stop]])
@@ -298,15 +310,14 @@ def run_rai(dataset: Dataset,
                         max_order=config.max_interaction_order, seen=seen)
                     seen.update(added)
                     queue += added
-                scores = None
         if termination is not None:
             break
         if not queue:
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
-            # every queued term has a screen slot, and no rejection has
-            # changed the scores since they were computed
+            # every queued term has a screen slot, the pass caught up and
+            # scored the chunk of each, and no rejection came after
             best = _exact_max_t(queue, slots, t_low, t_high, state)
             before = ledger.wealth
             s_next, halted, charged = skip_passes(

@@ -20,6 +20,7 @@ take everything else through the exact ModelState arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 import warnings
@@ -281,6 +282,10 @@ SCREEN_ERR = 1e-12
 # as well; closer calls are left to the exact path.
 SCREEN_MARGIN = 1e-7
 
+# A screen chunk holds about this many bytes of rows, so it stays in a
+# 2 MiB L2 cache while it takes in every basis vector it has pending.
+CHUNK_BYTES = 2 ** 20
+
 # Below this screened adjusted norm^2, 1 - ||Q^T x||^2 has cancelled too
 # far to stand in for the explicit Gram-Schmidt norm.
 SCREEN_MIN_NORM2 = 1e-4
@@ -300,10 +305,11 @@ class Screen:
     unit-norm candidate x has adjusted norm^2 1 - ||Q^T x||^2, and as r
     is orthogonal to Q, its inner product with the adjusted column is
     simply x . r.  The screen keeps ||Q^T x||^2 and x . r for every
-    slot, so a whole stream is scored in a few vectorized operations,
-    and each new basis vector costs one GEMV over the slots.  Slots
-    0..p-1 are the dataset's columns, read in place as rows;
-    `add_columns` appends more (interaction columns).
+    slot, so a whole stream is scored in a few vectorized operations.
+    Slots 0..p-1 are the dataset's columns, read in place as rows;
+    `add_columns` appends more (interaction columns).  The slots are
+    kept in chunks of about CHUNK_BYTES of rows, and a chunk takes in
+    the basis vectors it lacks, all at once, when `catch_up` reaches it.
 
     Screened scores come with intervals that hold the exact scores.
     Callers decide with them only what the intervals settle and send
@@ -311,29 +317,42 @@ class Screen:
     """
 
     def __init__(self, dataset: Dataset):
-        self._blocks = [dataset.columns.T]
+        self._rows = max(1, CHUNK_BYTES // (8 * dataset.n))
+        self._chunks = []       # [first slot, rows, vectors taken in]
+        self._basis = []        # (q, r . q) for every synced q
         self._state = ModelState.empty(dataset)             # last synced
-        self.gram = np.zeros(dataset.p)                     # ||Q^T x||^2
-        self.inner = dataset.correlations.copy()            # x . r
+        self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
         self.rnorm = float(np.linalg.norm(dataset.response))
-
-    def _products(self, v: np.ndarray) -> np.ndarray:
-        """x . v for every slot, one GEMV per block."""
-        return np.concatenate([block @ v for block in self._blocks])
+        self.add_columns(dataset.columns.T)
 
     def sync(self, state: ModelState) -> None:
-        """Take in the basis vectors `state` added since the last sync.
+        """Record the basis vectors `state` added since the last sync.
 
-        Each costs one GEMV over the slots: r loses its component along
-        q, so every x . r drops by (r . q)(x . q) rather than being
-        recomputed.
+        r loses its component along each new q, so every x . r drops by
+        (r . q)(x . q) rather than being recomputed.  All the new q take
+        r . q against the last synced r: the residual each q was added
+        to differs from it only along the earlier new q, orthogonal to q.
         """
-        for q in state.basis[len(self._state.basis):]:
-            g = self._products(q)
-            self.gram += g * g
-            self.inner -= float(np.dot(self._state.residual, q)) * g
+        for q in state.basis[len(self._basis):]:
+            self._basis.append((q, float(np.dot(self._state.residual, q))))
         self._state = state
         self.rnorm = float(np.linalg.norm(state.residual))
+
+    def catch_up(self, slot: int) -> tuple[slice, bool]:
+        """Take in the synced vectors that the chunk holding `slot` lacks,
+        one GEMV each; return the chunk's slots and whether it took
+        anything in."""
+        chunk = self._chunks[bisect.bisect(self._chunks, slot,
+                                           key=lambda c: c[0]) - 1]
+        start, rows, taken = chunk
+        end = start + len(rows)
+        gram, inner = self.gram[start:end], self.inner[start:end]
+        for q, coef in self._basis[taken:]:
+            g = rows @ q
+            gram += g * g
+            inner -= coef * g
+        chunk[2] = len(self._basis)
+        return slice(start, end), taken < len(self._basis)
 
     def add_columns(self, block: np.ndarray) -> np.ndarray:
         """Append the rows of `block`, unit-norm columns as `realize`
@@ -341,24 +360,32 @@ class Screen:
         and return those.  The screen keeps the block, not a copy, and
         never trusts a row that is not finite."""
         start = len(self.gram)
-        gram = np.zeros(len(block))
-        for q in self._state.basis:
-            gram += (block @ q) ** 2
-        self._blocks.append(block)
-        self.gram = np.concatenate((self.gram, gram))
-        self.inner = np.concatenate((self.inner, block @ self._state.residual))
+        self._chunks += [[start + a, block[a:a + self._rows], 0]
+                         for a in range(0, len(block), self._rows)]
+        ds = self._state.dataset
+        # the design's own products with the response are cached with it
+        inner = ds.correlations if start == 0 else block @ ds.response
+        self.gram = np.concatenate((self.gram, np.zeros(len(block))))
+        self.inner = np.concatenate((self.inner, inner))
         return np.arange(start, start + len(block))
 
-    def rho_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(|rho|, low, high) for every slot.
+    def rho_bounds(self, span: slice | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(|rho|, low, high) for every slot, or for the slots in `span`.
 
         rho is the partial correlation of the slot with the residual;
         [low, high] holds its exact value, allowing SCREEN_ERR in every
         cached product.  A slot whose adjusted norm is too small to
-        resolve, or whose column is not finite, gets [0, inf].
+        resolve, or whose column is not finite, gets [0, inf].  Without
+        `span` every chunk is caught up first; with it the slots score
+        as they stand, the synced model only once their chunks are.
         """
-        c = np.abs(self.inner)
-        norm2 = 1.0 - self.gram
+        if span is None:
+            span = slice(None)
+            for chunk in self._chunks:
+                self.catch_up(chunk[0])
+        c = np.abs(self.inner[span])
+        norm2 = 1.0 - self.gram[span]
         floor = max(SCREEN_MIN_NORM2, (2.0 * COLLINEARITY_TOL) ** 2)
         trusted = (norm2 >= floor) & np.isfinite(c)
         with np.errstate(all="ignore"):
@@ -370,14 +397,15 @@ class Screen:
         high[~trusted] = np.inf
         return rho, low, high
 
-    def t_abs(self, df: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(|t|, low, high) for every slot on df degrees of freedom."""
-        rho, low, high = self.rho_bounds()
+    def t_abs(self, df: int, span: slice | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(|t|, low, high) on df degrees of freedom, as `rho_bounds`."""
+        rho, low, high = self.rho_bounds(span)
         if self.rnorm < RESIDUAL_TOL:
             # an exhausted residual scores every candidate 0, as the
             # exact path does; only untrusted slots stay open
-            zero = np.zeros_like(rho)
-            return zero, zero, np.where(np.isinf(high), np.inf, 0.0)
+            return (np.zeros_like(rho), np.zeros_like(rho),
+                    np.where(np.isinf(high), np.inf, 0.0))
         return tuple(_t_of(np.stack((rho, low, high)), df))
 
 

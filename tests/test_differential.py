@@ -262,6 +262,13 @@ def test_engines_agree(capsys, family, make):
     run_family(capsys, family, make)
 
 
+def test_engines_agree_across_chunk_boundaries(capsys, monkeypatch):
+    # screen chunks of 1 to 8 rows at these n, so that rejections, lazy
+    # catch-ups and realized blocks all fall across chunk boundaries
+    monkeypatch.setattr(rai.kernel, "CHUNK_BYTES", 2 ** 11)
+    run_family(capsys, "interactions, small chunks", with_interactions)
+
+
 def signed_design(rng):
     # interactions over gaussian columns, a +-1 column and a 0/1 column
     n = int(rng.integers(40, 250))

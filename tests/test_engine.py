@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -486,32 +487,78 @@ class TestRunRai:
 
     def test_screen_rescored_only_after_rejection_or_realization(
             self, monkeypatch):
-        log = []
+        """Each chunk of two slots takes in each basis vector exactly
+        once, and the screen is rescored only after a realization or a
+        catch-up that took something in, which a rejection brings about;
+        never after an exact test that changed nothing."""
+        monkeypatch.setattr(rai.kernel, "CHUNK_BYTES", 8 * 300 * 2)
+        log, screens, chunks = [], [], set()
+        # (address of a chunk's rows, basis index) -> products taken
+        products = Counter()
+
+        class Counted(np.ndarray):
+            # a basis vector that counts the chunk products taken with it
+            def __rmatmul__(self, rows):
+                products[rows.ctypes.data, self.index] += 1
+                return rows @ self.view(np.ndarray)
+
+        def counted(state):
+            basis = []
+            for index, q in enumerate(state.basis):
+                basis.append(q.view(Counted))
+                basis[-1].index = index
+            return ModelState(state.dataset, state.selected, tuple(basis),
+                              state.residual, state.r_squared)
 
         def logged(name, call):
             def wrapper(*args, **kwargs):
                 out = call(*args, **kwargs)
-                log.append(out[0] if name == "test_candidate" else name)
+                log.append({"test_candidate": out[0], "t_abs": name,
+                            "catch_up": (name, out[1])}.get(name, name))
                 return out
             return wrapper
 
-        monkeypatch.setattr(Screen, "t_abs", logged("t_abs", Screen.t_abs))
-        monkeypatch.setattr(Screen, "add_columns",
-                            logged("add_columns", Screen.add_columns))
+        def appended(screen, block):
+            chunks.update(block[a:].ctypes.data
+                          for a in range(0, len(block), 2))
+            return add_columns(screen, block)
+
+        init, sync, add_columns = (Screen.__init__, Screen.sync,
+                                   Screen.add_columns)
+        monkeypatch.setattr(Screen, "__init__", lambda screen, ds: (
+            screens.append(screen), init(screen, ds))[-1])
+        monkeypatch.setattr(Screen, "sync", lambda screen, state: sync(
+            screen, counted(state)))
+        monkeypatch.setattr(Screen, "add_columns", appended)
+        for name in ("t_abs", "catch_up", "add_columns"):
+            monkeypatch.setattr(Screen, name, logged(name,
+                                                     getattr(Screen, name)))
         monkeypatch.setattr(rai.engine, "test_candidate", logged(
             "test_candidate", rai.engine.test_candidate))
-        run_rai(self.duplicate_and_sign_design(),
-                RaiConfig(interactions=True))
-        assert log[0] == "t_abs"
-        for before, call in zip(log, log[1:]):
-            if call == "t_abs":
-                assert before in (REJECTED, "add_columns"), log
+        state, _ = run_rai(self.duplicate_and_sign_design(),
+                           RaiConfig(interactions=True))
+        # the screen's first block is the design, appended as it is built
+        assert log[:3] == ["add_columns", ("catch_up", False), "t_abs"]
+        for k in [k for k, entry in enumerate(log) if entry == "t_abs"]:
+            # a rescore follows a catch-up that took something in, or the
+            # first catch-up after a realization
+            assert log[k - 1] == ("catch_up", True) or (
+                log[k - 2] == "add_columns"), log[:k + 1]
+        # and every catch-up that took something in is rescored
+        for k, entry in enumerate(log):
+            if entry == ("catch_up", True):
+                assert log[k + 1] == "t_abs", log[:k + 2]
         # exact tests that changed nothing, each with more of the pass
         # to come, so a rescore after them would show
         for decision in (NOT_REJECTED, REMOVED_COLLINEAR):
             assert decision in log[:-1], log
-        assert log.count("t_abs") == 1 + log.count(REJECTED) + log.count(
-            "add_columns")
+        # the run took in no vector twice; a full catch-up then takes in
+        # each vector in every chunk that still lacked it
+        assert products and max(products.values()) == 1
+        screens[0].rho_bounds()
+        assert len(chunks) > 2
+        assert products == Counter(
+            {(a, i): 1 for a in chunks for i in range(state.size)})
 
     def test_duplicate_and_constant_monomial_dropped_without_charge(self):
         _, trace = run_rai(self.duplicate_and_sign_design(),

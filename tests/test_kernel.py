@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ import rai
 from rai import FeatureTerm, ModelState, fit_terms, standardize
 from rai.errors import (AllColumnsConstant, CollinearFeature,
                         ConstantResponse, SingularSubset)
-from rai.kernel import COLLINEARITY_TOL, T_STAT_MAX, Screen
+from rai.kernel import COLLINEARITY_TOL, SCREEN_ERR, T_STAT_MAX, Screen
 
 from conftest import (ols_fit, ols_r2, ols_t_stats, projected_gain,
                       projector_r2, random_raw)
@@ -420,9 +422,95 @@ class TestScreen:
             assert t[slot] == pytest.approx(abs(exact_t), rel=1e-9,
                                             abs=1e-12)
 
+    @given(seeds, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_catch_up_holds_exact_scores(self, seed, data):
+        """With chunks of a few rows, any interleaving of syncs, appended
+        columns, one-chunk catch-ups and full catch-ups leaves every
+        caught-up slot bracketing the exact score, and a full catch-up
+        matches a fresh Q^T x and x . r."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 80))
+        X, y = random_raw(seed, n, int(rng.integers(3, 25)),
+                          correlated=bool(seed % 2))
+        ds = standardize(X, y)
+        rows = data.draw(st.integers(1, 4), label="rows per chunk")
+        with mock.patch.object(rai.kernel, "CHUNK_BYTES", 8 * n * rows):
+            screen = Screen(ds)
+        # [first slot, end, basis vectors taken in] of every chunk
+        chunks = [[a, min(a + rows, ds.p), 0] for a in range(0, ds.p, rows)]
+        columns = list(ds.columns.T)
+        state = synced = ModelState.empty(ds)
+        ops = data.draw(st.lists(st.sampled_from(
+            ["add", "sync", "columns", "catch", "full"]), max_size=16))
+        for op in ops:
+            if op == "add" and state.size < min(ds.p - 1, 5):
+                j = data.draw(st.sampled_from(
+                    sorted(set(range(ds.p)) - set(state.selected))))
+                state = state.add_feature(j)
+            elif op == "sync":
+                screen.sync(state)
+                synced = state
+            elif op == "columns":
+                extra = rng.normal(size=(int(rng.integers(1, 6)), n))
+                extra -= extra.mean(axis=1, keepdims=True)
+                extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+                start = len(columns)
+                assert screen.add_columns(extra).tolist() == list(
+                    range(start, start + len(extra)))
+                columns += list(extra)
+                chunks += [[a, min(a + rows, len(columns)), 0]
+                           for a in range(start, len(columns), rows)]
+            elif op == "catch":
+                slot = data.draw(st.integers(0, len(columns) - 1))
+                chunk = next(c for c in chunks if c[0] <= slot < c[1])
+                span = slice(chunk[0], chunk[1])
+                assert screen.catch_up(slot) == (span, chunk[2] < synced.size)
+                chunk[2] = synced.size
+                # a chunk scores alone as it does among all the slots
+                for part, whole in zip(screen.rho_bounds(span),
+                                       screen.rho_bounds(slice(None))):
+                    assert np.array_equal(part, whole[span], equal_nan=True)
+            elif op == "full":
+                screen.rho_bounds()
+                for chunk in chunks:
+                    chunk[2] = synced.size
+                x = np.array(columns)
+                fresh = x @ np.array(synced.basis).reshape(synced.size, n).T
+                assert np.abs(screen.gram - (fresh ** 2).sum(axis=1)).max() \
+                    <= SCREEN_ERR
+                assert np.abs(screen.inner - x @ synced.residual).max() \
+                    <= SCREEN_ERR
+            _, low, high = screen.rho_bounds(slice(None))
+            for start, end, taken in chunks:
+                if taken < synced.size:
+                    continue    # not caught up: its bounds may be stale
+                for slot in range(start, end):
+                    _, nrm, rho, _ = synced.score(columns[slot])
+                    if nrm ** 2 >= 1e-3:
+                        assert low[slot] <= abs(rho) <= high[slot]
+
+    def test_one_sync_takes_in_several_vectors(self, correlated_dataset):
+        # every new q of one sync takes r . q against the residual the
+        # screen last saw, which differs from the residual q was added
+        # to only along the earlier new vectors, all orthogonal to q
+        ds = correlated_dataset
+        state = ModelState.empty(ds).add_feature(0)
+        screen = Screen(ds)
+        screen.sync(state)
+        state = state.add_feature(3).add_feature(5)
+        screen.sync(state)
+        _, low, high = screen.rho_bounds()
+        assert np.abs(screen.inner - ds.columns.T @ state.residual).max() \
+            <= SCREEN_ERR
+        for slot, column in enumerate(ds.columns.T):
+            _, nrm, rho, _ = state.score(column)
+            if nrm ** 2 >= 1e-3:
+                assert low[slot] <= abs(rho) <= high[slot]
+
     def test_design_rows_are_read_in_place(self, small_dataset):
         # slots 0..p-1 score the design's own rows, not a copy: a write
-        # to row 0 shows in the next sync's products
+        # to row 0 shows in the products of the next catch-up
         ds = small_dataset
         rows = ds.columns.T.copy()
         own = rai.Dataset(rows.T, ds.response, ds.names, ds.response_mean,
@@ -430,6 +518,7 @@ class TestScreen:
         screen = Screen(own)
         rows[0] = rows[1]
         screen.sync(ModelState.empty(own).add_feature(1))
+        screen.rho_bounds()
         assert screen.gram[0] == pytest.approx(1.0)
         assert screen.gram[2] == pytest.approx(
             float(np.dot(rows[2], rows[1])) ** 2)
