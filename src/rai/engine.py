@@ -192,16 +192,17 @@ def skip_passes(terms, best: float, ledger: WealthLedger, s: int, n: int,
     return s_prime, False, charged
 
 
-def _exact_max_t(terms, slots: np.ndarray, low: np.ndarray,
-                 high: np.ndarray, state: ModelState) -> float:
+def _exact_max_t(terms, slots: np.ndarray, screen: Screen,
+                 state: ModelState) -> float:
     """The exact largest |t| over `terms`, at the screen slots `slots`.
 
-    low[slot] and high[slot] bound each exact |t|, so only terms whose
-    high bound reaches the largest low bound can hold the maximum, and
-    only they are scored exactly.  A high bound of 0 is already exact.
+    The screen's last low and high bounds on each slot hold its exact
+    |t|, so only terms whose high bound reaches the largest low bound
+    can hold the maximum, and only they are scored exactly.  A high
+    bound of 0 is already exact.
     """
-    top = high[slots]
-    reach = np.flatnonzero((top >= low[slots].max()) & (top > 0.0))
+    _, low, high = screen.t[:, slots]
+    reach = np.flatnonzero((high >= low.max()) & (high > 0.0))
     return max((abs(state.score(term_column(state.dataset, terms[k]))[3])
                 for k in reach.tolist()), default=0.0)
 
@@ -215,18 +216,13 @@ def run_rai(dataset: Dataset,
     stream.  Returns the final model state (selected entries are
     FeatureTerms) and the full trace.
 
-    A pass is one repeated step: charge the settled stretch, test the
-    first open candidate.  A Screen scores every realized candidate from
-    cached inner products; the stretch of candidates from the current
-    one up to the first whose upper bound is not safely below the
-    threshold is charged and logged as not rejected in one ledger call,
-    without further arithmetic.  That first open candidate (near or
-    above the threshold, nearly collinear, constant or non-finite) goes
-    through `test_candidate` with its `term_column`, so each decision,
-    basis vector and residual comes from the exact scalar path.  Each
-    screen chunk takes in the rejections' basis vectors when the stretch
-    reaches it, and only then are its slots rescored; a realization
-    rescores every slot.
+    A pass is one repeated step: settle, spend, exact test.  The
+    Screen settles the stretch of candidates from the current one up to
+    the first whose screened |t| is not safely below the threshold; the
+    stretch is charged and logged as not rejected in one ledger call.
+    That first open candidate goes through `test_candidate` with its
+    `term_column`, so each decision, basis vector and residual comes
+    from the exact scalar path.
     """
     if config is None:
         config = RaiConfig()
@@ -244,9 +240,6 @@ def run_rai(dataset: Dataset,
     slots = np.arange(dataset.p)
 
     termination = None
-    # the screen's (|t|, low, high); each chunk's slots are rescored in
-    # place after it takes something in, all of them after a realization
-    scores = None
     s = 1
     while s <= max_passes:
         trace.passes_traversed = s
@@ -262,30 +255,14 @@ def run_rai(dataset: Dataset,
                 count = min(len(queue) - i, int(ledger.wealth / alpha) + 1)
                 block, _, _ = realize(queue[i:i + count], dataset.raw)
                 slots = np.append(slots, screen.add_columns(block))
-                scores = None
             if state.df < 1:
                 # saturated model: nothing further is testable
                 termination = TERMINATED_STREAM
                 break
-            # charge the stretch the screen settles below the threshold as
-            # one run; each chunk it reaches first takes in what it lacks
-            stop = i
-            while stop < len(slots):
-                span, took = screen.catch_up(int(slots[stop]))
-                if scores is None:
-                    scores = screen.t_abs(state.df, slice(None))
-                elif took:
-                    for old, new in zip(scores, screen.t_abs(state.df, span)):
-                        old[span] = new
-                t_all, t_low, t_high = scores
-                chunk = slots[stop:int(np.searchsorted(slots, span.stop))]
-                unsettled = np.flatnonzero(~(t_high[chunk] <= safe_below))
-                stop += int(unsettled[0]) if len(unsettled) else len(chunk)
-                if len(unsettled):
-                    break
-            if stop > i:
-                i += ledger.spend(alpha, queue[i:stop], s,
-                                  t_all[slots[i:stop]])
+            # charge the stretch the screen settles below the threshold
+            t = screen.settled(slots[i:], safe_below)
+            if len(t):
+                i += ledger.spend(alpha, queue[i:i + len(t)], s, t)
                 if i == len(slots):
                     continue
             # the first open candidate, or one the wealth cannot pay for
@@ -316,9 +293,9 @@ def run_rai(dataset: Dataset,
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
-            # every queued term has a screen slot, the pass caught up and
-            # scored the chunk of each, and no rejection came after
-            best = _exact_max_t(queue, slots, t_low, t_high, state)
+            # the pass settled or tested every queued term after the last
+            # rejection, so the screen's bounds on each are current
+            best = _exact_max_t(queue, slots, screen, state)
             before = ledger.wealth
             s_next, halted, charged = skip_passes(
                 queue, best, ledger, s, n, max_passes)

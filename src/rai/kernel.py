@@ -309,7 +309,8 @@ class Screen:
     Slots 0..p-1 are the dataset's columns, read in place as rows;
     `add_columns` appends more (interaction columns).  The slots are
     kept in chunks of about CHUNK_BYTES of rows, and a chunk takes in
-    the basis vectors it lacks, all at once, when `catch_up` reaches it.
+    the basis vectors it lacks, all at once, only when `settled` or
+    `rho_bounds` reaches it.
 
     Screened scores come with intervals that hold the exact scores.
     Callers decide with them only what the intervals settle and send
@@ -318,10 +319,12 @@ class Screen:
 
     def __init__(self, dataset: Dataset):
         self._rows = max(1, CHUNK_BYTES // (8 * dataset.n))
-        self._chunks = []       # [first slot, rows, vectors taken in]
-        self._basis = []        # (q, r . q) for every synced q
+        # [first slot, rows, vectors taken in, ditto at last scoring or None]
+        self._chunks = []
+        self._coefs = []        # r . q for every synced q
         self._state = ModelState.empty(dataset)             # last synced
         self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
+        self.t = np.zeros((3, 0))   # (|t|, low, high) as last scored
         self.rnorm = float(np.linalg.norm(dataset.response))
         self.add_columns(dataset.columns.T)
 
@@ -333,26 +336,44 @@ class Screen:
         r . q against the last synced r: the residual each q was added
         to differs from it only along the earlier new q, orthogonal to q.
         """
-        for q in state.basis[len(self._basis):]:
-            self._basis.append((q, float(np.dot(self._state.residual, q))))
+        for q in state.basis[len(self._coefs):]:
+            self._coefs.append(float(np.dot(self._state.residual, q)))
         self._state = state
         self.rnorm = float(np.linalg.norm(state.residual))
 
-    def catch_up(self, slot: int) -> tuple[slice, bool]:
-        """Take in the synced vectors that the chunk holding `slot` lacks,
-        one GEMV each; return the chunk's slots and whether it took
-        anything in."""
-        chunk = self._chunks[bisect.bisect(self._chunks, slot,
-                                           key=lambda c: c[0]) - 1]
-        start, rows, taken = chunk
-        end = start + len(rows)
-        gram, inner = self.gram[start:end], self.inner[start:end]
-        for q, coef in self._basis[taken:]:
+    def _catch_up(self, chunk: list) -> slice:
+        """Have `chunk` take in the synced vectors it lacks, one GEMV
+        each, and return its slots."""
+        start, rows, taken, _ = chunk
+        span = slice(start, start + len(rows))
+        gram, inner = self.gram[span], self.inner[span]
+        for q, coef in zip(self._state.basis[taken:], self._coefs[taken:]):
             g = rows @ q
             gram += g * g
             inner -= coef * g
-        chunk[2] = len(self._basis)
-        return slice(start, end), taken < len(self._basis)
+        chunk[2] = len(self._coefs)
+        return span
+
+    def settled(self, slots: np.ndarray, below: float) -> np.ndarray:
+        """The screened |t| of the leading `slots` (ascending) whose upper
+        bound lies at or below `below`, at the synced model.  Each chunk
+        the walk reaches takes in what it lacks, and is rescored if it
+        took anything in since it was last scored or never was."""
+        stop = 0
+        while stop < len(slots):
+            chunk = self._chunks[bisect.bisect(
+                self._chunks, int(slots[stop]), key=lambda c: c[0]) - 1]
+            span = self._catch_up(chunk)
+            if chunk[3] != chunk[2]:
+                self.t[:, span] = self._t_abs(span)
+                chunk[3] = chunk[2]
+            end = int(np.searchsorted(slots, span.stop))
+            unsettled = np.flatnonzero(~(self.t[2, slots[stop:end]] <= below))
+            if len(unsettled):
+                stop += int(unsettled[0])
+                break
+            stop = end
+        return self.t[0, slots[:stop]]
 
     def add_columns(self, block: np.ndarray) -> np.ndarray:
         """Append the rows of `block`, unit-norm columns as `realize`
@@ -360,30 +381,31 @@ class Screen:
         and return those.  The screen keeps the block, not a copy, and
         never trusts a row that is not finite."""
         start = len(self.gram)
-        self._chunks += [[start + a, block[a:a + self._rows], 0]
+        self._chunks += [[start + a, block[a:a + self._rows], 0, None]
                          for a in range(0, len(block), self._rows)]
         ds = self._state.dataset
         # the design's own products with the response are cached with it
         inner = ds.correlations if start == 0 else block @ ds.response
         self.gram = np.concatenate((self.gram, np.zeros(len(block))))
         self.inner = np.concatenate((self.inner, inner))
+        self.t = np.hstack((self.t, np.full((3, len(block)), np.nan)))
         return np.arange(start, start + len(block))
 
-    def rho_bounds(self, span: slice | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(|rho|, low, high) for every slot, or for the slots in `span`.
+    def rho_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(|rho|, low, high) for every slot at the synced model; every
+        chunk takes in what it lacks first.
 
         rho is the partial correlation of the slot with the residual;
         [low, high] holds its exact value, allowing SCREEN_ERR in every
         cached product.  A slot whose adjusted norm is too small to
-        resolve, or whose column is not finite, gets [0, inf].  Without
-        `span` every chunk is caught up first; with it the slots score
-        as they stand, the synced model only once their chunks are.
+        resolve, or whose column is not finite, gets [0, inf].
         """
-        if span is None:
-            span = slice(None)
-            for chunk in self._chunks:
-                self.catch_up(chunk[0])
+        for chunk in self._chunks:
+            self._catch_up(chunk)
+        return self._rho_bounds(slice(None))
+
+    def _rho_bounds(self, span: slice):
+        """`rho_bounds` of the `span` slots, from their products as is."""
         c = np.abs(self.inner[span])
         norm2 = 1.0 - self.gram[span]
         floor = max(SCREEN_MIN_NORM2, (2.0 * COLLINEARITY_TOL) ** 2)
@@ -397,16 +419,15 @@ class Screen:
         high[~trusted] = np.inf
         return rho, low, high
 
-    def t_abs(self, df: int, span: slice | None = None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(|t|, low, high) on df degrees of freedom, as `rho_bounds`."""
-        rho, low, high = self.rho_bounds(span)
+    def _t_abs(self, span: slice):
+        """(|t|, low, high) of the `span` slots on the synced df, likewise."""
+        rho, low, high = self._rho_bounds(span)
         if self.rnorm < RESIDUAL_TOL:
             # an exhausted residual scores every candidate 0, as the
             # exact path does; only untrusted slots stay open
             return (np.zeros_like(rho), np.zeros_like(rho),
                     np.where(np.isinf(high), np.inf, 0.0))
-        return tuple(_t_of(np.stack((rho, low, high)), df))
+        return _t_of(np.stack((rho, low, high)), self._state.df)
 
 
 # -- whole-subset operations, by fresh orthogonalization ----------------

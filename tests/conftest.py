@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from rai import standardize
+from rai import ModelState, standardize
 from rai.wealth import NOT_REJECTED, REJECTED, SKIPPED
 
 
@@ -135,6 +135,28 @@ def random_raw(seed, n, p, correlated=False):
     beta = rng.normal(size=k) * 1.5
     y = X[:, :k] @ beta + rng.normal(size=n)
     return X, y
+
+
+def counting(products):
+    """A function that returns a state like the one it is given, but
+    whose basis vectors count each product `rows @ q` a screen chunk
+    takes with them, in products[(address of the rows, index of q)].
+    The products keep their bits."""
+
+    class Counted(np.ndarray):
+        def __rmatmul__(self, rows):
+            products[rows.ctypes.data, self.index] += 1
+            return rows @ self.view(np.ndarray)
+
+    def counted(state):
+        basis = []
+        for index, q in enumerate(state.basis):
+            basis.append(q.view(Counted))
+            basis[-1].index = index
+        return ModelState(state.dataset, state.selected, tuple(basis),
+                          state.residual, state.r_squared)
+
+    return counted
 
 
 def charges(ledger):

@@ -17,7 +17,7 @@ from rai.kernel import Screen
 from rai.terms import term_column
 
 import reference_engine as ref
-from conftest import charges, entries, random_raw
+from conftest import charges, counting, entries, random_raw
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -284,14 +284,15 @@ class TestExactMaxT:
         for j in range(data.draw(st.integers(0, 3))):
             state = state.add_feature(j)
         screen.sync(state)
-        _, low, high = screen.t_abs(state.df)
+        # no bound is above inf, so every slot is scored
+        screen.settled(np.arange(p + 3), np.inf)
         finite = [j for j in range(p + 3) if j != p + 1]
         slots = np.array(data.draw(st.lists(
             st.sampled_from(finite), min_size=1, max_size=p + 2,
             unique=True)))
         terms = [pool[j] for j in slots]
         want = max(abs(state.score(term_column(ds, t))[3]) for t in terms)
-        got = _exact_max_t(terms, slots, low, high, state)
+        got = _exact_max_t(terms, slots, screen, state)
         assert got.hex() == want.hex()
         if design == "exact_fit" and state.size >= 2:
             assert got == 0.0
@@ -488,66 +489,66 @@ class TestRunRai:
     def test_screen_rescored_only_after_rejection_or_realization(
             self, monkeypatch):
         """Each chunk of two slots takes in each basis vector exactly
-        once, and the screen is rescored only after a realization or a
-        catch-up that took something in, which a rejection brings about;
-        never after an exact test that changed nothing."""
+        once, and a chunk is rescored only when the walk reaches it
+        after it took something in, which a rejection brings about, or
+        after it was appended; never after an exact test that changed
+        nothing."""
         monkeypatch.setattr(rai.kernel, "CHUNK_BYTES", 8 * 300 * 2)
         log, screens, chunks = [], [], set()
         # (address of a chunk's rows, basis index) -> products taken
         products = Counter()
+        counted = counting(products)
 
-        class Counted(np.ndarray):
-            # a basis vector that counts the chunk products taken with it
-            def __rmatmul__(self, rows):
-                products[rows.ctypes.data, self.index] += 1
-                return rows @ self.view(np.ndarray)
+        def caught_up(screen, chunk):
+            before = sum(products.values())
+            span = catch_up(screen, chunk)
+            log.append(("catch_up", span.start,
+                        sum(products.values()) > before))
+            return span
 
-        def counted(state):
-            basis = []
-            for index, q in enumerate(state.basis):
-                basis.append(q.view(Counted))
-                basis[-1].index = index
-            return ModelState(state.dataset, state.selected, tuple(basis),
-                              state.residual, state.r_squared)
+        def rescored(screen, span):
+            log.append(("t_abs", span.start))
+            return t_abs(screen, span)
 
-        def logged(name, call):
-            def wrapper(*args, **kwargs):
-                out = call(*args, **kwargs)
-                log.append({"test_candidate": out[0], "t_abs": name,
-                            "catch_up": (name, out[1])}.get(name, name))
-                return out
-            return wrapper
+        def tested(*args, **kwargs):
+            out = test_candidate(*args, **kwargs)
+            log.append(out[0])
+            return out
 
         def appended(screen, block):
+            log.append("add_columns")
             chunks.update(block[a:].ctypes.data
                           for a in range(0, len(block), 2))
             return add_columns(screen, block)
 
-        init, sync, add_columns = (Screen.__init__, Screen.sync,
-                                   Screen.add_columns)
+        init, sync, add_columns, catch_up, t_abs = (
+            Screen.__init__, Screen.sync, Screen.add_columns,
+            Screen._catch_up, Screen._t_abs)
+        test_candidate = rai.engine.test_candidate
         monkeypatch.setattr(Screen, "__init__", lambda screen, ds: (
             screens.append(screen), init(screen, ds))[-1])
         monkeypatch.setattr(Screen, "sync", lambda screen, state: sync(
             screen, counted(state)))
         monkeypatch.setattr(Screen, "add_columns", appended)
-        for name in ("t_abs", "catch_up", "add_columns"):
-            monkeypatch.setattr(Screen, name, logged(name,
-                                                     getattr(Screen, name)))
-        monkeypatch.setattr(rai.engine, "test_candidate", logged(
-            "test_candidate", rai.engine.test_candidate))
+        monkeypatch.setattr(Screen, "_catch_up", caught_up)
+        monkeypatch.setattr(Screen, "_t_abs", rescored)
+        monkeypatch.setattr(rai.engine, "test_candidate", tested)
         state, _ = run_rai(self.duplicate_and_sign_design(),
                            RaiConfig(interactions=True))
         # the screen's first block is the design, appended as it is built
-        assert log[:3] == ["add_columns", ("catch_up", False), "t_abs"]
-        for k in [k for k, entry in enumerate(log) if entry == "t_abs"]:
-            # a rescore follows a catch-up that took something in, or the
-            # first catch-up after a realization
-            assert log[k - 1] == ("catch_up", True) or (
-                log[k - 2] == "add_columns"), log[:k + 1]
-        # and every catch-up that took something in is rescored
+        assert log[:3] == ["add_columns", ("catch_up", 0, False),
+                           ("t_abs", 0)]
+        scored = set()
         for k, entry in enumerate(log):
-            if entry == ("catch_up", True):
-                assert log[k + 1] == "t_abs", log[:k + 2]
+            if entry[0] == "t_abs":
+                # a rescore follows the catch-up of its chunk, which took
+                # something in or was the chunk's first
+                assert log[k - 1][:2] == ("catch_up", entry[1]), log[:k + 1]
+                assert log[k - 1][2] or entry[1] not in scored, log[:k + 1]
+                scored.add(entry[1])
+            elif entry[0] == "catch_up" and entry[2]:
+                # and every catch-up that took something in is rescored
+                assert log[k + 1] == ("t_abs", entry[1]), log[:k + 2]
         # exact tests that changed nothing, each with more of the pass
         # to come, so a rescore after them would show
         for decision in (NOT_REJECTED, REMOVED_COLLINEAR):

@@ -1,3 +1,4 @@
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,10 @@ import rai
 from rai import FeatureTerm, ModelState, fit_terms, standardize
 from rai.errors import (AllColumnsConstant, CollinearFeature,
                         ConstantResponse, SingularSubset)
-from rai.kernel import COLLINEARITY_TOL, SCREEN_ERR, T_STAT_MAX, Screen
+from rai.kernel import (COLLINEARITY_TOL, SCREEN_ERR, T_STAT_MAX, Screen,
+                        _t_of)
 
-from conftest import (ols_fit, ols_r2, ols_t_stats, projected_gain,
+from conftest import (counting, ols_fit, ols_r2, ols_t_stats, projected_gain,
                       projector_r2, random_raw)
 from reference_kernel import (InsufficientDf, adjusted_column, gain,
                               partial_correlation, t_statistic)
@@ -386,6 +388,14 @@ class TestKernelProperties:
         np.testing.assert_allclose(state.r_squared, target, atol=1e-8)
 
 
+def unit_rows(rng, k, n):
+    """k random centred rows of unit norm, as `realize` returns them."""
+    rows = rng.normal(size=(k, n))
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
+
+
 class TestScreen:
 
     @given(seeds)
@@ -400,9 +410,7 @@ class TestScreen:
         ds = standardize(X, y)
         state = ModelState.empty(ds)
         screen = Screen(ds)
-        extra = rng.normal(size=(3, n))
-        extra -= extra.mean(axis=1, keepdims=True)
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        extra = unit_rows(rng, 3, n)
         half = int(rng.integers(0, 3))
         screen.add_columns(extra[:half])
         for j in rng.permutation(ds.p)[:min(3, ds.p - 1)]:
@@ -410,7 +418,10 @@ class TestScreen:
             screen.sync(state)
         screen.add_columns(extra[half:])
         rho, low, high = screen.rho_bounds()
-        t, t_low, t_high = screen.t_abs(state.df)
+        # no bound is above inf, so every slot settles and is scored
+        t = screen.settled(np.arange(ds.p + 3), np.inf)
+        assert len(t) == ds.p + 3
+        _, t_low, t_high = screen.t
         for slot, column in enumerate(np.vstack((ds.columns.T, extra))):
             _, nrm, exact_rho, exact_t = state.score(column)
             if nrm ** 2 < 1e-3:
@@ -426,9 +437,9 @@ class TestScreen:
     @settings(max_examples=40, deadline=None)
     def test_chunked_catch_up_holds_exact_scores(self, seed, data):
         """With chunks of a few rows, any interleaving of syncs, appended
-        columns, one-chunk catch-ups and full catch-ups leaves every
-        caught-up slot bracketing the exact score, and a full catch-up
-        matches a fresh Q^T x and x . r."""
+        columns, settles and full catch-ups leaves every slot a settle
+        scores bracketing the exact |t|, and a full catch-up matches a
+        fresh Q^T x and x . r."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 80))
         X, y = random_raw(seed, n, int(rng.integers(3, 25)),
@@ -437,12 +448,10 @@ class TestScreen:
         rows = data.draw(st.integers(1, 4), label="rows per chunk")
         with mock.patch.object(rai.kernel, "CHUNK_BYTES", 8 * n * rows):
             screen = Screen(ds)
-        # [first slot, end, basis vectors taken in] of every chunk
-        chunks = [[a, min(a + rows, ds.p), 0] for a in range(0, ds.p, rows)]
         columns = list(ds.columns.T)
         state = synced = ModelState.empty(ds)
         ops = data.draw(st.lists(st.sampled_from(
-            ["add", "sync", "columns", "catch", "full"]), max_size=16))
+            ["add", "sync", "columns", "settle", "full"]), max_size=16))
         for op in ops:
             if op == "add" and state.size < min(ds.p - 1, 5):
                 j = data.draw(st.sampled_from(
@@ -452,43 +461,119 @@ class TestScreen:
                 screen.sync(state)
                 synced = state
             elif op == "columns":
-                extra = rng.normal(size=(int(rng.integers(1, 6)), n))
-                extra -= extra.mean(axis=1, keepdims=True)
-                extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+                extra = unit_rows(rng, int(rng.integers(1, 6)), n)
                 start = len(columns)
                 assert screen.add_columns(extra).tolist() == list(
                     range(start, start + len(extra)))
                 columns += list(extra)
-                chunks += [[a, min(a + rows, len(columns)), 0]
-                           for a in range(start, len(columns), rows)]
-            elif op == "catch":
-                slot = data.draw(st.integers(0, len(columns) - 1))
-                chunk = next(c for c in chunks if c[0] <= slot < c[1])
-                span = slice(chunk[0], chunk[1])
-                assert screen.catch_up(slot) == (span, chunk[2] < synced.size)
-                chunk[2] = synced.size
-                # a chunk scores alone as it does among all the slots
-                for part, whole in zip(screen.rho_bounds(span),
-                                       screen.rho_bounds(slice(None))):
-                    assert np.array_equal(part, whole[span], equal_nan=True)
+            elif op == "settle":
+                slots = np.array(sorted(data.draw(st.sets(
+                    st.integers(0, len(columns) - 1), min_size=1))))
+                t = screen.settled(slots, np.inf)
+                assert len(t) == len(slots)
+                for slot, t_slot in zip(slots.tolist(), t.tolist()):
+                    _, nrm, _, exact = synced.score(columns[slot])
+                    if nrm ** 2 >= 1e-3:
+                        assert screen.t[1, slot] <= abs(exact) \
+                            <= screen.t[2, slot]
+                        assert t_slot == pytest.approx(
+                            abs(exact), rel=1e-9, abs=1e-12)
             elif op == "full":
-                screen.rho_bounds()
-                for chunk in chunks:
-                    chunk[2] = synced.size
+                _, low, high = screen.rho_bounds()
                 x = np.array(columns)
                 fresh = x @ np.array(synced.basis).reshape(synced.size, n).T
                 assert np.abs(screen.gram - (fresh ** 2).sum(axis=1)).max() \
                     <= SCREEN_ERR
                 assert np.abs(screen.inner - x @ synced.residual).max() \
                     <= SCREEN_ERR
-            _, low, high = screen.rho_bounds(slice(None))
-            for start, end, taken in chunks:
-                if taken < synced.size:
-                    continue    # not caught up: its bounds may be stale
-                for slot in range(start, end):
-                    _, nrm, rho, _ = synced.score(columns[slot])
+                for slot, column in enumerate(columns):
+                    _, nrm, rho, _ = synced.score(column)
                     if nrm ** 2 >= 1e-3:
                         assert low[slot] <= abs(rho) <= high[slot]
+
+    @given(seeds, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_settled_is_the_prefix_of_a_fresh_scoring(self, seed, data):
+        """With chunks of 1-4 rows and any interleaving of model growth,
+        syncs, appended columns and settles: `settled` returns, bit for
+        bit, the prefix that a fresh scoring of every slot at the synced
+        model settles; each chunk takes in each basis vector once; and
+        a chunk is rescored exactly when the walk reaches it after it
+        took something in or was appended."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 80))
+        X, y = random_raw(seed, n, int(rng.integers(3, 25)),
+                          correlated=bool(seed % 2))
+        ds = standardize(X, y)
+        rows = data.draw(st.integers(1, 4), label="rows per chunk")
+        products, rescored = Counter(), []
+        counted = counting(products)
+        score = Screen._t_abs
+
+        def logged(screen, span):
+            rescored.append(span.start)
+            return score(screen, span)
+
+        with mock.patch.object(rai.kernel, "CHUNK_BYTES", 8 * n * rows):
+            # the twin takes the same syncs and columns and is only
+            # read through a full catch-up: the fresh scoring
+            screen, twin = Screen(ds), Screen(ds)
+        # first slot -> [address of its rows, end, model size when last
+        # scored] of every chunk
+        chunks = {a: [ds.columns.T[a:].ctypes.data, min(a + rows, ds.p),
+                      None] for a in range(0, ds.p, rows)}
+        columns = list(ds.columns.T)
+        state = synced = ModelState.empty(ds)
+        ops = data.draw(st.lists(st.sampled_from(
+            ["add", "sync", "columns", "settle"]), max_size=16))
+        for op in ops:
+            if op == "add" and state.size < min(ds.p - 1, 5):
+                j = data.draw(st.sampled_from(
+                    sorted(set(range(ds.p)) - set(state.selected))))
+                state = state.add_feature(j)
+            elif op == "sync":
+                screen.sync(counted(state))
+                twin.sync(state)
+                synced = state
+            elif op == "columns":
+                extra = unit_rows(rng, int(rng.integers(1, 6)), n)
+                start = len(columns)
+                screen.add_columns(extra)
+                twin.add_columns(extra)
+                columns += list(extra)
+                chunks.update({a: [extra[a - start:].ctypes.data,
+                                   min(a + rows, len(columns)), None]
+                               for a in range(start, len(columns), rows)})
+            elif op == "settle":
+                slots = np.array(sorted(data.draw(st.sets(
+                    st.integers(0, len(columns) - 1), min_size=1))))
+                fresh = _t_of(np.stack(twin.rho_bounds()), synced.df)
+                fresh = fresh[:, slots]
+                below = data.draw(st.sampled_from(
+                    [*fresh[2].tolist(), np.inf]), label="below")
+                with mock.patch.object(Screen, "_t_abs", logged):
+                    t = screen.settled(slots, below)
+                opened = np.flatnonzero(~(fresh[2] <= below))
+                k = int(opened[0]) if len(opened) else len(slots)
+                assert t.tobytes() == fresh[0, :k].tobytes()
+                # the walk reaches the chunk of every settled slot and
+                # of the first open one, and rescores the stale ones
+                reached = sorted({a for a, (_, end, _) in chunks.items()
+                                  for slot in slots[:k + 1].tolist()
+                                  if a <= slot < end})
+                assert rescored == [a for a in reached
+                                    if chunks[a][2] != synced.size]
+                rescored.clear()
+                for a in reached:
+                    chunks[a][2] = synced.size
+                    assert all(products[chunks[a][0], i] == 1
+                               for i in range(synced.size))
+            assert max(products.values(), default=0) <= 1
+        # a full catch-up takes in each vector in every chunk lacking it
+        screen.rho_bounds()
+        assert products == Counter({(address, i): 1
+                                    for address, _, _ in chunks.values()
+                                    for i in range(synced.size)})
 
     def test_one_sync_takes_in_several_vectors(self, correlated_dataset):
         # every new q of one sync takes r . q against the residual the
@@ -540,5 +625,7 @@ class TestScreen:
         # column 0 is in the model's span; the NaN columns are unscorable
         for slot in (0, p, p + 1):
             assert low[slot] == 0.0 and high[slot] == np.inf
-        _, _, t_high = screen.t_abs(state.df)
-        assert (t_high[[0, p, p + 1]] == np.inf).all()
+        # and no threshold settles them
+        for slot in (0, p, p + 1):
+            assert len(screen.settled(np.array([slot]), T_STAT_MAX)) == 0
+            assert screen.t[2, slot] == np.inf
