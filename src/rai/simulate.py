@@ -54,8 +54,14 @@ class SimSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.n < 3 or self.replications < 1:
-            raise ValueError("n and replications must be positive")
+        if self.n < 3:
+            raise ValueError(f"n (--n) must be at least 3, got {self.n}")
+        if self.replications < 1:
+            raise ValueError("replications (--reps) must be at least 1, "
+                             f"got {self.replications}")
+        if self.base_seed < 0:
+            raise ValueError("base_seed (--seed) must be non-negative, "
+                             f"got {self.base_seed}")
         need = {"four_interactions": 10, "single_interaction": 2,
                 "global_null": 1}[self.scenario]
         if self.p < need:

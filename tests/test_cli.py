@@ -230,6 +230,30 @@ class TestSelect:
         np.testing.assert_allclose(spent, report["wealth"]["spent"],
                                    rtol=1e-10)
 
+    def test_trace_terms_carry_the_header_names(self, tmp_path):
+        # the trace names terms as --json and stdout do; the constant
+        # column k is dropped, so the header's names are not the
+        # dataset's column indices shifted by one
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        y = X @ [1.5, -1.0, 1.0] + 0.3 * rng.normal(size=40)
+        path = tmp_path / "abc.csv"
+        write_table(path, ["a", "k", "b", "c", "y"],
+                    np.column_stack([X[:, 0], np.ones(40), X[:, 1:], y]))
+        out, trace_path = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        with pytest.warns(UserWarning, match="dropped constant columns: k"):
+            assert main(["select", str(path), "--response", "y",
+                         "--interactions", "--json", str(out),
+                         "--trace", str(trace_path)]) == EXIT_OK
+        tests = [rec for line in trace_path.read_text().splitlines()
+                 if (rec := json.loads(line))["kind"] == "test"]
+        factors = {factor.split("^")[0] for rec in tests
+                   for factor in rec["term"].split("*")}
+        assert factors == {"a", "b", "c"}
+        assert [rec["term"] for rec in tests
+                if rec["decision"] == "rejected"] == [
+            term["term"] for term in json.loads(out.read_text())["selected"]]
+
     def test_trace_file_audits_exactly(self, tmp_path):
         """Each test record obeys the ledger's rules on its own: a
         charged test spends alpha from wealth that covers it before the
@@ -493,6 +517,18 @@ class TestSimulateCmd:
             main(["simulate", "--scenario", "volcano", "--n", "50",
                   "--p", "5", "--reps", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n", "2", "n (--n) must be at least 3, got 2"),
+        ("--reps", "0", "replications (--reps) must be at least 1, got 0"),
+        ("--seed", "-1", "base_seed (--seed) must be non-negative, got -1")])
+    def test_bad_size_or_seed_exits_two_naming_it(self, capsys, flag, value,
+                                                 message):
+        argv = {"--n": "50", "--reps": "1", "--seed": "0", flag: value}
+        code = main(["simulate", "--scenario", "global_null", "--p", "5",
+                     *(item for pair in argv.items() for item in pair)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_inconsistent_spec_exits_two(self, capsys):
         code = main(["simulate", "--scenario", "four_interactions",

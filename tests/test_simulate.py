@@ -36,6 +36,13 @@ class TestSimSpec:
         with pytest.raises(ValueError):
             SimSpec(n=100, p=10, scenario="bootstrap", replications=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 2), ("replications", 0), ("base_seed", -1)])
+    def test_bad_size_or_seed_is_named(self, field, value):
+        spec = dict(n=50, p=5, scenario="global_null", replications=1)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SimSpec(**{**spec, field: value})
+
     def test_four_interactions_needs_ten_columns(self):
         with pytest.raises(ValueError):
             spec_for("four_interactions", p=9)
