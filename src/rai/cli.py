@@ -234,9 +234,9 @@ def _write_json(path: str, report: dict) -> None:
         fh.write("\n")
 
 
-def _write_trace(path: str, trace) -> None:
+def _write_trace(path: str, trace, names) -> None:
     with _writing(path), open(path, "w") as fh:
-        for rec in trace.records():
+        for rec in trace.records(names):
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -261,7 +261,7 @@ def cmd_select(args) -> int:
     if args.json:
         _write_json(args.json, report)
     if args.trace:
-        _write_trace(args.trace, trace)
+        _write_trace(args.trace, trace, dataset.names)
     _print_selection_report(report)
     return EXIT_OK
 

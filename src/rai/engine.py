@@ -97,9 +97,10 @@ class SelectionTrace:
     termination: str = ""
     passes_traversed: int = 0
 
-    def records(self):
+    def records(self, names=None):
         """The `--trace` file's records as dicts, in file order: one per
-        test (skip charges are left out), one per skip, then the end."""
+        test (skip charges are left out), one per skip, then the end.
+        Terms are labelled with `names`, as `FeatureTerm.display`."""
         payout = self.ledger.payout
         for run in self.ledger.runs:
             if run.decision == SKIPPED:
@@ -110,7 +111,8 @@ class SelectionTrace:
                     run.after(payout).tolist()):
                 # NaN marks a test with no |t|
                 yield {"kind": "test", "pass": run.pass_index,
-                       "term": term.display(), "t_abs": None if t != t else t,
+                       "term": term.display(names),
+                       "t_abs": None if t != t else t,
                        "tlvl": tlvl, "alpha": run.alpha,
                        "wealth_before": before, "wealth_after": after,
                        "decision": run.decision}
