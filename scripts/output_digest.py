@@ -16,8 +16,9 @@ or in one call, which prints only the digests that differ:
 
 With `--against`, each differing line shows the digest of both trees,
 and each differing `--trace` file gets one more line: how many records
-differ, whether every difference is the `t_abs` of a `not_rejected`
-test record, and the largest relative difference in |t|.  The exit
+differ, the record keys whose values differ, whether every difference
+is the `t_abs` of a `not_rejected` test record, and the largest
+relative difference in |t|.  The exit
 status is 1 when any digest differs and 0 when none does, so the
 comparison can gate a script.
 
@@ -166,10 +167,12 @@ def trace_difference(ours: bytes, theirs: bytes) -> str:
     differing = abs(len(a) - len(b))
     only_t = differing == 0
     worst = 0.0
+    keys = set()
     for x, y in zip(a, b):
         if x == y:
             continue
         differing += 1
+        keys.update(k for k in x.keys() | y.keys() if x.get(k) != y.get(k))
         tx, ty = x.get("t_abs"), y.get("t_abs")
         if ({**x, "t_abs": None} != {**y, "t_abs": None}
                 or x["kind"] != "test" or x["decision"] != "not_rejected"
@@ -177,7 +180,8 @@ def trace_difference(ours: bytes, theirs: bytes) -> str:
             only_t = False
             continue
         worst = max(worst, abs(tx - ty) / max(abs(tx), abs(ty)))
-    return (f"{differing} records differ; only not_rejected t_abs: "
+    return (f"{differing} records differ; keys: "
+            f"{', '.join(sorted(keys)) or 'none'}; only not_rejected t_abs: "
             f"{'yes' if only_t else 'no'}; largest relative |t| "
             f"difference {worst:.3g}")
 
