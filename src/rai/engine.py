@@ -56,15 +56,16 @@ class RaiConfig:
     def __post_init__(self):
         check_account(self.initial_wealth, self.payout)
         if self.max_passes is not None and self.max_passes < 1:
-            raise ValueError("max_passes must be positive")
+            raise ValueError("max_passes (--max-passes) must be at least 1, "
+                             f"got {self.max_passes}")
         # an order that admits no product would be ignored without a word
         order = self.max_interaction_order
         if order is not None and not self.interactions:
             raise ValueError("max_interaction_order (--max-order) needs "
                              "interactions (--interactions)")
         if order is not None and not order >= 2:
-            raise ValueError("max_interaction_order must be None or at "
-                             f"least 2, got {order}")
+            raise ValueError("max_interaction_order (--max-order) must be "
+                             f"None or at least 2, got {order}")
 
     def resolve_max_passes(self, n: int) -> int:
         if self.max_passes is not None:
@@ -262,7 +263,7 @@ def run_rai(dataset: Dataset,
                 termination = TERMINATED_STREAM
                 break
             # charge the stretch the screen settles below the threshold
-            t = screen.settled(slots[i:], safe_below)
+            t = screen.settled(state, slots[i:], safe_below)
             if len(t):
                 i += ledger.spend(alpha, queue[i:i + len(t)], s, t)
                 if i == len(slots):
@@ -282,7 +283,6 @@ def run_rai(dataset: Dataset,
             slots = np.delete(slots, i)
             if decision == REJECTED:
                 rejected_any = True
-                screen.sync(state)
                 if config.interactions:
                     added = generate_candidates(
                         state.selected, term,

@@ -11,11 +11,11 @@ The orthonormal basis is grown one column at a time by modified
 Gram-Schmidt with one reorthogonalization sweep, which keeps the basis
 orthogonal to ~1e-8 without ever refactoring from scratch.
 
-Scoring many candidates against one model goes through a Screen, which
-caches each candidate's inner products with the basis and the residual
-and scores them all in a few vectorized operations.  Its scores come
-with bounds; callers settle with them only what the bounds decide and
-take everything else through the exact ModelState arithmetic.
+A Screen scores many candidates against the ModelState it is handed:
+it caches each candidate's inner products with the basis and the
+residual and scores them all in a few vectorized operations.  Its
+scores come with bounds; callers settle with them only what the bounds
+decide and take everything else through the exact ModelState arithmetic.
 """
 
 from __future__ import annotations
@@ -200,21 +200,26 @@ class ModelState:
     state and never mutate the receiver, so a caller may keep earlier ones.
     `selected` is an ordered list of whatever labels the caller adds
     (column indices here, feature terms in the selection engine).
+    `coefs[i]` is r . q of `basis[i]` against the residual it was added
+    to, and `rnorm` is the norm of `residual`.
     """
 
-    __slots__ = ("dataset", "selected", "basis", "residual", "r_squared")
+    __slots__ = ("dataset", "selected", "basis", "coefs", "residual",
+                 "rnorm", "r_squared")
 
     def __init__(self, dataset: Dataset, selected: tuple, basis: tuple,
-                 residual: np.ndarray, r_squared: float):
+                 coefs: tuple, residual: np.ndarray, r_squared: float):
         self.dataset = dataset
         self.selected = selected
         self.basis = basis
+        self.coefs = coefs
         self.residual = residual
+        self.rnorm = float(np.linalg.norm(residual))
         self.r_squared = r_squared
 
     @classmethod
     def empty(cls, dataset: Dataset) -> "ModelState":
-        return cls(dataset, (), (), dataset.response, 0.0)
+        return cls(dataset, (), (), (), dataset.response, 0.0)
 
     @property
     def size(self) -> int:
@@ -245,10 +250,9 @@ class ModelState:
         """
         adj = self.adjusted_vector(x)
         nrm = float(np.linalg.norm(adj))
-        rnorm = float(np.linalg.norm(self.residual))
-        if nrm <= COLLINEARITY_TOL or rnorm < RESIDUAL_TOL:
+        if nrm <= COLLINEARITY_TOL or self.rnorm < RESIDUAL_TOL:
             return adj, nrm, 0.0, 0.0
-        rho = float(np.dot(self.residual, adj) / (rnorm * nrm))
+        rho = float(np.dot(self.residual, adj) / (self.rnorm * nrm))
         rho = min(1.0, max(-1.0, rho))
         return adj, nrm, rho, _t_from_rho(rho, self.df)
 
@@ -264,7 +268,7 @@ class ModelState:
         residual = self.residual - c * q
         r2 = 1.0 - float(np.dot(residual, residual))
         return ModelState(self.dataset, self.selected + (label,),
-                          self.basis + (q,), residual, r2)
+                          self.basis + (q,), self.coefs + (c,), residual, r2)
 
     def add_feature(self, j: int) -> "ModelState":
         return self.add_adjusted(
@@ -310,7 +314,8 @@ class Screen:
     `add_columns` appends more (interaction columns).  The slots are
     kept in chunks of about CHUNK_BYTES of rows, and a chunk takes in
     the basis vectors it lacks, all at once, only when `settled` or
-    `rho_bounds` reaches it.
+    `rho_bounds` reaches it.  The screen keeps no model of its own: it
+    reads the state it is handed, and each such state extends the last.
 
     Screened scores come with intervals that hold the exact scores.
     Callers decide with them only what the intervals settle and send
@@ -321,51 +326,41 @@ class Screen:
         self._rows = max(1, CHUNK_BYTES // (8 * dataset.n))
         # [first slot, rows, vectors taken in, ditto at last scoring or None]
         self._chunks = []
-        self._coefs = []        # r . q for every synced q
-        self._state = ModelState.empty(dataset)             # last synced
+        self._dataset = dataset
         self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
         self.t = np.zeros((3, 0))   # (|t|, low, high) as last scored
-        self.rnorm = float(np.linalg.norm(dataset.response))
         self.add_columns(dataset.columns.T)
 
-    def sync(self, state: ModelState) -> None:
-        """Record the basis vectors `state` added since the last sync.
+    def _catch_up(self, state: ModelState, chunk: list) -> slice:
+        """Have `chunk` take in the vectors of `state` it lacks, one GEMV
+        each, and return its slots.
 
         r loses its component along each new q, so every x . r drops by
-        (r . q)(x . q) rather than being recomputed.  All the new q take
-        r . q against the last synced r: the residual each q was added
-        to differs from it only along the earlier new q, orthogonal to q.
+        (r . q)(x . q), with r . q the state's coefficient, rather than
+        being recomputed.
         """
-        for q in state.basis[len(self._coefs):]:
-            self._coefs.append(float(np.dot(self._state.residual, q)))
-        self._state = state
-        self.rnorm = float(np.linalg.norm(state.residual))
-
-    def _catch_up(self, chunk: list) -> slice:
-        """Have `chunk` take in the synced vectors it lacks, one GEMV
-        each, and return its slots."""
         start, rows, taken, _ = chunk
         span = slice(start, start + len(rows))
         gram, inner = self.gram[span], self.inner[span]
-        for q, coef in zip(self._state.basis[taken:], self._coefs[taken:]):
+        for q, coef in zip(state.basis[taken:], state.coefs[taken:]):
             g = rows @ q
             gram += g * g
             inner -= coef * g
-        chunk[2] = len(self._coefs)
+        chunk[2] = state.size
         return span
 
-    def settled(self, slots: np.ndarray, below: float) -> np.ndarray:
+    def settled(self, state: ModelState, slots, below: float) -> np.ndarray:
         """The screened |t| of the leading `slots` (ascending) whose upper
-        bound lies at or below `below`, at the synced model.  Each chunk
-        the walk reaches takes in what it lacks, and is rescored if it
-        took anything in since it was last scored or never was."""
+        bound lies at or below `below`, at `state`.  Each chunk the walk
+        reaches takes in what it lacks, and is rescored if it took
+        anything in since it was last scored or never was."""
         stop = 0
         while stop < len(slots):
             chunk = self._chunks[bisect.bisect(
                 self._chunks, int(slots[stop]), key=lambda c: c[0]) - 1]
-            span = self._catch_up(chunk)
+            span = self._catch_up(state, chunk)
             if chunk[3] != chunk[2]:
-                self.t[:, span] = self._t_abs(span)
+                self.t[:, span] = self._t_abs(state, span)
                 chunk[3] = chunk[2]
             end = int(np.searchsorted(slots, span.stop))
             unsettled = np.flatnonzero(~(self.t[2, slots[stop:end]] <= below))
@@ -383,7 +378,7 @@ class Screen:
         start = len(self.gram)
         self._chunks += [[start + a, block[a:a + self._rows], 0, None]
                          for a in range(0, len(block), self._rows)]
-        ds = self._state.dataset
+        ds = self._dataset
         # the design's own products with the response are cached with it
         inner = ds.correlations if start == 0 else block @ ds.response
         self.gram = np.concatenate((self.gram, np.zeros(len(block))))
@@ -391,9 +386,9 @@ class Screen:
         self.t = np.hstack((self.t, np.full((3, len(block)), np.nan)))
         return np.arange(start, start + len(block))
 
-    def rho_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(|rho|, low, high) for every slot at the synced model; every
-        chunk takes in what it lacks first.
+    def rho_bounds(self, state: ModelState) -> tuple[np.ndarray, ...]:
+        """(|rho|, low, high) for every slot at `state`; every chunk
+        takes in what it lacks first.
 
         rho is the partial correlation of the slot with the residual;
         [low, high] holds its exact value, allowing SCREEN_ERR in every
@@ -401,33 +396,33 @@ class Screen:
         resolve, or whose column is not finite, gets [0, inf].
         """
         for chunk in self._chunks:
-            self._catch_up(chunk)
-        return self._rho_bounds(slice(None))
+            self._catch_up(state, chunk)
+        return self._rho_bounds(state.rnorm, slice(None))
 
-    def _rho_bounds(self, span: slice):
+    def _rho_bounds(self, rnorm: float, span: slice):
         """`rho_bounds` of the `span` slots, from their products as is."""
         c = np.abs(self.inner[span])
         norm2 = 1.0 - self.gram[span]
         floor = max(SCREEN_MIN_NORM2, (2.0 * COLLINEARITY_TOL) ** 2)
         trusted = (norm2 >= floor) & np.isfinite(c)
         with np.errstate(all="ignore"):
-            rho = c / (self.rnorm * np.sqrt(norm2))
+            rho = c / (rnorm * np.sqrt(norm2))
             low = (np.maximum(c - SCREEN_ERR, 0.0)
-                   / (self.rnorm * np.sqrt(norm2 + SCREEN_ERR)))
-            high = (c + SCREEN_ERR) / (self.rnorm * np.sqrt(norm2 - SCREEN_ERR))
+                   / (rnorm * np.sqrt(norm2 + SCREEN_ERR)))
+            high = (c + SCREEN_ERR) / (rnorm * np.sqrt(norm2 - SCREEN_ERR))
         low[~trusted] = 0.0
         high[~trusted] = np.inf
         return rho, low, high
 
-    def _t_abs(self, span: slice):
-        """(|t|, low, high) of the `span` slots on the synced df, likewise."""
-        rho, low, high = self._rho_bounds(span)
-        if self.rnorm < RESIDUAL_TOL:
+    def _t_abs(self, state: ModelState, span: slice):
+        """(|t|, low, high) of the `span` slots at `state`, likewise."""
+        rho, low, high = self._rho_bounds(state.rnorm, span)
+        if state.rnorm < RESIDUAL_TOL:
             # an exhausted residual scores every candidate 0, as the
             # exact path does; only untrusted slots stay open
             return (np.zeros_like(rho), np.zeros_like(rho),
                     np.where(np.isinf(high), np.inf, 0.0))
-        return _t_of(np.stack((rho, low, high)), self._state.df)
+        return _t_of(np.stack((rho, low, high)), state.df)
 
 
 # -- whole-subset operations, by fresh orthogonalization ----------------

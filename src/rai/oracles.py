@@ -28,10 +28,11 @@ ENUM_BUDGET_ENV = "RAI_ENUM_BUDGET"
 def _enum_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
-    env = os.environ.get(ENUM_BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_ENUM_BUDGET
+    env = os.environ.get(ENUM_BUDGET_ENV) or str(DEFAULT_ENUM_BUDGET)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{ENUM_BUDGET_ENV} must be an integer of at least "
+                         f"1, got {env!r}")
+    return int(env)
 
 
 def aic(state: ModelState) -> float:
@@ -70,11 +71,11 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
         # lowest index on ties.  An exhausted residual (the cut
         # ModelState.score uses) gains nothing anywhere, so the lowest
         # addable column is taken
-        exhausted = screen.rnorm < RESIDUAL_TOL
+        exhausted = state.rnorm < RESIDUAL_TOL
         if exhausted:
             contenders = live
         else:
-            _, low, high = screen.rho_bounds()
+            _, low, high = screen.rho_bounds(state)
             contenders = live & ~(high < np.max(low[live]))
         best_j, best_gain, best_adj = -1, -np.inf, None
         for j in np.flatnonzero(contenders).tolist():
@@ -93,7 +94,6 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
                     f"no addable column at step {state.size + 1}")
             break
         state = state.add_adjusted(best_adj, best_j)
-        screen.sync(state)
         live[best_j] = False
         value = aic(state)
         if value < best_aic:

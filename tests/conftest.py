@@ -154,7 +154,7 @@ def counting(products):
             basis.append(q.view(Counted))
             basis[-1].index = index
         return ModelState(state.dataset, state.selected, tuple(basis),
-                          state.residual, state.r_squared)
+                          state.coefs, state.residual, state.r_squared)
 
     return counted
 

@@ -283,9 +283,8 @@ class TestExactMaxT:
         state = ModelState.empty(ds)
         for j in range(data.draw(st.integers(0, 3))):
             state = state.add_feature(j)
-        screen.sync(state)
         # no bound is above inf, so every slot is scored
-        screen.settled(np.arange(p + 3), np.inf)
+        screen.settled(state, np.arange(p + 3), np.inf)
         finite = [j for j in range(p + 3) if j != p + 1]
         slots = np.array(data.draw(st.lists(
             st.sampled_from(finite), min_size=1, max_size=p + 2,
@@ -499,16 +498,16 @@ class TestRunRai:
         products = Counter()
         counted = counting(products)
 
-        def caught_up(screen, chunk):
+        def caught_up(screen, state, chunk):
             before = sum(products.values())
-            span = catch_up(screen, chunk)
+            span = catch_up(screen, counted(state), chunk)
             log.append(("catch_up", span.start,
                         sum(products.values()) > before))
             return span
 
-        def rescored(screen, span):
+        def rescored(screen, state, span):
             log.append(("t_abs", span.start))
-            return t_abs(screen, span)
+            return t_abs(screen, state, span)
 
         def tested(*args, **kwargs):
             out = test_candidate(*args, **kwargs)
@@ -521,14 +520,12 @@ class TestRunRai:
                           for a in range(0, len(block), 2))
             return add_columns(screen, block)
 
-        init, sync, add_columns, catch_up, t_abs = (
-            Screen.__init__, Screen.sync, Screen.add_columns,
-            Screen._catch_up, Screen._t_abs)
+        init, add_columns, catch_up, t_abs = (
+            Screen.__init__, Screen.add_columns, Screen._catch_up,
+            Screen._t_abs)
         test_candidate = rai.engine.test_candidate
         monkeypatch.setattr(Screen, "__init__", lambda screen, ds: (
             screens.append(screen), init(screen, ds))[-1])
-        monkeypatch.setattr(Screen, "sync", lambda screen, state: sync(
-            screen, counted(state)))
         monkeypatch.setattr(Screen, "add_columns", appended)
         monkeypatch.setattr(Screen, "_catch_up", caught_up)
         monkeypatch.setattr(Screen, "_t_abs", rescored)
@@ -556,7 +553,7 @@ class TestRunRai:
         # the run took in no vector twice; a full catch-up then takes in
         # each vector in every chunk that still lacked it
         assert products and max(products.values()) == 1
-        screens[0].rho_bounds()
+        screens[0].rho_bounds(state)
         assert len(chunks) > 2
         assert products == Counter(
             {(a, i): 1 for a in chunks for i in range(state.size)})

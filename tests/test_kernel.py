@@ -415,11 +415,10 @@ class TestScreen:
         screen.add_columns(extra[:half])
         for j in rng.permutation(ds.p)[:min(3, ds.p - 1)]:
             state = state.add_feature(int(j))
-            screen.sync(state)
         screen.add_columns(extra[half:])
-        rho, low, high = screen.rho_bounds()
+        rho, low, high = screen.rho_bounds(state)
         # no bound is above inf, so every slot settles and is scored
-        t = screen.settled(np.arange(ds.p + 3), np.inf)
+        t = screen.settled(state, np.arange(ds.p + 3), np.inf)
         assert len(t) == ds.p + 3
         _, t_low, t_high = screen.t
         for slot, column in enumerate(np.vstack((ds.columns.T, extra))):
@@ -436,10 +435,10 @@ class TestScreen:
     @given(seeds, st.data())
     @settings(max_examples=40, deadline=None)
     def test_chunked_catch_up_holds_exact_scores(self, seed, data):
-        """With chunks of a few rows, any interleaving of syncs, appended
-        columns, settles and full catch-ups leaves every slot a settle
-        scores bracketing the exact |t|, and a full catch-up matches a
-        fresh Q^T x and x . r."""
+        """With chunks of a few rows, any interleaving of model growth,
+        appended columns, settles and full catch-ups leaves every slot a
+        settle scores bracketing the exact |t|, and a full catch-up
+        matches a fresh Q^T x and x . r."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 80))
         X, y = random_raw(seed, n, int(rng.integers(3, 25)),
@@ -449,17 +448,14 @@ class TestScreen:
         with mock.patch.object(rai.kernel, "CHUNK_BYTES", 8 * n * rows):
             screen = Screen(ds)
         columns = list(ds.columns.T)
-        state = synced = ModelState.empty(ds)
+        state = ModelState.empty(ds)
         ops = data.draw(st.lists(st.sampled_from(
-            ["add", "sync", "columns", "settle", "full"]), max_size=16))
+            ["add", "columns", "settle", "full"]), max_size=16))
         for op in ops:
             if op == "add" and state.size < min(ds.p - 1, 5):
                 j = data.draw(st.sampled_from(
                     sorted(set(range(ds.p)) - set(state.selected))))
                 state = state.add_feature(j)
-            elif op == "sync":
-                screen.sync(state)
-                synced = state
             elif op == "columns":
                 extra = unit_rows(rng, int(rng.integers(1, 6)), n)
                 start = len(columns)
@@ -469,25 +465,25 @@ class TestScreen:
             elif op == "settle":
                 slots = np.array(sorted(data.draw(st.sets(
                     st.integers(0, len(columns) - 1), min_size=1))))
-                t = screen.settled(slots, np.inf)
+                t = screen.settled(state, slots, np.inf)
                 assert len(t) == len(slots)
                 for slot, t_slot in zip(slots.tolist(), t.tolist()):
-                    _, nrm, _, exact = synced.score(columns[slot])
+                    _, nrm, _, exact = state.score(columns[slot])
                     if nrm ** 2 >= 1e-3:
                         assert screen.t[1, slot] <= abs(exact) \
                             <= screen.t[2, slot]
                         assert t_slot == pytest.approx(
                             abs(exact), rel=1e-9, abs=1e-12)
             elif op == "full":
-                _, low, high = screen.rho_bounds()
+                _, low, high = screen.rho_bounds(state)
                 x = np.array(columns)
-                fresh = x @ np.array(synced.basis).reshape(synced.size, n).T
+                fresh = x @ np.array(state.basis).reshape(state.size, n).T
                 assert np.abs(screen.gram - (fresh ** 2).sum(axis=1)).max() \
                     <= SCREEN_ERR
-                assert np.abs(screen.inner - x @ synced.residual).max() \
+                assert np.abs(screen.inner - x @ state.residual).max() \
                     <= SCREEN_ERR
                 for slot, column in enumerate(columns):
-                    _, nrm, rho, _ = synced.score(column)
+                    _, nrm, rho, _ = state.score(column)
                     if nrm ** 2 >= 1e-3:
                         assert low[slot] <= abs(rho) <= high[slot]
 
@@ -495,8 +491,8 @@ class TestScreen:
     @settings(max_examples=40, deadline=None)
     def test_settled_is_the_prefix_of_a_fresh_scoring(self, seed, data):
         """With chunks of 1-4 rows and any interleaving of model growth,
-        syncs, appended columns and settles: `settled` returns, bit for
-        bit, the prefix that a fresh scoring of every slot at the synced
+        appended columns and settles: `settled` returns, bit for bit,
+        the prefix that a fresh scoring of every slot at the handed
         model settles; each chunk takes in each basis vector once; and
         a chunk is rescored exactly when the walk reaches it after it
         took something in or was appended."""
@@ -510,12 +506,12 @@ class TestScreen:
         counted = counting(products)
         score = Screen._t_abs
 
-        def logged(screen, span):
+        def logged(screen, state, span):
             rescored.append(span.start)
-            return score(screen, span)
+            return score(screen, state, span)
 
         with mock.patch.object(rai.kernel, "CHUNK_BYTES", 8 * n * rows):
-            # the twin takes the same syncs and columns and is only
+            # the twin takes the same states and columns and is only
             # read through a full catch-up: the fresh scoring
             screen, twin = Screen(ds), Screen(ds)
         # first slot -> [address of its rows, end, model size when last
@@ -523,18 +519,14 @@ class TestScreen:
         chunks = {a: [ds.columns.T[a:].ctypes.data, min(a + rows, ds.p),
                       None] for a in range(0, ds.p, rows)}
         columns = list(ds.columns.T)
-        state = synced = ModelState.empty(ds)
+        state = ModelState.empty(ds)
         ops = data.draw(st.lists(st.sampled_from(
-            ["add", "sync", "columns", "settle"]), max_size=16))
+            ["add", "columns", "settle"]), max_size=16))
         for op in ops:
             if op == "add" and state.size < min(ds.p - 1, 5):
                 j = data.draw(st.sampled_from(
                     sorted(set(range(ds.p)) - set(state.selected))))
                 state = state.add_feature(j)
-            elif op == "sync":
-                screen.sync(counted(state))
-                twin.sync(state)
-                synced = state
             elif op == "columns":
                 extra = unit_rows(rng, int(rng.integers(1, 6)), n)
                 start = len(columns)
@@ -547,12 +539,12 @@ class TestScreen:
             elif op == "settle":
                 slots = np.array(sorted(data.draw(st.sets(
                     st.integers(0, len(columns) - 1), min_size=1))))
-                fresh = _t_of(np.stack(twin.rho_bounds()), synced.df)
+                fresh = _t_of(np.stack(twin.rho_bounds(state)), state.df)
                 fresh = fresh[:, slots]
                 below = data.draw(st.sampled_from(
                     [*fresh[2].tolist(), np.inf]), label="below")
                 with mock.patch.object(Screen, "_t_abs", logged):
-                    t = screen.settled(slots, below)
+                    t = screen.settled(counted(state), slots, below)
                 opened = np.flatnonzero(~(fresh[2] <= below))
                 k = int(opened[0]) if len(opened) else len(slots)
                 assert t.tobytes() == fresh[0, :k].tobytes()
@@ -562,31 +554,56 @@ class TestScreen:
                                   for slot in slots[:k + 1].tolist()
                                   if a <= slot < end})
                 assert rescored == [a for a in reached
-                                    if chunks[a][2] != synced.size]
+                                    if chunks[a][2] != state.size]
                 rescored.clear()
                 for a in reached:
-                    chunks[a][2] = synced.size
+                    chunks[a][2] = state.size
                     assert all(products[chunks[a][0], i] == 1
-                               for i in range(synced.size))
+                               for i in range(state.size))
             assert max(products.values(), default=0) <= 1
         # a full catch-up takes in each vector in every chunk lacking it
-        screen.rho_bounds()
+        screen.rho_bounds(counted(state))
         assert products == Counter({(address, i): 1
                                     for address, _, _ in chunks.values()
-                                    for i in range(synced.size)})
+                                    for i in range(state.size)})
 
-    def test_one_sync_takes_in_several_vectors(self, correlated_dataset):
-        # every new q of one sync takes r . q against the residual the
-        # screen last saw, which differs from the residual q was added
-        # to only along the earlier new vectors, all orthogonal to q
-        ds = correlated_dataset
-        state = ModelState.empty(ds).add_feature(0)
-        screen = Screen(ds)
-        screen.sync(state)
-        state = state.add_feature(3).add_feature(5)
-        screen.sync(state)
-        _, low, high = screen.rho_bounds()
-        assert np.abs(screen.inner - ds.columns.T @ state.residual).max() \
+    @given(seeds, st.integers(2, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_query_cadence_does_not_change_the_bits(self, seed, k):
+        """A screen asked once after k additions holds the same gram,
+        inner and bound bits as one asked after each addition, and a
+        state's rnorm and coefs are the ones its residuals give, bit
+        for bit."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 80))
+        X, y = random_raw(seed, n, int(rng.integers(k + 1, 12)),
+                          correlated=bool(seed % 2))
+        ds = standardize(X, y)
+        once, each = Screen(ds), Screen(ds)
+        states = [ModelState.empty(ds)]
+        for j in rng.permutation(ds.p)[:k].tolist():
+            states.append(states[-1].add_feature(j))
+            each.rho_bounds(states[-1])
+        state = states[-1]
+        slots = np.arange(ds.p)
+        bounds = [np.stack(screen.rho_bounds(state)).tobytes()
+                  for screen in (once, each)]
+        assert bounds[0] == bounds[1]
+        settled = [screen.settled(state, slots, np.inf).tobytes()
+                   for screen in (once, each)]
+        assert settled[0] == settled[1]
+        assert once.gram.tobytes() == each.gram.tobytes()
+        assert once.inner.tobytes() == each.inner.tobytes()
+        assert once.t.tobytes() == each.t.tobytes()
+        for i, (before, after) in enumerate(zip(states, states[1:])):
+            assert after.coefs[:i] == before.coefs
+            assert after.coefs[i] == float(
+                np.dot(before.residual, after.basis[i]))
+        for s in states:
+            assert s.rnorm == float(np.linalg.norm(s.residual))
+        # and the cached products hold the exact ones
+        _, low, high = once.rho_bounds(state)
+        assert np.abs(once.inner - ds.columns.T @ state.residual).max() \
             <= SCREEN_ERR
         for slot, column in enumerate(ds.columns.T):
             _, nrm, rho, _ = state.score(column)
@@ -602,8 +619,7 @@ class TestScreen:
                           ds.response_scale, ds.raw)
         screen = Screen(own)
         rows[0] = rows[1]
-        screen.sync(ModelState.empty(own).add_feature(1))
-        screen.rho_bounds()
+        screen.rho_bounds(ModelState.empty(own).add_feature(1))
         assert screen.gram[0] == pytest.approx(1.0)
         assert screen.gram[2] == pytest.approx(
             float(np.dot(rows[2], rows[1])) ** 2)
@@ -611,7 +627,6 @@ class TestScreen:
     def test_unresolvable_and_non_finite_slots_stay_open(self, small_dataset):
         state = ModelState.empty(small_dataset).add_feature(0)
         screen = Screen(small_dataset)
-        screen.sync(state)
         bad = small_dataset.columns[:, 1].copy()
         bad[0] = np.nan
         p = small_dataset.p
@@ -621,11 +636,12 @@ class TestScreen:
         assert slots.tolist() == [p, p + 1]
         # both slots score NaN, as the screen's products with a NaN do
         assert np.isnan(screen.inner[p:]).all()
-        _, low, high = screen.rho_bounds()
+        _, low, high = screen.rho_bounds(state)
         # column 0 is in the model's span; the NaN columns are unscorable
         for slot in (0, p, p + 1):
             assert low[slot] == 0.0 and high[slot] == np.inf
         # and no threshold settles them
         for slot in (0, p, p + 1):
-            assert len(screen.settled(np.array([slot]), T_STAT_MAX)) == 0
+            assert len(screen.settled(state, np.array([slot]),
+                                      T_STAT_MAX)) == 0
             assert screen.t[2, slot] == np.inf
