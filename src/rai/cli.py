@@ -248,6 +248,9 @@ def _print_values(items) -> None:
 
 
 def cmd_select(args) -> int:
+    if args.json and args.trace and (os.path.realpath(args.json)
+                                     == os.path.realpath(args.trace)):
+        raise ParseFailure(f"--json and --trace both name {args.trace}")
     _check_writable(args.json, args.trace)
     config = _config_from_args(args)
     names, X, y = _read_design(args.input, args.response)

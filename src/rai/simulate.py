@@ -53,7 +53,8 @@ class SimSpec:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise ValueError("scenario (--scenario) must be one of "
+                             f"{', '.join(SCENARIOS)}, got {self.scenario!r}")
         if self.n < 3:
             raise ValueError(f"n (--n) must be at least 3, got {self.n}")
         if self.replications < 1:
@@ -62,13 +63,13 @@ class SimSpec:
         if self.base_seed < 0:
             raise ValueError("base_seed (--seed) must be non-negative, "
                              f"got {self.base_seed}")
-        need = {"four_interactions": 10, "single_interaction": 2,
-                "global_null": 1}[self.scenario]
+        need = 1 + max(signal_support(self), default=0)
         if self.p < need:
-            raise ValueError(
-                f"scenario {self.scenario} needs at least {need} columns")
+            raise ValueError(f"p (--p) must be at least {need} for scenario "
+                             f"{self.scenario}, got {self.p}")
         if not 0.0 < self.target_r2 < 1.0:
-            raise ValueError("target_r2 must lie in (0, 1)")
+            raise ValueError("target_r2 (--target-r2) must lie in (0, 1), "
+                             f"got {self.target_r2}")
 
 
 def true_terms(spec: SimSpec) -> tuple[FeatureTerm, ...]:
@@ -314,8 +315,6 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
     records are written as line-delimited JSON, manifest first.  Timing
     fields are opt-in so reruns of the same study are byte-identical.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     truth = true_terms(spec)
     targets = recovery_targets(spec)
     support = signal_support(spec)

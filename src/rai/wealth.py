@@ -89,9 +89,11 @@ def check_account(initial_wealth: float, payout: float) -> None:
     payout non-negative and finite.  NaN fails both checks, as it must:
     a NaN account would never refuse an overdraft."""
     if not 0 < initial_wealth < math.inf:
-        raise ValueError("initial wealth must be positive and finite")
+        raise ValueError("initial_wealth (--wealth) must be positive and "
+                         f"finite, got {initial_wealth}")
     if not 0 <= payout < math.inf:
-        raise ValueError("payout must be non-negative and finite")
+        raise ValueError("payout (--payout) must be non-negative and "
+                         f"finite, got {payout}")
 
 
 class WealthLedger:

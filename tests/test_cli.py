@@ -338,10 +338,16 @@ class TestSelect:
 
     @pytest.mark.parametrize("command", ["select", "diagnose"])
     @pytest.mark.parametrize("flag,value,message", [
-        ("--max-passes", "0", "max_passes must be positive"),
-        ("--wealth", "0", "initial wealth must be positive and finite"),
-        ("--wealth", "nan", "initial wealth must be positive and finite"),
-        ("--payout", "nan", "payout must be non-negative and finite")])
+        ("--max-passes", "0",
+         "max_passes (--max-passes) must be at least 1, got 0"),
+        ("--wealth", "0",
+         "initial_wealth (--wealth) must be positive and finite, got 0.0"),
+        ("--wealth", "-1",
+         "initial_wealth (--wealth) must be positive and finite, got -1.0"),
+        ("--wealth", "nan",
+         "initial_wealth (--wealth) must be positive and finite, got nan"),
+        ("--payout", "nan",
+         "payout (--payout) must be non-negative and finite, got nan")])
     def test_bad_config_flag_exits_two_before_reading_input(
             self, tmp_path, capsys, command, flag, value, message):
         # the input file is missing, so a run that read it first would
@@ -360,6 +366,19 @@ class TestSelect:
                   "--max-order", order])
         assert exc.value.code == 2
         assert "--max-order: must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["out.json", "./out.json"])
+    def test_same_json_and_trace_path_exits_two_before_reading_input(
+            self, tmp_path, capsys, spelling):
+        # the trace would overwrite the report; the input file is
+        # missing, so a run that read it first would name the file
+        out = tmp_path / "out.json"
+        trace = f"{tmp_path}/{spelling}"
+        assert main(["select", str(tmp_path / "none.csv"), "--response",
+                     "y", "--json", str(out), "--trace", trace]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: --json and --trace both name {trace}\n")
+        assert not out.exists()
 
     def test_max_order_without_interactions_exits_two(self, tmp_path,
                                                       capsys):
@@ -536,6 +555,21 @@ class TestSimulateCmd:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--p", "9", "--scenario", "four_interactions"],
+         "p (--p) must be at least 10 for scenario four_interactions, "
+         "got 9"),
+        (["--target-r2", "1.5"],
+         "target_r2 (--target-r2) must lie in (0, 1), got 1.5"),
+        (["--target-r2", "nan"],
+         "target_r2 (--target-r2) must lie in (0, 1), got nan")])
+    def test_bad_spec_exits_two_naming_field_flag_and_value(
+            self, capsys, flags, message):
+        argv = ["simulate", "--scenario", "global_null", "--n", "50",
+                "--p", "5", "--reps", "1"]
+        assert main(argv + flags) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestDiagnose:
 
@@ -597,6 +631,17 @@ class TestDiagnose:
         assert main(["diagnose", str(path), "--response", "y",
                      "--k", "3"]) == EXIT_BUDGET
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("budget", ["abc", "1.5", "-5", "0"])
+    def test_bad_budget_variable_exits_two_naming_it(
+            self, tmp_path, capsys, monkeypatch, budget):
+        # a budget below 1 would fail every enumeration as exceeded
+        monkeypatch.setenv("RAI_ENUM_BUDGET", budget)
+        path = orthogonal_file(tmp_path)
+        assert main(["diagnose", str(path), "--response", "y"]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: RAI_ENUM_BUDGET must be an integer of at least 1, "
+            f"got {budget!r}\n")
 
 
 class TestEntryPoint:
