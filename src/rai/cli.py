@@ -25,9 +25,9 @@ from . import __version__
 from .engine import RaiConfig, fit_terms, run_rai
 from .errors import BudgetExceeded, RaiError
 from .kernel import standardize
-from .oracles import (BoundInputs, brute_force_subset, forward_stepwise,
-                      r_squared_of, submodularity_ratio, theorem_bound,
-                      theorem_bound_branches)
+from .oracles import (BoundInputs, brute_force_subset, enum_budget,
+                      forward_stepwise, r_squared_of, submodularity_ratio,
+                      theorem_bound, theorem_bound_branches)
 from .simulate import METHODS, SCENARIOS, SimSpec, run_experiment
 from .wealth import DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT
 
@@ -289,6 +289,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    budget = enum_budget()
     _check_writable(args.json)
     config = _config_from_args(args)
     names, X, y = _read_design(args.input, args.response)
@@ -298,7 +299,8 @@ def cmd_diagnose(args) -> int:
     selected_idx = [t.powers[0][0] for t in state.selected]
     k = args.k
     path = forward_stepwise(dataset, min(k, dataset.p)).selected
-    best_set, best_r2 = brute_force_subset(dataset, min(k, dataset.p))
+    best_set, best_r2 = brute_force_subset(dataset, min(k, dataset.p),
+                                           budget=budget)
     report = {
         "input": args.input,
         "n": dataset.n,
@@ -317,7 +319,7 @@ def cmd_diagnose(args) -> int:
     s_f = trace.first_rejection_pass()
     if 1 <= l < dataset.p:
         gamma, details = submodularity_ratio(dataset, selected_idx, k,
-                                             full_output=True)
+                                             budget=budget, full_output=True)
         inputs = BoundInputs(r2_opt=best_r2, l=l, k=min(k, dataset.p),
                              gamma=gamma, s_f=s_f)
         additive, multiplicative = theorem_bound_branches(inputs)

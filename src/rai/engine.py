@@ -245,7 +245,6 @@ def run_rai(dataset: Dataset,
     termination = None
     s = 1
     while s <= max_passes:
-        trace.passes_traversed = s
         tlvl, alpha = pass_parameters(n, s)
         safe_below = tlvl * (1.0 - SCREEN_MARGIN)
         rejected_any = False
@@ -305,14 +304,13 @@ def run_rai(dataset: Dataset,
                 trace.skips.append(SkipRecord(
                     s, s_next, len(queue), charged, before, ledger.wealth,
                     halted))
+            s = s_next
             if halted:
-                trace.passes_traversed = s_next
                 termination = TERMINATED_WEALTH
                 break
-            trace.passes_traversed = min(s_next - 1, max_passes)
-            s = s_next
         else:
             s += 1
+    trace.passes_traversed = min(s, max_passes)
     if termination is None:
         termination = TERMINATED_PASSES
     trace.termination = termination

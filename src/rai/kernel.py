@@ -25,7 +25,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -114,14 +113,6 @@ class Dataset:
         for arr in (self.columns, self.response, self.raw):
             arr.setflags(write=False)
 
-    @cached_property
-    def correlations(self) -> np.ndarray:
-        """Each column's correlation with the response, computed on
-        first use and shared by every screen over the dataset."""
-        corr = self.columns.T @ self.response
-        corr.setflags(write=False)
-        return corr
-
     @property
     def n(self) -> int:
         return self.columns.shape[0]
@@ -187,10 +178,7 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
 def _t_from_rho(rho: float, df: int) -> float:
     if abs(rho) >= 1.0:
         return math.copysign(T_STAT_MAX, rho)
-    t = rho * math.sqrt(df) / math.sqrt(1.0 - rho * rho)
-    if abs(t) > T_STAT_MAX:
-        return math.copysign(T_STAT_MAX, t)
-    return t
+    return rho * math.sqrt(df) / math.sqrt(1.0 - rho * rho)
 
 
 class ModelState:
@@ -311,7 +299,9 @@ class Screen:
     simply x . r.  The screen keeps ||Q^T x||^2 and x . r for every
     slot, so a whole stream is scored in a few vectorized operations.
     Slots 0..p-1 are the dataset's columns, read in place as rows;
-    `add_columns` appends more (interaction columns).  The slots are
+    `add_columns` appends more (interaction columns).  Every block the
+    screen is handed, the design's own rows included, starts from its
+    products x . y with the response, one GEMV.  The slots are
     kept in chunks of about CHUNK_BYTES of rows, and a chunk takes in
     the basis vectors it lacks, all at once, only when `settled` or
     `rho_bounds` reaches it.  The screen keeps no model of its own: it
@@ -326,7 +316,7 @@ class Screen:
         self._rows = max(1, CHUNK_BYTES // (8 * dataset.n))
         # [first slot, rows, vectors taken in, ditto at last scoring or None]
         self._chunks = []
-        self._dataset = dataset
+        self._response = dataset.response
         self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
         self.t = np.zeros((3, 0))   # (|t|, low, high) as last scored
         self.add_columns(dataset.columns.T)
@@ -373,16 +363,14 @@ class Screen:
     def add_columns(self, block: np.ndarray) -> np.ndarray:
         """Append the rows of `block`, unit-norm columns as `realize`
         returns them, as new slots, np.arange(start, start + len(block)),
-        and return those.  The screen keeps the block, not a copy, and
-        never trusts a row that is not finite."""
+        and return those.  The screen keeps the block, not a copy,
+        computes its products with the response, and never trusts a row
+        that is not finite."""
         start = len(self.gram)
         self._chunks += [[start + a, block[a:a + self._rows], 0, None]
                          for a in range(0, len(block), self._rows)]
-        ds = self._dataset
-        # the design's own products with the response are cached with it
-        inner = ds.correlations if start == 0 else block @ ds.response
         self.gram = np.concatenate((self.gram, np.zeros(len(block))))
-        self.inner = np.concatenate((self.inner, inner))
+        self.inner = np.concatenate((self.inner, block @ self._response))
         self.t = np.hstack((self.t, np.full((3, len(block)), np.nan)))
         return np.arange(start, start + len(block))
 

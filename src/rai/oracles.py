@@ -25,8 +25,12 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 ENUM_BUDGET_ENV = "RAI_ENUM_BUDGET"
 
 
-def _enum_budget(budget: int | None) -> int:
+def enum_budget(budget: int | None = None) -> int:
+    """`budget`, or when it is None the RAI_ENUM_BUDGET variable or the
+    default; either must be at least 1, or a ValueError names it."""
     if budget is not None:
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget!r}")
         return budget
     env = os.environ.get(ENUM_BUDGET_ENV) or str(DEFAULT_ENUM_BUDGET)
     if not env.strip().isdecimal() or int(env) < 1:
@@ -112,7 +116,7 @@ def brute_force_subset(dataset: Dataset, k: int,
     """
     if not 0 <= k <= dataset.p:
         raise ValueError(f"k must lie in [0, {dataset.p}]")
-    budget = _enum_budget(budget)
+    budget = enum_budget(budget)
     count = math.comb(dataset.p, k)
     if count > budget:
         raise BudgetExceeded(
@@ -150,7 +154,7 @@ def submodularity_ratio(dataset: Dataset, S, k: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     k = min(k, len(rest))
-    budget = _enum_budget(budget)
+    budget = enum_budget(budget)
     total = sum(math.comb(len(rest), t) for t in range(1, k + 1))
     if total > budget:
         raise BudgetExceeded(f"{total} candidate sets exceed budget {budget}")

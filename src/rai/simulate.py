@@ -338,11 +338,7 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
                          "error": f"{type(exc).__name__}: {exc}"})
             continue
         chosen = set(selected)
-        if method in ("mean_model", "true_model"):
-            false_rej = 0
-        else:
-            false_rej = sum(1 for t in selected
-                            if not set(t.indices) <= support)
+        false_rej = sum(1 for t in selected if not set(t.indices) <= support)
         row = {
             "kind": "replication",
             "rep": rep,

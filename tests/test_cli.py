@@ -643,6 +643,15 @@ class TestDiagnose:
             "error: RAI_ENUM_BUDGET must be an integer of at least 1, "
             f"got {budget!r}\n")
 
+    def test_bad_budget_variable_is_read_before_the_input(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RAI_ENUM_BUDGET", "abc")
+        assert main(["diagnose", str(tmp_path / "missing.csv"),
+                     "--response", "y"]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: RAI_ENUM_BUDGET must be an integer of at least 1, "
+            "got 'abc'\n")
+
 
 class TestEntryPoint:
 

@@ -64,6 +64,16 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(np.ones((2, 2)), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("shape, n_y, names, message", [
+        ((5,), 5, None, "raw_matrix must be 2-dimensional"),
+        ((5, 2), 4, None, "response length does not match the design"),
+        ((5, 2), 5, ["a"], "names length does not match the design"),
+    ])
+    def test_rejects_mismatched_shapes(self, shape, n_y, names, message):
+        X = np.arange(float(np.prod(shape))).reshape(shape) ** 2
+        with pytest.raises(ValueError, match=message):
+            standardize(X, np.arange(float(n_y)), names)
+
     def test_immutability(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.columns[0, 0] = 99.0
@@ -194,6 +204,18 @@ class TestTStatistic:
 
 
 class TestAddFeature:
+
+    @pytest.mark.parametrize("selected", [False, True])
+    def test_add_adjusted_refuses_a_vanishing_column(self, small_dataset,
+                                                     selected):
+        # a zero column, or a selected column adjusted against itself
+        state = ModelState.empty(small_dataset)
+        adj = np.zeros(small_dataset.n)
+        if selected:
+            state = state.add_feature(1)
+            adj = state.adjusted_vector(small_dataset.columns[:, 1])
+        with pytest.raises(CollinearFeature):
+            state.add_adjusted(adj, 1)
 
     def test_marginal_r2_is_corr_squared(self, small_dataset):
         ds = small_dataset

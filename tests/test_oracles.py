@@ -124,6 +124,12 @@ class TestForwardStepwise:
         with pytest.raises(SingularStep):
             forward_stepwise(ds, 2)
 
+    @pytest.mark.parametrize("over", [False, True])
+    def test_k_out_of_range(self, small_dataset, over):
+        k = small_dataset.p + 1 if over else -1
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 6\]"):
+            forward_stepwise(small_dataset, k)
+
 
 class TestAic:
 
@@ -206,6 +212,19 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_subset(small_dataset, 2)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_refused_by_name(self, small_dataset,
+                                                 budget):
+        with pytest.raises(ValueError,
+                           match=f"^budget must be at least 1, got {budget}$"):
+            brute_force_subset(small_dataset, 2, budget=budget)
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_k_out_of_range(self, small_dataset, over):
+        k = small_dataset.p + 1 if over else -1
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 6\]"):
+            brute_force_subset(small_dataset, k)
+
 
 def gamma_oracle(ds, S, k):
     """Direct enumeration with explicit projectors and a dense solve."""
@@ -287,6 +306,27 @@ class TestSubmodularityRatio:
     def test_budget_guard(self, correlated_dataset):
         with pytest.raises(BudgetExceeded):
             submodularity_ratio(correlated_dataset, [], 3, budget=3)
+
+    @pytest.mark.parametrize("S, k, budget, error, message", [
+        (range(8), 2, None, AllSubsetsSingular, "no columns outside S"),
+        ([2], 0, None, ValueError, "k must be at least 1"),
+        ([2], 2, 0, ValueError, "budget must be at least 1, got 0"),
+    ])
+    def test_invalid_arguments(self, correlated_dataset, S, k, budget,
+                               error, message):
+        with pytest.raises(error, match=message):
+            submodularity_ratio(correlated_dataset, S, k, budget=budget)
+
+    def test_columns_in_span_of_s_are_left_out(self):
+        # a copy of a column in S adjusts to nothing: the ratio is that
+        # of the design without the copy, and the copy's 4 sets (alone
+        # and with each of the 3 others) count as skipped
+        X, y = random_raw(41, 30, 4, correlated=True)
+        with_copy = standardize(np.column_stack([X, X[:, 0]]), y)
+        gamma, want = submodularity_ratio(standardize(X, y), [0], 2,
+                                          full_output=True)
+        assert submodularity_ratio(with_copy, [0], 2, full_output=True) == (
+            gamma, {**want, "n_skipped": want["n_skipped"] + 4})
 
     def test_submodular_case_on_orthogonal_design(self):
         """gamma >= 1 comes with the defining inequality of submodular

@@ -596,3 +596,12 @@ class TestBrentq:
         for solver in (_brentq, brentq):
             with pytest.raises(error):
                 solver(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)
+
+    @pytest.mark.parametrize("num, den", [
+        (6.0, 3.0), (1.0, 0.0), (-1.0, 0.0), (1.0, -0.0), (-2.5, -0.0),
+        (0.0, 0.0), (-0.0, -0.0), (math.nan, 0.0), (math.inf, -0.0)])
+    def test_division_gives_the_ieee_result(self, num, den):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = float(np.float64(num) / np.float64(den))
+        got = simulate._div(num, den)
+        assert got == want or (math.isnan(got) and math.isnan(want))

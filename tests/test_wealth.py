@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rai import WealthLedger, pass_parameters, simulate
+from rai import (RaiConfig, WealthLedger, pass_parameters, run_rai,
+                 simulate, standardize)
 from rai.simulate import SimSpec, recovery_targets, run_experiment
 from rai.terms import FeatureTerm
-from rai.wealth import ALPHA_FLOOR, REJECTED
+from rai.wealth import (ALPHA_FLOOR, HALTED_WEALTH, REJECTED,
+                        REMOVED_COLLINEAR)
 
 import reference_engine as ref
 from conftest import charges, entries
@@ -115,6 +117,12 @@ class TestWealthLedger:
         with pytest.raises(ValueError):
             led.earn(0)  # already settled
 
+    def test_earn_before_any_spend(self):
+        led = WealthLedger()
+        with pytest.raises(ValueError, match="earn before any spend"):
+            led.earn(0)
+        assert led.wealth == 0.25
+
     def test_earn_refused_after_multi_test_run(self):
         led = WealthLedger()
         led.spend(0.01, [0, 1], 1)
@@ -140,6 +148,25 @@ class TestWealthLedger:
         led.spend(0.02, [1], 2)
         led.spend(0.11, [2], 2)
         led.earn(2)
+        assert led.replay() == led.wealth
+
+    @pytest.mark.parametrize("max_order", [None, 2])
+    def test_replay_passes_over_uncharged_entries(self, max_order):
+        # a +-1 column, whose square is constant, and a 0/1 column, whose
+        # square is itself, put removed_collinear entries in the log, and
+        # the run ends on a halted_wealth entry
+        rng = np.random.default_rng(20151)
+        X = rng.normal(1.0, 1.0, size=(300, 12))
+        X[:, 10] = rng.choice([-1.0, 1.0], 300)
+        X[:, 11] = rng.integers(0, 2, 300)
+        y = (X[:, 0] + X[:, 1] + 1.5 * X[:, 0] * X[:, 1] + 0.8 * X[:, 10]
+             + 0.8 * X[:, 11] + rng.normal(size=300))
+        config = RaiConfig(interactions=True,
+                           max_interaction_order=max_order)
+        _, trace = run_rai(standardize(X, y), config)
+        led = trace.ledger
+        assert {REMOVED_COLLINEAR, HALTED_WEALTH} <= set(entries(led,
+                                                                 "decision"))
         assert led.replay() == led.wealth
 
     @given(st.lists(st.tuples(st.floats(1e-6, 0.2), st.booleans()),
