@@ -22,7 +22,6 @@ import ast
 import contextlib
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,7 +68,6 @@ def main(argv: list[str]) -> int:
     settings.register_profile("unreached", deadline=None)
     settings.load_profile("unreached")
 
-    threading.settrace(global_)
     sys.settrace(global_)
     try:
         # the listing alone goes to standard output
@@ -79,7 +77,6 @@ def main(argv: list[str]) -> int:
                                   *(argv or [str(ROOT / "tests")])])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
     total = sum(len(lines) for lines in files.values())
     left = 0

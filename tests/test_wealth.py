@@ -150,8 +150,7 @@ class TestWealthLedger:
         led.earn(2)
         assert led.replay() == led.wealth
 
-    @pytest.mark.parametrize("max_order", [None, 2])
-    def test_replay_passes_over_uncharged_entries(self, max_order):
+    def test_replay_passes_over_uncharged_entries(self):
         # a +-1 column, whose square is constant, and a 0/1 column, whose
         # square is itself, put removed_collinear entries in the log, and
         # the run ends on a halted_wealth entry
@@ -161,9 +160,7 @@ class TestWealthLedger:
         X[:, 11] = rng.integers(0, 2, 300)
         y = (X[:, 0] + X[:, 1] + 1.5 * X[:, 0] * X[:, 1] + 0.8 * X[:, 10]
              + 0.8 * X[:, 11] + rng.normal(size=300))
-        config = RaiConfig(interactions=True,
-                           max_interaction_order=max_order)
-        _, trace = run_rai(standardize(X, y), config)
+        _, trace = run_rai(standardize(X, y), RaiConfig(interactions=True))
         led = trace.ledger
         assert {REMOVED_COLLINEAR, HALTED_WEALTH} <= set(entries(led,
                                                                  "decision"))
