@@ -27,15 +27,21 @@ column (whose square is constant) and a 0/1 column (whose square is
 itself), so that `--trace` files hold collinear and constant monomials,
 a p > n design, a pure-noise design for `diagnose` on an empty model,
 and a noiseless y = x1 + x2, whose exact fit leaves no |t| that any
-pass can clear.  Three runs that must fail (an unwritable `--trace`, a
-missing response column, `--max-order` without `--interactions`) come
-last, each digested by its standard error and exit code.  Every run
-uses one BLAS thread.
+pass can clear; one run on it charges 300 passes, so the late ones
+price alpha at the clamp just below 1.  The `simulate` runs cover
+every method, and `true_model` once more on the null scenario, where
+the true model is the intercept alone.  Runs that must fail (an
+unwritable `--trace`, a missing response column, `--max-order` without
+`--interactions`, and an output flag that names the input) come last,
+each digested by its standard error and exit code, and the last by
+its input too, which it must leave as it was.  Every run uses one BLAS
+thread.
 """
 import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -96,27 +102,41 @@ def commands(inputs: dict[str, Path], work: Path):
         yield name, ["select", str(inputs[data]), "--response", "y",
                      *flag_sets[flags_name], "--json", str(report),
                      "--trace", str(trace)], [report, trace]
+    report = work / "select-exact-300-passes.json"
+    yield "select-exact-300-passes", [
+        "select", str(inputs["exact"]), "--response", "y", "--wealth",
+        "1000", "--max-passes", "300", "--json", str(report)], [report]
     for data, k in (("product", "3"), ("wide", "2"), ("null", "3")):
         name = f"diagnose-{data}"
         report = work / f"{name}.json"
         yield name, ["diagnose", str(inputs[data]), "--response", "y",
                      "--k", k, "--json", str(report)], [report]
-    for method in SIMULATE_METHODS:
-        name = f"simulate-{method}"
+    studies = [(f"simulate-{method}", "single_interaction", method)
+               for method in SIMULATE_METHODS]
+    studies.append(("simulate-global_null-true_model", "global_null",
+                    "true_model"))
+    for name, scenario, method in studies:
         out = work / f"{name}.jsonl"
-        yield name, ["simulate", "--scenario", "single_interaction",
+        yield name, ["simulate", "--scenario", scenario,
                      "--n", "200", "--p", "20", "--reps", "3", "--seed", "5",
                      "--method", method, "--out", str(out)], [out]
 
 
 def failing_commands(inputs: dict[str, Path], work: Path):
-    """(name, argv) for every run that must exit with an error."""
+    """(name, argv, files the run must leave as they were) for every run
+    that must exit with an error."""
     select = ["select", str(inputs["product"]), "--response"]
     yield "select-unwritable-trace", [
-        *select, "y", "--trace", str(work / "absent" / "trace.jsonl")]
-    yield "select-missing-response", [*select, "nope"]
+        *select, "y", "--trace", str(work / "absent" / "trace.jsonl")], []
+    yield "select-missing-response", [*select, "nope"], []
     yield "select-order-without-interactions", [
-        *select, "y", "--max-order", "3"]
+        *select, "y", "--max-order", "3"], []
+    # on a copy, so that a run which overwrites its input harms no other
+    victim = work / "json-names-input.csv"
+    shutil.copyfile(inputs["exact"], victim)
+    yield "select-json-names-input", [
+        "select", str(victim), "--response", "y", "--json", str(victim)], [
+        victim]
 
 
 def run(argv: list[str], env: dict, work: Path):
@@ -148,16 +168,22 @@ def outputs(src: str) -> list[tuple[str, str, bytes]]:
             code, stdout, _ = run(argv, env, work)
             found.append((f"{name} stdout", f"{name} stdout (exit {code})",
                           stdout))
-            for path in paths:
-                data = path.read_bytes() if path.exists() else b"<missing>"
-                data = data.replace(str(work).encode(), b"<work>")
-                key = f"{name} {path.suffix[1:]}"
-                found.append((key, key, data))
-        for name, argv in failing_commands(inputs, work):
+            found += files(name, paths, work)
+        for name, argv, paths in failing_commands(inputs, work):
             code, _, stderr = run(argv, env, work)
             found.append((f"{name} stderr", f"{name} stderr (exit {code})",
                           stderr))
+            found += files(name, paths, work)
     return found
+
+
+def files(name: str, paths: list[Path], work: Path):
+    """(key, key, data) for each file of run `name`, with the work
+    directory written as <work>."""
+    for path in paths:
+        data = path.read_bytes() if path.exists() else b"<missing>"
+        key = f"{name} {path.suffix[1:]}"
+        yield key, key, data.replace(str(work).encode(), b"<work>")
 
 
 def trace_difference(ours: bytes, theirs: bytes) -> str:

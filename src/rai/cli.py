@@ -213,13 +213,18 @@ def _writing(path: str):
         raise ParseFailure(f"cannot write {path}: {exc}")
 
 
-def _check_writable(*paths) -> None:
-    """Fail as writing each given path would, before any input is read
-    or any work is done.  An existing path is opened for appending, so
-    nothing is truncated; a new one is created and removed again."""
-    for path in paths:
+def _check_writable(source, **outputs) -> None:
+    """Fail as writing each output flag's path would, or when one names
+    the input `source` or an earlier flag's file, before any input is
+    read or any work is done.  An existing path is opened for appending,
+    so nothing is truncated; a new one is created and removed again."""
+    named = {os.path.realpath(source): "the input"} if source else {}
+    for flag, path in outputs.items():
         if path is None:
             continue
+        key, flag = os.path.realpath(path), f"--{flag}"
+        if named.setdefault(key, flag) != flag:
+            raise ParseFailure(f"{named[key]} and {flag} both name {path}")
         with _writing(path):
             if os.path.lexists(path):
                 open(path, "a").close()
@@ -248,10 +253,7 @@ def _print_values(items) -> None:
 
 
 def cmd_select(args) -> int:
-    if args.json and args.trace and (os.path.realpath(args.json)
-                                     == os.path.realpath(args.trace)):
-        raise ParseFailure(f"--json and --trace both name {args.trace}")
-    _check_writable(args.json, args.trace)
+    _check_writable(args.input, json=args.json, trace=args.trace)
     config = _config_from_args(args)
     names, X, y = _read_design(args.input, args.response)
     t0 = time.perf_counter()
@@ -270,7 +272,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_writable(args.out)
+    _check_writable(None, out=args.out)
     spec = SimSpec(n=args.n, p=args.p, scenario=args.scenario,
                    replications=args.reps, base_seed=args.seed,
                    target_r2=args.target_r2)
@@ -290,7 +292,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     budget = enum_budget()
-    _check_writable(args.json)
+    _check_writable(args.input, json=args.json)
     config = _config_from_args(args)
     names, X, y = _read_design(args.input, args.response)
     dataset = standardize(X, y, names)

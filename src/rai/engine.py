@@ -195,21 +195,6 @@ def skip_passes(terms, best: float, ledger: WealthLedger, s: int, n: int,
     return s_prime, False, charged
 
 
-def _exact_max_t(terms, slots: np.ndarray, screen: Screen,
-                 state: ModelState) -> float:
-    """The exact largest |t| over `terms`, at the screen slots `slots`.
-
-    The screen's last low and high bounds on each slot hold its exact
-    |t|, so only terms whose high bound reaches the largest low bound
-    can hold the maximum, and only they are scored exactly.  A high
-    bound of 0 is already exact.
-    """
-    _, low, high = screen.t[:, slots]
-    reach = np.flatnonzero((high >= low.max()) & (high > 0.0))
-    return max((abs(state.score(term_column(state.dataset, terms[k]))[3])
-                for k in reach.tolist()), default=0.0)
-
-
 def run_rai(dataset: Dataset,
             config: RaiConfig | None = None) -> tuple[ModelState, SelectionTrace]:
     """Run the full multi-pass selection over the dataset's columns.
@@ -294,9 +279,10 @@ def run_rai(dataset: Dataset,
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
-            # the pass settled or tested every queued term after the last
-            # rejection, so the screen's bounds on each are current
-            best = _exact_max_t(queue, slots, screen, state)
+            # the largest exact |t| left, scored only where it can be
+            best = max((abs(state.score(term_column(dataset, queue[k]))[3])
+                        for k in screen.contenders(state, slots).tolist()),
+                       default=0.0)
             before = ledger.wealth
             s_next, halted, charged = skip_passes(
                 queue, best, ledger, s, n, max_passes)

@@ -284,10 +284,10 @@ SCREEN_MIN_NORM2 = 1e-4
 
 
 def _t_of(rho: np.ndarray, df: int) -> np.ndarray:
-    """Vectorized |t| of |rho|; rho >= 1 maps to inf."""
+    """|t| of |rho|: T_STAT_MAX for a finite rho >= 1, inf for inf or NaN."""
     with np.errstate(all="ignore"):
         t = rho * math.sqrt(df) / np.sqrt(1.0 - rho * rho)
-    return np.where(rho < 1.0, t, np.inf)
+    return np.where(rho < 1.0, t, np.where(rho < np.inf, T_STAT_MAX, np.inf))
 
 
 class Screen:
@@ -303,9 +303,9 @@ class Screen:
     screen is handed, the design's own rows included, starts from its
     products x . y with the response, one GEMV.  The slots are
     kept in chunks of about CHUNK_BYTES of rows, and a chunk takes in
-    the basis vectors it lacks, all at once, only when `settled` or
-    `rho_bounds` reaches it.  The screen keeps no model of its own: it
-    reads the state it is handed, and each such state extends the last.
+    the basis vectors it lacks, all at once, only when it is next read.
+    The screen keeps no model of its own: it reads the state it is
+    handed, and each such state extends the last.
 
     Screened scores come with intervals that hold the exact scores.
     Callers decide with them only what the intervals settle and send
@@ -318,7 +318,7 @@ class Screen:
         self._chunks = []
         self._response = dataset.response
         self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
-        self.t = np.zeros((3, 0))   # (|t|, low, high) as last scored
+        self.t = np.zeros((2, 0))   # (|t|, its upper bound) as last scored
         self.add_columns(dataset.columns.T)
 
     def _catch_up(self, state: ModelState, chunk: list) -> slice:
@@ -353,12 +353,25 @@ class Screen:
                 self.t[:, span] = self._t_abs(state, span)
                 chunk[3] = chunk[2]
             end = int(np.searchsorted(slots, span.stop))
-            unsettled = np.flatnonzero(~(self.t[2, slots[stop:end]] <= below))
+            unsettled = np.flatnonzero(~(self.t[1, slots[stop:end]] <= below))
             if len(unsettled):
                 stop += int(unsettled[0])
                 break
             stop = end
         return self.t[0, slots[:stop]]
+
+    def contenders(self, state: ModelState, slots) -> np.ndarray:
+        """The positions in `slots` (ascending) whose |rho| upper bound at
+        `state` reaches their largest lower bound, after the chunks holding
+        them take in what they lack: only these can hold the largest exact
+        score.  None at an exhausted residual, where every slot scores 0."""
+        if state.rnorm < RESIDUAL_TOL:
+            return np.zeros(0, dtype=int)
+        starts = [chunk[0] for chunk in self._chunks]
+        for k in set(np.searchsorted(starts, slots, "right").tolist()):
+            self._catch_up(state, self._chunks[k - 1])
+        _, low, high = self._rho_bounds(state.rnorm, slots)
+        return np.flatnonzero(high >= low.max(initial=0.0))
 
     def add_columns(self, block: np.ndarray) -> np.ndarray:
         """Append the rows of `block`, unit-norm columns as `realize`
@@ -371,7 +384,7 @@ class Screen:
                          for a in range(0, len(block), self._rows)]
         self.gram = np.concatenate((self.gram, np.zeros(len(block))))
         self.inner = np.concatenate((self.inner, block @ self._response))
-        self.t = np.hstack((self.t, np.full((3, len(block)), np.nan)))
+        self.t = np.hstack((self.t, np.full((2, len(block)), np.nan)))
         return np.arange(start, start + len(block))
 
     def rho_bounds(self, state: ModelState) -> tuple[np.ndarray, ...]:
@@ -387,10 +400,10 @@ class Screen:
             self._catch_up(state, chunk)
         return self._rho_bounds(state.rnorm, slice(None))
 
-    def _rho_bounds(self, rnorm: float, span: slice):
-        """`rho_bounds` of the `span` slots, from their products as is."""
-        c = np.abs(self.inner[span])
-        norm2 = 1.0 - self.gram[span]
+    def _rho_bounds(self, rnorm: float, idx):
+        """`rho_bounds` of the `idx` slots, from their products as is."""
+        c = np.abs(self.inner[idx])
+        norm2 = 1.0 - self.gram[idx]
         floor = max(SCREEN_MIN_NORM2, (2.0 * COLLINEARITY_TOL) ** 2)
         trusted = (norm2 >= floor) & np.isfinite(c)
         with np.errstate(all="ignore"):
@@ -403,14 +416,13 @@ class Screen:
         return rho, low, high
 
     def _t_abs(self, state: ModelState, span: slice):
-        """(|t|, low, high) of the `span` slots at `state`, likewise."""
-        rho, low, high = self._rho_bounds(state.rnorm, span)
+        """(|t|, its upper bound) of the `span` slots at `state`, likewise."""
+        rho, _, high = self._rho_bounds(state.rnorm, span)
         if state.rnorm < RESIDUAL_TOL:
             # an exhausted residual scores every candidate 0, as the
             # exact path does; only untrusted slots stay open
-            return (np.zeros_like(rho), np.zeros_like(rho),
-                    np.where(np.isinf(high), np.inf, 0.0))
-        return _t_of(np.stack((rho, low, high)), state.df)
+            return np.zeros_like(rho), np.where(np.isinf(high), np.inf, 0.0)
+        return _t_of(np.stack((rho, high)), state.df)
 
 
 # -- whole-subset operations, by fresh orthogonalization ----------------

@@ -70,19 +70,17 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     live = np.ones(dataset.p, dtype=bool)
     limit = dataset.p if k is None else k
     while state.size < limit:
-        # gain = rho^2 ||r||^2, so the screen's rho bounds pick the few
+        # gain = rho^2 ||r||^2, so the screen's contenders are the few
         # columns that can win; their exact Gram-Schmidt gains decide,
         # lowest index on ties.  An exhausted residual (the cut
         # ModelState.score uses) gains nothing anywhere, so the lowest
         # addable column is taken
         exhausted = state.rnorm < RESIDUAL_TOL
-        if exhausted:
-            contenders = live
-        else:
-            _, low, high = screen.rho_bounds(state)
-            contenders = live & ~(high < np.max(low[live]))
+        slots = np.flatnonzero(live)
+        if not exhausted:
+            slots = slots[screen.contenders(state, slots)]
         best_j, best_gain, best_adj = -1, -np.inf, None
-        for j in np.flatnonzero(contenders).tolist():
+        for j in slots.tolist():
             adj, nrm, _, _ = state.score(dataset.columns[:, j])
             if nrm <= COLLINEARITY_TOL:
                 continue

@@ -272,8 +272,7 @@ def _fitted_from_state(dataset: Dataset, state) -> np.ndarray:
             + dataset.response_scale * (dataset.response - state.residual))
 
 
-def _run_method(method: str, dataset: Dataset, X, y, spec: SimSpec,
-                truth_cols: np.ndarray | None):
+def _run_method(method: str, dataset: Dataset, y, truth_cols: list):
     """Returns (yhat, selected_terms, passes, wealth_spent, rejections)."""
     if method in ("rai", "rai_interactions"):
         config = RaiConfig(interactions=(method == "rai_interactions"))
@@ -289,7 +288,7 @@ def _run_method(method: str, dataset: Dataset, X, y, spec: SimSpec,
         yhat = np.full(y.size, float(y.mean()))
         return yhat, [], 0, 0.0, 0
     if method == "true_model":
-        A = np.column_stack([np.ones(y.size), truth_cols])
+        A = np.column_stack([np.ones(y.size), *truth_cols])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         return A @ coef, [], 0, 0.0, 0
     raise ValueError(f"unknown method {method!r}")
@@ -327,11 +326,10 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
         X = gen_design(spec, rep)
         y, mu, _beta = gen_response(X, spec, rep)
         dataset = standardize(X, y, names)
-        truth_cols = (np.column_stack(
-            [monomial(t, X) for t in truth]) if truth else None)
+        truth_cols = [monomial(t, X) for t in truth]
         try:
             yhat, selected, passes, spent, rejections = _run_method(
-                method, dataset, X, y, spec, truth_cols)
+                method, dataset, y, truth_cols)
         except (RaiError, np.linalg.LinAlgError) as exc:
             # a broken replication must not sink the rest of the study
             rows.append({"kind": "replication", "rep": rep,
@@ -351,8 +349,8 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
             "wealth_spent": spent,
             "rejections": rejections,
             "false_rejections": false_rej,
-            "true_term_t": (_ols_t_stats(truth_cols, y)
-                            if truth_cols is not None else []),
+            "true_term_t": (_ols_t_stats(np.column_stack(truth_cols), y)
+                            if truth else []),
         }
         if include_timing:
             row["wall_time_s"] = time.perf_counter() - t0

@@ -20,9 +20,11 @@ import numpy as np
 DEFAULT_INITIAL_WEALTH = 0.25
 DEFAULT_PAYOUT = 0.05
 
-# Far-tail levels underflow double precision; anything smaller than this
-# is clamped so early passes always charge a positive amount.
+# Far-tail levels underflow double precision, and the levels of far-late
+# passes round to 1, which is no level either; alpha is clamped to
+# [ALPHA_FLOOR, ALPHA_CEILING], so every pass charges a valid amount.
 ALPHA_FLOOR = 1e-300
+ALPHA_CEILING = math.nextafter(1.0, 0.0)
 
 # Decisions, as the event log stores them.  A test is charged unless it
 # was dropped as collinear or could not be paid for; SKIPPED marks a
@@ -47,7 +49,7 @@ def pass_parameters(n: int, s: int) -> tuple[float, float]:
         raise ValueError("n and s must be positive")
     tlvl = math.sqrt(n) * 2.0 ** (-s / 2.0)
     alpha = math.erfc(tlvl / math.sqrt(2.0))
-    return tlvl, max(alpha, ALPHA_FLOOR)
+    return tlvl, min(max(alpha, ALPHA_FLOOR), ALPHA_CEILING)
 
 
 def running(start: float, step: float, count: int, op) -> np.ndarray:

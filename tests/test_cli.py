@@ -380,6 +380,23 @@ class TestSelect:
             f"error: --json and --trace both name {trace}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("select", "--json"), ("select", "--trace"), ("diagnose", "--json")])
+    def test_output_naming_the_input_exits_two_before_reading_it(
+            self, tmp_path, capsys, monkeypatch, command, flag):
+        # the report would overwrite the data; the input is named by its
+        # path and the output relative to it, so both are resolved
+        path, _, _ = signal_file(tmp_path)
+        data = path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(rai.cli, "_read_design", lambda *args: (
+            pytest.fail("the input was read")))
+        assert main([command, str(path), "--response", "y",
+                     flag, path.name]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: the input and {flag} both name {path.name}\n")
+        assert path.read_bytes() == data
+
     def test_max_order_without_interactions_exits_two(self, tmp_path,
                                                       capsys):
         # no product is generated, so the order would be ignored

@@ -12,8 +12,8 @@ from rai import (FeatureTerm, ModelState, RaiConfig, WealthLedger,
                  test_candidate)
 from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
-                        TERMINATED_STREAM, TERMINATED_WEALTH, _exact_max_t)
-from rai.kernel import Screen
+                        TERMINATED_STREAM, TERMINATED_WEALTH)
+from rai.kernel import RESIDUAL_TOL, Screen
 from rai.terms import term_column
 
 import reference_engine as ref
@@ -253,6 +253,14 @@ class TestSkipPasses:
         assert charged == pytest.approx(expected, abs=1e-15)
 
 
+def contended_max_t(state, screen, terms, slots):
+    """The largest exact |t| over `terms`, scored only at the screen's
+    contenders among `slots`, as `run_rai` takes it before a skip."""
+    return max((abs(state.score(term_column(state.dataset, terms[k]))[3])
+                for k in screen.contenders(state, slots).tolist()),
+               default=0.0)
+
+
 class TestExactMaxT:
 
     @given(seeds, st.sampled_from(["gaussian", "duplicates", "exact_fit"]),
@@ -260,7 +268,8 @@ class TestExactMaxT:
     @settings(max_examples=80, deadline=None)
     def test_equals_largest_exact_score(self, seed, design, data):
         """Bit for bit the largest exact |t| over any set of slots,
-        including untrusted [0, inf] slots and an exhausted residual."""
+        including untrusted [0, inf] slots and an exhausted residual,
+        whether or not a settle caught the chunks up first."""
         rng = np.random.default_rng(seed)
         n, p = 60, 8
         X = rng.normal(size=(n, p))
@@ -283,18 +292,52 @@ class TestExactMaxT:
         state = ModelState.empty(ds)
         for j in range(data.draw(st.integers(0, 3))):
             state = state.add_feature(j)
-        # no bound is above inf, so every slot is scored
-        screen.settled(state, np.arange(p + 3), np.inf)
+        if data.draw(st.booleans(), label="settle first"):
+            # no bound is above inf, so every slot is scored
+            screen.settled(state, np.arange(p + 3), np.inf)
         finite = [j for j in range(p + 3) if j != p + 1]
-        slots = np.array(data.draw(st.lists(
+        # ascending, as the engine's queue keeps its slots
+        slots = np.array(sorted(data.draw(st.lists(
             st.sampled_from(finite), min_size=1, max_size=p + 2,
-            unique=True)))
+            unique=True))))
         terms = [pool[j] for j in slots]
         want = max(abs(state.score(term_column(ds, t))[3]) for t in terms)
-        got = _exact_max_t(terms, slots, screen, state)
+        got = contended_max_t(state, screen, terms, slots)
         assert got.hex() == want.hex()
         if design == "exact_fit" and state.size >= 2:
             assert got == 0.0
+
+    @given(seeds, st.sampled_from(["duplicates", "signs", "exact_fit"]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_contenders_hold_every_tied_maximum(self, seed, design, data):
+        """Every slot whose exact |rho| ties the largest is a contender,
+        copies and sign flips of the strongest column included, and at
+        an exhausted residual no slot is."""
+        rng = np.random.default_rng(seed)
+        n, p = 60, 8
+        X = rng.normal(size=(n, p))
+        X[:, 5:] = -X[:, :3] if design == "signs" else X[:, :3]
+        y = X[:, :3] @ rng.normal(3.0, 1.0, size=3) + rng.normal(size=n)
+        if design == "exact_fit":
+            y = X[:, 0] - 2.0 * X[:, 1]
+        ds = standardize(X, y)
+        screen = Screen(ds)
+        state = ModelState.empty(ds)
+        for j in range(data.draw(st.integers(0, 3))):
+            state = state.add_feature(j)
+        slots = np.array(sorted(data.draw(st.sets(
+            st.integers(0, p - 1), min_size=1))))
+        rho = np.array([abs(state.score(ds.columns[:, j])[2])
+                        for j in slots.tolist()])
+        got = screen.contenders(state, slots)
+        if state.rnorm < RESIDUAL_TOL:
+            assert len(got) == 0
+        else:
+            assert set(np.flatnonzero(rho == rho.max()).tolist()) \
+                <= set(got.tolist())
+        if design == "exact_fit" and state.size >= 2:
+            assert len(got) == 0
 
 
 class TestRunRai:
@@ -651,6 +694,24 @@ class TestSkipEquivalence:
                      trace.passes_traversed, trace.ledger.wealth.hex())
                     for state, trace in runs}
         assert len(outcomes) == 1, outcomes
+
+    def test_late_passes_charge_a_clamped_alpha(self):
+        """Passes late enough that erfc rounds alpha to 1 are charged
+        just below it: the run ends `max_passes`, skip on and off, with
+        the reference's wealth bits."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(100, 3))
+        ds = standardize(X, X[:, 0] + X[:, 1])
+        config = dict(initial_wealth=1000.0, max_passes=300)
+        runs = [run_rai(ds, RaiConfig(skip_passes=True, **config)),
+                run_rai(ds, RaiConfig(skip_passes=False, **config)),
+                ref.run_rai(ds, RaiConfig(skip_passes=False, **config))]
+        outcomes = {(len(state.selected), trace.termination,
+                     trace.passes_traversed, trace.ledger.wealth.hex())
+                    for state, trace in runs}
+        assert len(outcomes) == 1, outcomes
+        (size, termination, passes, _), = outcomes
+        assert (size, termination, passes) == (2, TERMINATED_PASSES, 300)
 
     def test_skip_with_interactions_equivalent(self):
         for seed in (11, 23, 35):

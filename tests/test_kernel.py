@@ -174,6 +174,17 @@ class TestTStatistic:
         ds = standardize(x[:, None], 3.0 * x + 1.0)
         assert t_statistic(ModelState.empty(ds), 0) == T_STAT_MAX
 
+    def test_perfect_fit_sentinel_screened(self):
+        # the screen's |t| of a column that explains the response
+        # exactly is the exact path's stand-in, not inf; an unbounded or
+        # NaN |rho| bound stays inf, so no threshold settles it
+        x = np.arange(10.0)
+        ds = standardize(x[:, None], 3.0 * x + 1.0)
+        t = Screen(ds).settled(ModelState.empty(ds), np.arange(1), np.inf)
+        assert t.tolist() == [T_STAT_MAX]
+        assert _t_of(np.array([1.0, np.inf, np.nan]), 8).tolist() == [
+            T_STAT_MAX, np.inf, np.inf]
+
     def test_sign_matches_rho(self):
         x = np.arange(30.0)
         rng = np.random.default_rng(3)
@@ -442,7 +453,7 @@ class TestScreen:
         # no bound is above inf, so every slot settles and is scored
         t = screen.settled(state, np.arange(ds.p + 3), np.inf)
         assert len(t) == ds.p + 3
-        _, t_low, t_high = screen.t
+        t_low, t_high = _t_of(low, state.df), screen.t[1]
         for slot, column in enumerate(np.vstack((ds.columns.T, extra))):
             _, nrm, exact_rho, exact_t = state.score(column)
             if nrm ** 2 < 1e-3:
@@ -489,11 +500,15 @@ class TestScreen:
                     st.integers(0, len(columns) - 1), min_size=1))))
                 t = screen.settled(state, slots, np.inf)
                 assert len(t) == len(slots)
-                for slot, t_slot in zip(slots.tolist(), t.tolist()):
+                # the lower bound of `rho_bounds`, on the settled slots
+                # alone, so no other chunk is caught up
+                _, low, _ = screen._rho_bounds(state.rnorm, slots)
+                for slot, t_slot, t_low in zip(
+                        slots.tolist(), t.tolist(),
+                        _t_of(low, state.df).tolist()):
                     _, nrm, _, exact = state.score(columns[slot])
                     if nrm ** 2 >= 1e-3:
-                        assert screen.t[1, slot] <= abs(exact) \
-                            <= screen.t[2, slot]
+                        assert t_low <= abs(exact) <= screen.t[1, slot]
                         assert t_slot == pytest.approx(
                             abs(exact), rel=1e-9, abs=1e-12)
             elif op == "full":
@@ -666,4 +681,4 @@ class TestScreen:
         for slot in (0, p, p + 1):
             assert len(screen.settled(state, np.array([slot]),
                                       T_STAT_MAX)) == 0
-            assert screen.t[2, slot] == np.inf
+            assert screen.t[1, slot] == np.inf

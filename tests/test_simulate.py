@@ -390,11 +390,11 @@ class TestRunExperiment:
         real = sim._run_method
         calls = {"n": 0}
 
-        def flaky(method, dataset, X, y, spec, truth_cols):
+        def flaky(method, dataset, y, truth_cols):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RaiError("injected failure")
-            return real(method, dataset, X, y, spec, truth_cols)
+            return real(method, dataset, y, truth_cols)
 
         monkeypatch.setattr(sim, "_run_method", flaky)
         spec = spec_for("global_null", n=100, p=5, reps=3, seed=1)

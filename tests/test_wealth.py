@@ -9,8 +9,8 @@ from rai import (RaiConfig, WealthLedger, pass_parameters, run_rai,
                  simulate, standardize)
 from rai.simulate import SimSpec, recovery_targets, run_experiment
 from rai.terms import FeatureTerm
-from rai.wealth import (ALPHA_FLOOR, HALTED_WEALTH, REJECTED,
-                        REMOVED_COLLINEAR)
+from rai.wealth import (ALPHA_CEILING, ALPHA_FLOOR, HALTED_WEALTH,
+                        REJECTED, REMOVED_COLLINEAR)
 
 import reference_engine as ref
 from conftest import charges, entries
@@ -31,6 +31,16 @@ class TestPassParameters:
     def test_alpha_floor(self):
         _, alpha = pass_parameters(10**6, 1)
         assert alpha == ALPHA_FLOOR
+
+    def test_alpha_ceiling(self):
+        # at n = 100, pass 114's threshold is ~7e-17, where erfc rounds
+        # to 1, a level no ledger accepts; every later pass is clamped too
+        tlvl, alpha = pass_parameters(100, 114)
+        assert math.erfc(tlvl / math.sqrt(2.0)) == 1.0
+        assert alpha == ALPHA_CEILING == math.nextafter(1.0, 0.0)
+        assert pass_parameters(100, 10**4)[1] == ALPHA_CEILING
+        ledger = WealthLedger(2.0)
+        assert ledger.spend(alpha, ["x"], 114, [0.0]) == 1
 
     def test_standard_level_at_critical_t(self):
         # whatever (n, s) lands the threshold at 1.96 must price it at 0.05
@@ -276,7 +286,7 @@ def scripted_study(monkeypatch, selections):
     """
     picks = iter(selections)
 
-    def scripted(method, dataset, X, y, spec, truth_cols):
+    def scripted(method, dataset, y, truth_cols):
         selected = list(next(picks))
         yhat = np.full(y.size, float(y.mean()))
         return yhat, selected, 1, 0.0, len(selected)
