@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernel import (COLLINEARITY_TOL, SCREEN_MARGIN, Dataset, ModelState,
-                     Screen)
+from .kernel import Dataset, ModelState, Screen
 from .terms import FeatureTerm, generate_candidates, realize, term_column
 from .wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT, HALTED_WEALTH,
                      NOT_REJECTED, REJECTED, REMOVED_COLLINEAR, SKIPPED,
@@ -140,26 +139,22 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     the threshold comparison; a candidate is only attempted when wealth
     covers its alpha, a collinear or constant candidate is dropped
     without spending, and the threshold itself is strict.
-    `column` is the term's column; one holding NaN or inf, as a
-    constant or overflowing monomial realizes to, is dropped the same
-    way.  Every outcome is logged in the ledger; the charge is a run of
-    one test.
+    `column` is the term's column; one `ModelState.score` finds
+    untestable, as a constant or overflowing monomial realizes to, is
+    dropped the same way.  Every outcome is logged in the ledger; the
+    charge is a run of one test.
     """
     if ledger.wealth < alpha:
         ledger.note(term, pass_index, alpha, HALTED_WEALTH)
         return HALTED_WEALTH, state, None
-    if not np.isfinite(column).all():
+    if (scored := state.score(column)) is None:
         ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
         return REMOVED_COLLINEAR, state, None
-    adj, nrm, _, t = state.score(column)
-    if nrm <= COLLINEARITY_TOL:
-        ledger.note(term, pass_index, alpha, REMOVED_COLLINEAR)
-        return REMOVED_COLLINEAR, state, None
-    t_abs = abs(t)
+    t_abs = abs(scored[3])
     ledger.spend(alpha, [term], pass_index, [t_abs])
     if t_abs > tlvl:
         ledger.earn(term)
-        return REJECTED, state.add_adjusted(adj, term), t_abs
+        return REJECTED, state.add_adjusted(scored[0], term), t_abs
     return NOT_REJECTED, state, t_abs
 
 
@@ -231,7 +226,6 @@ def run_rai(dataset: Dataset,
     s = 1
     while s <= max_passes:
         tlvl, alpha = pass_parameters(n, s)
-        safe_below = tlvl * (1.0 - SCREEN_MARGIN)
         rejected_any = False
         i = 0
         while i < len(queue):
@@ -247,7 +241,7 @@ def run_rai(dataset: Dataset,
                 termination = TERMINATED_STREAM
                 break
             # charge the stretch the screen settles below the threshold
-            t = screen.settled(state, slots[i:], safe_below)
+            t = screen.settled(state, slots[i:], tlvl)
             if len(t):
                 i += ledger.spend(alpha, queue[i:i + len(t)], s, t)
                 if i == len(slots):
@@ -279,7 +273,8 @@ def run_rai(dataset: Dataset,
             termination = TERMINATED_STREAM
             break
         if not rejected_any and config.skip_passes and s < max_passes:
-            # the largest exact |t| left, scored only where it can be
+            # the largest exact |t| left, scored only where it can be; each
+            # candidate left was tested or settled at this state, so testable
             best = max((abs(state.score(term_column(dataset, queue[k]))[3])
                         for k in screen.contenders(state, slots).tolist()),
                        default=0.0)

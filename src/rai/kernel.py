@@ -228,17 +228,20 @@ class ModelState:
                 v -= np.dot(v, q) * q
         return v
 
-    def score(self, x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    def score(self, x: np.ndarray):
         """(adjusted column, its norm, partial correlation, t) for a
-        candidate column.
-
-        No df check: callers gate on df themselves.  The correlation and
-        t are 0 for a column in span(S) (norm at or below
-        COLLINEARITY_TOL) and against an exhausted residual.
-        """
+        candidate column, or None if it is untestable: not finite, as a
+        constant or overflowing monomial realizes to, or in span(S)
+        (adjusted norm at or below COLLINEARITY_TOL).  The correlation
+        and t are 0 against an exhausted residual.  No df check: callers
+        gate on df themselves."""
+        if not np.isfinite(x).all():
+            return None
         adj = self.adjusted_vector(x)
         nrm = float(np.linalg.norm(adj))
-        if nrm <= COLLINEARITY_TOL or self.rnorm < RESIDUAL_TOL:
+        if nrm <= COLLINEARITY_TOL:
+            return None
+        if self.rnorm < RESIDUAL_TOL:
             return adj, nrm, 0.0, 0.0
         rho = float(np.dot(self.residual, adj) / (self.rnorm * nrm))
         rho = min(1.0, max(-1.0, rho))
@@ -314,63 +317,65 @@ class Screen:
 
     def __init__(self, dataset: Dataset):
         self._rows = max(1, CHUNK_BYTES // (8 * dataset.n))
-        # [first slot, rows, vectors taken in, ditto at last scoring or None]
-        self._chunks = []
+        self._starts = []   # the first slot of each chunk
+        self._chunks = []   # [rows, vectors taken in, ditto when last scored]
         self._response = dataset.response
         self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
         self.t = np.zeros((2, 0))   # (|t|, its upper bound) as last scored
         self.add_columns(dataset.columns.T)
 
-    def _catch_up(self, state: ModelState, chunk: list) -> slice:
-        """Have `chunk` take in the vectors of `state` it lacks, one GEMV
-        each, and return its slots.
+    def _catch_up(self, state: ModelState, k: int) -> slice:
+        """Have chunk `k` take in the vectors of `state` it lacks, one
+        GEMV each, and return its slots.
 
         r loses its component along each new q, so every x . r drops by
         (r . q)(x . q), with r . q the state's coefficient, rather than
         being recomputed.
         """
-        start, rows, taken, _ = chunk
-        span = slice(start, start + len(rows))
+        rows, taken, _ = chunk = self._chunks[k]
+        span = slice(self._starts[k], self._starts[k] + len(rows))
         gram, inner = self.gram[span], self.inner[span]
         for q, coef in zip(state.basis[taken:], state.coefs[taken:]):
             g = rows @ q
             gram += g * g
             inner -= coef * g
-        chunk[2] = state.size
+        chunk[1] = state.size
         return span
 
-    def settled(self, state: ModelState, slots, below: float) -> np.ndarray:
+    def _walk(self, state: ModelState, slots):
+        """For each chunk holding some of `slots` (ascending), in order,
+        have it take in what it lacks and yield (chunk, its slots, the
+        positions in `slots` it holds as a start and an end)."""
+        end = 0
+        while end < len(slots):
+            k = bisect.bisect(self._starts, int(slots[end])) - 1
+            span = self._catch_up(state, k)
+            start, end = end, int(np.searchsorted(slots, span.stop))
+            yield self._chunks[k], span, start, end
+
+    def settled(self, state: ModelState, slots, tlvl: float) -> np.ndarray:
         """The screened |t| of the leading `slots` (ascending) whose upper
-        bound lies at or below `below`, at `state`.  Each chunk the walk
-        reaches takes in what it lacks, and is rescored if it took
-        anything in since it was last scored or never was."""
-        stop = 0
-        while stop < len(slots):
-            chunk = self._chunks[bisect.bisect(
-                self._chunks, int(slots[stop]), key=lambda c: c[0]) - 1]
-            span = self._catch_up(state, chunk)
-            if chunk[3] != chunk[2]:
+        bound at `state` lies at or below tlvl * (1 - SCREEN_MARGIN).  A
+        chunk the walk reaches is rescored if it took anything in since
+        it was last scored or never was."""
+        below = tlvl * (1.0 - SCREEN_MARGIN)
+        for chunk, span, start, end in self._walk(state, slots):
+            if chunk[2] != chunk[1]:
                 self.t[:, span] = self._t_abs(state, span)
-                chunk[3] = chunk[2]
-            end = int(np.searchsorted(slots, span.stop))
-            unsettled = np.flatnonzero(~(self.t[1, slots[stop:end]] <= below))
+                chunk[2] = chunk[1]
+            unsettled = np.flatnonzero(~(self.t[1, slots[start:end]] <= below))
             if len(unsettled):
-                stop += int(unsettled[0])
-                break
-            stop = end
-        return self.t[0, slots[:stop]]
+                return self.t[0, slots[:start + int(unsettled[0])]]
+        return self.t[0, slots]
 
     def contenders(self, state: ModelState, slots) -> np.ndarray:
         """The positions in `slots` (ascending) whose |rho| upper bound at
-        `state` reaches their largest lower bound, after the chunks holding
-        them take in what they lack: only these can hold the largest exact
-        score.  None at an exhausted residual, where every slot scores 0."""
+        `state` reaches their largest lower bound: only these can hold
+        the largest exact score.  None at an exhausted residual, where
+        every slot scores 0."""
         if state.rnorm < RESIDUAL_TOL:
             return np.zeros(0, dtype=int)
-        starts = [chunk[0] for chunk in self._chunks]
-        for k in set(np.searchsorted(starts, slots, "right").tolist()):
-            self._catch_up(state, self._chunks[k - 1])
-        _, low, high = self._rho_bounds(state.rnorm, slots)
+        _, low, high = self.bounds(state, slots)
         return np.flatnonzero(high >= low.max(initial=0.0))
 
     def add_columns(self, block: np.ndarray) -> np.ndarray:
@@ -380,28 +385,27 @@ class Screen:
         computes its products with the response, and never trusts a row
         that is not finite."""
         start = len(self.gram)
-        self._chunks += [[start + a, block[a:a + self._rows], 0, None]
+        self._starts += range(start, start + len(block), self._rows)
+        self._chunks += [[block[a:a + self._rows], 0, None]
                          for a in range(0, len(block), self._rows)]
         self.gram = np.concatenate((self.gram, np.zeros(len(block))))
         self.inner = np.concatenate((self.inner, block @ self._response))
         self.t = np.hstack((self.t, np.full((2, len(block)), np.nan)))
         return np.arange(start, start + len(block))
 
-    def rho_bounds(self, state: ModelState) -> tuple[np.ndarray, ...]:
-        """(|rho|, low, high) for every slot at `state`; every chunk
-        takes in what it lacks first.
-
-        rho is the partial correlation of the slot with the residual;
-        [low, high] holds its exact value, allowing SCREEN_ERR in every
-        cached product.  A slot whose adjusted norm is too small to
-        resolve, or whose column is not finite, gets [0, inf].
-        """
-        for chunk in self._chunks:
-            self._catch_up(state, chunk)
-        return self._rho_bounds(state.rnorm, slice(None))
+    def bounds(self, state: ModelState, slots) -> tuple[np.ndarray, ...]:
+        """(|rho|, low, high) of `slots` (ascending) at `state`, after the
+        chunks holding them take in what they lack.  rho is the partial
+        correlation with the residual, and [low, high] holds its exact
+        value, allowing SCREEN_ERR in every cached product; a slot whose
+        adjusted norm is too small to resolve, or whose column is not
+        finite, gets [0, inf]."""
+        for _ in self._walk(state, slots):
+            pass
+        return self._rho_bounds(state.rnorm, slots)
 
     def _rho_bounds(self, rnorm: float, idx):
-        """`rho_bounds` of the `idx` slots, from their products as is."""
+        """`bounds` of the `idx` slots, from their products as is."""
         c = np.abs(self.inner[idx])
         norm2 = 1.0 - self.gram[idx]
         floor = max(SCREEN_MIN_NORM2, (2.0 * COLLINEARITY_TOL) ** 2)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import (AllSubsetsSingular, BudgetExceeded, SingularStep,
                      SingularSubset)
-from .kernel import (COLLINEARITY_TOL, RESIDUAL_TOL, Dataset, ModelState,
-                     Screen, r_squared_of)
+from .kernel import Dataset, ModelState, Screen, r_squared_of
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 ENUM_BUDGET_ENV = "RAI_ENUM_BUDGET"
@@ -59,8 +58,8 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     until no column is addable, or until a perfect fit, and the first
     of its states with the least AIC is returned.  The state's
     `selected` is the path.  Gain ties break toward the lowest column
-    index; past an exhausted residual (norm below RESIDUAL_TOL) every step
-    takes the lowest-index column still addable.
+    index; past an exhausted residual every step takes the lowest-index
+    column still addable.
     """
     if k is not None and not 0 <= k <= dataset.p:
         raise ValueError(f"k must lie in [0, {dataset.p}]")
@@ -71,19 +70,17 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
     limit = dataset.p if k is None else k
     while state.size < limit:
         # gain = rho^2 ||r||^2, so the screen's contenders are the few
-        # columns that can win; their exact Gram-Schmidt gains decide,
-        # lowest index on ties.  An exhausted residual (the cut
-        # ModelState.score uses) gains nothing anywhere, so the lowest
-        # addable column is taken
-        exhausted = state.rnorm < RESIDUAL_TOL
+        # columns that can win; their exact gains decide, lowest index on
+        # ties.  No contender means an exhausted residual, which gains
+        # nothing anywhere, so the lowest addable column is taken
         slots = np.flatnonzero(live)
-        if not exhausted:
-            slots = slots[screen.contenders(state, slots)]
+        picks = screen.contenders(state, slots)
+        exhausted = not len(picks)
         best_j, best_gain, best_adj = -1, -np.inf, None
-        for j in slots.tolist():
-            adj, nrm, _, _ = state.score(dataset.columns[:, j])
-            if nrm <= COLLINEARITY_TOL:
+        for j in (slots if exhausted else slots[picks]).tolist():
+            if (scored := state.score(dataset.columns[:, j])) is None:
                 continue
+            adj, nrm, _, _ = scored
             if exhausted:
                 best_j, best_adj = j, adj
                 break
@@ -160,21 +157,15 @@ def submodularity_ratio(dataset: Dataset, S, k: int,
     state = ModelState.empty(dataset)
     for j in S:
         state = state.add_feature(j)
-    usable: list[int] = []
-    units = {}
-    for j in rest:
-        adj, nrm, _, _ = state.score(dataset.columns[:, j])
-        if nrm <= COLLINEARITY_TOL:
-            continue
-        usable.append(j)
-        units[j] = adj / nrm
+    scores = {j: state.score(dataset.columns[:, j]) for j in rest}
+    units = {j: s[0] / s[1] for j, s in scores.items() if s is not None}
     gamma = np.inf
     argmin: tuple[int, ...] = ()
     scored = 0
     y = dataset.response
-    corr = {j: float(np.dot(y, units[j])) for j in usable}
+    corr = {j: float(np.dot(y, units[j])) for j in units}
     for t in range(1, k + 1):
-        for T in combinations(usable, t):
+        for T in combinations(units, t):
             r = np.array([corr[j] for j in T])
             C = np.array([[float(np.dot(units[a], units[b])) for b in T]
                           for a in T])

@@ -82,9 +82,8 @@ def generate_candidates(selected, newly_added: FeatureTerm,
     out: list[FeatureTerm] = []
     for t in selected:
         cand = newly_added.product(t)
-        if max_order is not None and cand.order > max_order:
-            continue
-        if cand in excluded or cand in seen:
+        if (cand in excluded or cand in seen
+                or max_order is not None and cand.order > max_order):
             continue
         excluded.add(cand)
         out.append(cand)
@@ -116,8 +115,7 @@ def realize(terms, raw: np.ndarray) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         for row, term in zip(rows, terms):
             row[:] = monomial(term, raw)
-    means, scales = _unit_rows(rows)
-    return rows, means, scales
+    return (rows, *_unit_rows(rows))
 
 
 def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from rai.errors import CollinearFeature, RaiError
-from rai.kernel import COLLINEARITY_TOL, Dataset, ModelState, r_squared_of
+from rai.kernel import Dataset, ModelState, r_squared_of
 
 
 class InsufficientDf(RaiError):
@@ -32,10 +32,7 @@ def partial_correlation(state: ModelState, j: int) -> float:
 
     Its square is the R^2 gain of adding j divided by (1 - R^2).
     """
-    _, nrm, rho, _ = state.score(state.dataset.columns[:, j])
-    if nrm <= COLLINEARITY_TOL:
-        raise CollinearFeature(f"column {j} is collinear with the model")
-    return rho
+    return _scored(state, j)[2]
 
 
 def t_statistic(state: ModelState, j: int) -> float:
@@ -43,10 +40,15 @@ def t_statistic(state: ModelState, j: int) -> float:
     n - |S| - 2 degrees of freedom."""
     if state.df < 1:
         raise InsufficientDf(f"df = {state.df} with |S| = {state.size}")
-    _, nrm, _, t = state.score(state.dataset.columns[:, j])
-    if nrm <= COLLINEARITY_TOL:
+    return _scored(state, j)[3]
+
+
+def _scored(state: ModelState, j: int):
+    """`ModelState.score` of column j, which must be testable."""
+    scored = state.score(state.dataset.columns[:, j])
+    if scored is None:
         raise CollinearFeature(f"column {j} is collinear with the model")
-    return t
+    return scored
 
 
 def gain(dataset: Dataset, S, A) -> float:

@@ -253,10 +253,17 @@ class TestSkipPasses:
         assert charged == pytest.approx(expected, abs=1e-15)
 
 
+def exact_t(state, term):
+    """The exact |t| of `term` at `state`, 0 for an untestable one, which
+    `run_rai` would have dropped before a skip."""
+    scored = state.score(term_column(state.dataset, term))
+    return 0.0 if scored is None else abs(scored[3])
+
+
 def contended_max_t(state, screen, terms, slots):
     """The largest exact |t| over `terms`, scored only at the screen's
     contenders among `slots`, as `run_rai` takes it before a skip."""
-    return max((abs(state.score(term_column(state.dataset, terms[k]))[3])
+    return max((exact_t(state, terms[k])
                 for k in screen.contenders(state, slots).tolist()),
                default=0.0)
 
@@ -301,7 +308,7 @@ class TestExactMaxT:
             st.sampled_from(finite), min_size=1, max_size=p + 2,
             unique=True))))
         terms = [pool[j] for j in slots]
-        want = max(abs(state.score(term_column(ds, t))[3]) for t in terms)
+        want = max(exact_t(state, t) for t in terms)
         got = contended_max_t(state, screen, terms, slots)
         assert got.hex() == want.hex()
         if design == "exact_fit" and state.size >= 2:
@@ -328,8 +335,9 @@ class TestExactMaxT:
             state = state.add_feature(j)
         slots = np.array(sorted(data.draw(st.sets(
             st.integers(0, p - 1), min_size=1))))
-        rho = np.array([abs(state.score(ds.columns[:, j])[2])
-                        for j in slots.tolist()])
+        # an untestable slot has exact |rho| 0
+        rho = np.array([0.0 if (scored := state.score(ds.columns[:, j]))
+                        is None else abs(scored[2]) for j in slots.tolist()])
         got = screen.contenders(state, slots)
         if state.rnorm < RESIDUAL_TOL:
             assert len(got) == 0
@@ -596,7 +604,7 @@ class TestRunRai:
         # the run took in no vector twice; a full catch-up then takes in
         # each vector in every chunk that still lacked it
         assert products and max(products.values()) == 1
-        screens[0].rho_bounds(state)
+        screens[0].bounds(state, np.arange(len(screens[0].gram)))
         assert len(chunks) > 2
         assert products == Counter(
             {(a, i): 1 for a in chunks for i in range(state.size)})

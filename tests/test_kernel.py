@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -9,8 +10,8 @@ import rai
 from rai import FeatureTerm, ModelState, fit_terms, standardize
 from rai.errors import (AllColumnsConstant, CollinearFeature,
                         ConstantResponse, SingularSubset)
-from rai.kernel import (COLLINEARITY_TOL, SCREEN_ERR, T_STAT_MAX, Screen,
-                        _t_of)
+from rai.kernel import (COLLINEARITY_TOL, RESIDUAL_TOL, SCREEN_ERR,
+                        SCREEN_MARGIN, T_STAT_MAX, Screen, _t_of)
 
 from conftest import (counting, ols_fit, ols_r2, ols_t_stats, projected_gain,
                       projector_r2, random_raw)
@@ -212,6 +213,39 @@ class TestTStatistic:
         state = state.add_feature(1)
         with pytest.raises(InsufficientDf):
             t_statistic(state, 2)
+
+
+class TestScore:
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_is_untestable(self, small_dataset, bad):
+        # checked before any arithmetic, so nothing warns
+        state = ModelState.empty(small_dataset).add_feature(0)
+        column = small_dataset.columns[:, 1].copy()
+        column[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state.score(column) is None
+            assert state.score(np.full(small_dataset.n, bad)) is None
+
+    def test_column_in_span_is_untestable(self, correlated_dataset):
+        ds = correlated_dataset
+        state = ModelState.empty(ds).add_feature(2).add_feature(5)
+        assert state.score(ds.columns[:, 2]) is None
+        combined = ds.columns[:, 2] - 3.0 * ds.columns[:, 5]
+        assert state.score(combined / np.linalg.norm(combined)) is None
+        assert state.score(ds.columns[:, 1]) is not None
+
+    def test_exhausted_residual_scores_zero(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 4))
+        ds = standardize(X, X[:, 0] - 2.0 * X[:, 1])
+        state = ModelState.empty(ds).add_feature(0).add_feature(1)
+        assert state.rnorm < RESIDUAL_TOL
+        for j in (2, 3):
+            adj, nrm, rho, t = state.score(ds.columns[:, j])
+            assert nrm == float(np.linalg.norm(adj)) > COLLINEARITY_TOL
+            assert (rho, t) == (0.0, 0.0)
 
 
 class TestAddFeature:
@@ -421,6 +455,13 @@ class TestKernelProperties:
         np.testing.assert_allclose(state.r_squared, target, atol=1e-8)
 
 
+def resolvable_score(state, column):
+    """`state.score(column)`, or None where the screen need not resolve
+    the column: untestable, or with adjusted norm^2 below 1e-3."""
+    scored = state.score(column)
+    return None if scored is None or scored[1] ** 2 < 1e-3 else scored
+
+
 def unit_rows(rng, k, n):
     """k random centred rows of unit norm, as `realize` returns them."""
     rows = rng.normal(size=(k, n))
@@ -449,15 +490,16 @@ class TestScreen:
         for j in rng.permutation(ds.p)[:min(3, ds.p - 1)]:
             state = state.add_feature(int(j))
         screen.add_columns(extra[half:])
-        rho, low, high = screen.rho_bounds(state)
+        rho, low, high = screen.bounds(state, np.arange(ds.p + 3))
         # no bound is above inf, so every slot settles and is scored
         t = screen.settled(state, np.arange(ds.p + 3), np.inf)
         assert len(t) == ds.p + 3
         t_low, t_high = _t_of(low, state.df), screen.t[1]
         for slot, column in enumerate(np.vstack((ds.columns.T, extra))):
-            _, nrm, exact_rho, exact_t = state.score(column)
-            if nrm ** 2 < 1e-3:
+            scored = resolvable_score(state, column)
+            if scored is None:
                 continue   # in the span: the screen need not resolve it
+            _, _, exact_rho, exact_t = scored
             assert low[slot] <= abs(exact_rho) <= high[slot]
             assert t_low[slot] <= abs(exact_t) <= t_high[slot]
             assert rho[slot] == pytest.approx(abs(exact_rho), rel=1e-9,
@@ -500,19 +542,20 @@ class TestScreen:
                     st.integers(0, len(columns) - 1), min_size=1))))
                 t = screen.settled(state, slots, np.inf)
                 assert len(t) == len(slots)
-                # the lower bound of `rho_bounds`, on the settled slots
+                # the lower bound of `bounds`, on the settled slots
                 # alone, so no other chunk is caught up
                 _, low, _ = screen._rho_bounds(state.rnorm, slots)
                 for slot, t_slot, t_low in zip(
                         slots.tolist(), t.tolist(),
                         _t_of(low, state.df).tolist()):
-                    _, nrm, _, exact = state.score(columns[slot])
-                    if nrm ** 2 >= 1e-3:
+                    scored = resolvable_score(state, columns[slot])
+                    if scored is not None:
+                        exact = scored[3]
                         assert t_low <= abs(exact) <= screen.t[1, slot]
                         assert t_slot == pytest.approx(
                             abs(exact), rel=1e-9, abs=1e-12)
             elif op == "full":
-                _, low, high = screen.rho_bounds(state)
+                _, low, high = screen.bounds(state, np.arange(len(columns)))
                 x = np.array(columns)
                 fresh = x @ np.array(state.basis).reshape(state.size, n).T
                 assert np.abs(screen.gram - (fresh ** 2).sum(axis=1)).max() \
@@ -520,9 +563,9 @@ class TestScreen:
                 assert np.abs(screen.inner - x @ state.residual).max() \
                     <= SCREEN_ERR
                 for slot, column in enumerate(columns):
-                    _, nrm, rho, _ = state.score(column)
-                    if nrm ** 2 >= 1e-3:
-                        assert low[slot] <= abs(rho) <= high[slot]
+                    scored = resolvable_score(state, column)
+                    if scored is not None:
+                        assert low[slot] <= abs(scored[2]) <= high[slot]
 
     @given(seeds, st.data())
     @settings(max_examples=40, deadline=None)
@@ -576,12 +619,16 @@ class TestScreen:
             elif op == "settle":
                 slots = np.array(sorted(data.draw(st.sets(
                     st.integers(0, len(columns) - 1), min_size=1))))
-                fresh = _t_of(np.stack(twin.rho_bounds(state)), state.df)
+                fresh = _t_of(np.stack(twin.bounds(
+                    state, np.arange(len(columns)))), state.df)
                 fresh = fresh[:, slots]
-                below = data.draw(st.sampled_from(
-                    [*fresh[2].tolist(), np.inf]), label="below")
+                # a threshold at each upper bound, less the margin
+                tlvl = data.draw(st.sampled_from(
+                    [*(fresh[2] / (1.0 - SCREEN_MARGIN)).tolist(), np.inf]),
+                    label="tlvl")
+                below = tlvl * (1.0 - SCREEN_MARGIN)
                 with mock.patch.object(Screen, "_t_abs", logged):
-                    t = screen.settled(counted(state), slots, below)
+                    t = screen.settled(counted(state), slots, tlvl)
                 opened = np.flatnonzero(~(fresh[2] <= below))
                 k = int(opened[0]) if len(opened) else len(slots)
                 assert t.tobytes() == fresh[0, :k].tobytes()
@@ -599,7 +646,7 @@ class TestScreen:
                                for i in range(state.size))
             assert max(products.values(), default=0) <= 1
         # a full catch-up takes in each vector in every chunk lacking it
-        screen.rho_bounds(counted(state))
+        screen.bounds(counted(state), np.arange(len(columns)))
         assert products == Counter({(address, i): 1
                                     for address, _, _ in chunks.values()
                                     for i in range(state.size)})
@@ -618,12 +665,12 @@ class TestScreen:
         ds = standardize(X, y)
         once, each = Screen(ds), Screen(ds)
         states = [ModelState.empty(ds)]
+        slots = np.arange(ds.p)
         for j in rng.permutation(ds.p)[:k].tolist():
             states.append(states[-1].add_feature(j))
-            each.rho_bounds(states[-1])
+            each.bounds(states[-1], slots)
         state = states[-1]
-        slots = np.arange(ds.p)
-        bounds = [np.stack(screen.rho_bounds(state)).tobytes()
+        bounds = [np.stack(screen.bounds(state, slots)).tobytes()
                   for screen in (once, each)]
         assert bounds[0] == bounds[1]
         settled = [screen.settled(state, slots, np.inf).tobytes()
@@ -639,13 +686,13 @@ class TestScreen:
         for s in states:
             assert s.rnorm == float(np.linalg.norm(s.residual))
         # and the cached products hold the exact ones
-        _, low, high = once.rho_bounds(state)
+        _, low, high = once.bounds(state, slots)
         assert np.abs(once.inner - ds.columns.T @ state.residual).max() \
             <= SCREEN_ERR
         for slot, column in enumerate(ds.columns.T):
-            _, nrm, rho, _ = state.score(column)
-            if nrm ** 2 >= 1e-3:
-                assert low[slot] <= abs(rho) <= high[slot]
+            scored = resolvable_score(state, column)
+            if scored is not None:
+                assert low[slot] <= abs(scored[2]) <= high[slot]
 
     def test_design_rows_are_read_in_place(self, small_dataset):
         # slots 0..p-1 score the design's own rows, not a copy: a write
@@ -656,10 +703,31 @@ class TestScreen:
                           ds.response_scale, ds.raw)
         screen = Screen(own)
         rows[0] = rows[1]
-        screen.rho_bounds(ModelState.empty(own).add_feature(1))
+        screen.bounds(ModelState.empty(own).add_feature(1), np.arange(own.p))
         assert screen.gram[0] == pytest.approx(1.0)
         assert screen.gram[2] == pytest.approx(
             float(np.dot(rows[2], rows[1])) ** 2)
+
+    def test_settled_applies_the_margin(self, correlated_dataset):
+        """`settled(state, slots, tlvl)` settles exactly the leading slots
+        whose |t| upper bound is at or below tlvl * (1 - SCREEN_MARGIN),
+        so a bound between that and tlvl stays open."""
+        ds = correlated_dataset
+        state = ModelState.empty(ds).add_feature(4)
+        slots = np.delete(np.arange(ds.p), 4)
+        high = _t_of(Screen(ds).bounds(state, slots)[2], state.df)
+        assert np.isfinite(high).all()
+        for bound in high.tolist():
+            at = bound / (1.0 - SCREEN_MARGIN)
+            for tlvl in (bound, at, np.nextafter(at, 0.0),
+                         np.nextafter(at, np.inf), bound * (1.0 + 2e-7)):
+                settled = high <= tlvl * (1.0 - SCREEN_MARGIN)
+                k = len(slots) if settled.all() else int(np.argmin(settled))
+                t = Screen(ds).settled(state, slots, tlvl)
+                assert len(t) == k, (bound, tlvl)
+            # the margin keeps the slot holding this bound open at tlvl
+            assert np.flatnonzero(high == bound)[0] >= len(
+                Screen(ds).settled(state, slots, bound))
 
     def test_unresolvable_and_non_finite_slots_stay_open(self, small_dataset):
         state = ModelState.empty(small_dataset).add_feature(0)
@@ -673,7 +741,7 @@ class TestScreen:
         assert slots.tolist() == [p, p + 1]
         # both slots score NaN, as the screen's products with a NaN do
         assert np.isnan(screen.inner[p:]).all()
-        _, low, high = screen.rho_bounds(state)
+        _, low, high = screen.bounds(state, np.arange(p + 2))
         # column 0 is in the model's span; the NaN columns are unscorable
         for slot in (0, p, p + 1):
             assert low[slot] == 0.0 and high[slot] == np.inf
