@@ -32,10 +32,12 @@ price alpha at the clamp just below 1.  The `simulate` runs cover
 every method, and `true_model` once more on the null scenario, where
 the true model is the intercept alone.  Runs that must fail (an
 unwritable `--trace`, a missing response column, `--max-order` without
-`--interactions`, and an output flag that names the input) come last,
-each digested by its standard error and exit code, and the last by
-its input too, which it must leave as it was.  Every run uses one BLAS
-thread.
+`--interactions`, an output flag that names the input or a hard link
+to it, an input that is not UTF-8, and a `simulate --n` too small for
+the true model's t-statistics) come last, each digested by its
+standard error and exit code, and the two that name the input by
+their input too, which they must leave as it was.  Every run uses one
+BLAS thread.
 """
 import argparse
 import hashlib
@@ -137,6 +139,19 @@ def failing_commands(inputs: dict[str, Path], work: Path):
     yield "select-json-names-input", [
         "select", str(victim), "--response", "y", "--json", str(victim)], [
         victim]
+    linked, link = work / "linked-input.csv", work / "link.json"
+    shutil.copyfile(inputs["exact"], linked)
+    os.link(linked, link)
+    yield "select-json-hard-links-input", [
+        "select", str(linked), "--response", "y", "--json", str(link)], [
+        linked]
+    latin1 = work / "latin1.csv"
+    latin1.write_bytes(b"x1,y\n1,2\n3,\xff4\n5,6\n")
+    yield "select-not-utf8", [
+        "select", str(latin1), "--response", "y"], []
+    yield "simulate-four_interactions-n5", [
+        "simulate", "--scenario", "four_interactions", "--n", "5", "--p",
+        "10", "--reps", "2"], []
 
 
 def run(argv: list[str], env: dict, work: Path):

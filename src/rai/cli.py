@@ -71,7 +71,7 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
                 reader = csv.reader(fh, delimiter=delim)
                 next(reader)
                 data = _csv_body(path, reader, len(header))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}")
     return header, data
 
@@ -213,16 +213,24 @@ def _writing(path: str):
         raise ParseFailure(f"cannot write {path}: {exc}")
 
 
+def _identity(path: str):
+    """What every name of one file shares, hard links included: the
+    device and inode of an existing file, else the resolved path."""
+    st = os.stat(path) if os.path.exists(path) else None
+    return (st.st_dev, st.st_ino) if st else os.path.realpath(path)
+
+
 def _check_writable(source, **outputs) -> None:
     """Fail as writing each output flag's path would, or when one names
-    the input `source` or an earlier flag's file, before any input is
-    read or any work is done.  An existing path is opened for appending,
-    so nothing is truncated; a new one is created and removed again."""
-    named = {os.path.realpath(source): "the input"} if source else {}
+    the input `source` or an earlier flag's file, by any path or hard
+    link, before any input is read or any work is done.  An existing
+    path is opened for appending, so nothing is truncated; a new one is
+    created and removed again."""
+    named = {_identity(source): "the input"} if source else {}
     for flag, path in outputs.items():
         if path is None:
             continue
-        key, flag = os.path.realpath(path), f"--{flag}"
+        key, flag = _identity(path), f"--{flag}"
         if named.setdefault(key, flag) != flag:
             raise ParseFailure(f"{named[key]} and {flag} both name {path}")
         with _writing(path):

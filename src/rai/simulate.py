@@ -55,8 +55,10 @@ class SimSpec:
         if self.scenario not in SCENARIOS:
             raise ValueError("scenario (--scenario) must be one of "
                              f"{', '.join(SCENARIOS)}, got {self.scenario!r}")
-        if self.n < 3:
-            raise ValueError(f"n (--n) must be at least 3, got {self.n}")
+        # the true model's t-statistics need a residual degree of freedom
+        need = max(3, len(true_terms(self)) + 2)
+        if self.n < need:
+            raise ValueError(f"n (--n) must be at least {need}, got {self.n}")
         if self.replications < 1:
             raise ValueError("replications (--reps) must be at least 1, "
                              f"got {self.replications}")

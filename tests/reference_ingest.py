@@ -56,7 +56,7 @@ def read_table(path: str) -> tuple[list[str], np.ndarray]:
                 except ValueError:
                     raise ParseFailure(
                         f"{path}:{lineno}: non-numeric or missing value")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}")
     if not rows:
         raise ParseFailure(f"{path}: no data rows")

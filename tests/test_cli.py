@@ -397,6 +397,36 @@ class TestSelect:
             f"error: the input and {flag} both name {path.name}\n")
         assert path.read_bytes() == data
 
+    @pytest.mark.parametrize("command, flag", [
+        ("select", "--json"), ("select", "--trace"), ("diagnose", "--json")])
+    def test_output_hard_linked_to_the_input_exits_two_before_reading_it(
+            self, tmp_path, capsys, monkeypatch, command, flag):
+        # another name of the input's file resolves to a different path,
+        # so only the file's device and inode tell them apart
+        path, _, _ = signal_file(tmp_path)
+        data = path.read_bytes()
+        link = tmp_path / "link.json"
+        os.link(path, link)
+        monkeypatch.setattr(rai.cli, "_read_design", lambda *args: (
+            pytest.fail("the input was read")))
+        assert main([command, str(path), "--response", "y",
+                     flag, str(link)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: the input and {flag} both name {link}\n")
+        assert path.read_bytes() == data
+
+    def test_hard_linked_json_and_trace_exit_two_before_reading_input(
+            self, tmp_path, capsys):
+        out, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+        out.write_text("kept\n")
+        os.link(out, trace)
+        assert main(["select", str(tmp_path / "none.csv"), "--response",
+                     "y", "--json", str(out), "--trace", str(trace)]) \
+            == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: --json and --trace both name {trace}\n")
+        assert out.read_text() == "kept\n"
+
     def test_max_order_without_interactions_exits_two(self, tmp_path,
                                                       capsys):
         # no product is generated, so the order would be ignored
@@ -565,6 +595,19 @@ class TestSimulateCmd:
                      *(item for pair in argv.items() for item in pair)])
         assert code == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_too_few_rows_for_the_true_model_exits_two(self, tmp_path,
+                                                       capsys):
+        # at n = 5 the four true terms and the intercept leave no
+        # residual degree of freedom for their t-statistics
+        out = tmp_path / "rows.jsonl"
+        code = main(["simulate", "--scenario", "four_interactions",
+                     "--n", "5", "--p", "10", "--reps", "2",
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: n (--n) must be at least 6, got 5\n")
+        assert not out.exists()
 
     def test_inconsistent_spec_exits_two(self, capsys):
         code = main(["simulate", "--scenario", "four_interactions",

@@ -17,6 +17,7 @@ read again by the csv reader; both paths must be exercised.
 """
 
 import math
+import re
 import warnings
 from collections import Counter
 from unittest import mock
@@ -162,6 +163,22 @@ def test_fallback_keeps_line_numbered_messages(tmp_path):
         path = tmp_path / f"bad{i}.csv"
         path.write_text(text)
         with pytest.raises(rai.cli.ParseFailure, match=message):
+            _read_table(str(path))
+        assert_same_table(str(path))
+
+
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path):
+    # in the header, in the first row, far into a body np.loadtxt reads,
+    # and a Latin-1 cell; the reference words each error the same way
+    body = "".join(f"{i},{i + 1}\n" for i in range(20000)).encode()
+    cases = [b"a,\xffb\n1,2\n", b"a,b\n1,\xff2\n",
+             b"a,b\n" + body + b"1,2\xfe\n", b"caf\xe9,b\n1,2\n"]
+    for i, blob in enumerate(cases):
+        path = tmp_path / f"bad{i}.csv"
+        path.write_bytes(blob)
+        with pytest.raises(rai.cli.ParseFailure,
+                           match=f"^cannot read {re.escape(str(path))}: "
+                                 "'utf-8' codec can't decode byte 0x"):
             _read_table(str(path))
         assert_same_table(str(path))
 

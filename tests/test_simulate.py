@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,23 @@ class TestSimSpec:
         with pytest.raises(ValueError):
             spec_for("four_interactions", p=9)
         spec_for("four_interactions", p=10)
+
+    @pytest.mark.parametrize("scenario,need", [
+        ("four_interactions", 6), ("single_interaction", 3),
+        ("global_null", 3)])
+    def test_n_leaves_the_true_model_a_residual_df(self, scenario, need):
+        # the true model's OLS t-statistics divide by n - |terms| - 1
+        with pytest.raises(ValueError,
+                           match=rf"^n \(--n\) must be at least {need}, "
+                                 rf"got {need - 1}$"):
+            spec_for(scenario, n=need - 1, p=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_experiment(spec_for(scenario, n=need, p=10),
+                                    "rai_interactions")
+        json.dumps(result, allow_nan=False)
+        assert all(math.isfinite(t) for row in result["rows"]
+                   for t in row.get("true_term_t", []))
 
     def test_target_r2_must_be_interior(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
