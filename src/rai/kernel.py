@@ -228,7 +228,7 @@ class ModelState:
                 v -= np.dot(v, q) * q
         return v
 
-    def score(self, x: np.ndarray):
+    def score(self, x: np.ndarray) -> tuple | None:
         """(adjusted column, its norm, partial correlation, t) for a
         candidate column, or None if it is untestable: not finite, as a
         constant or overflowing monomial realizes to, or in span(S)

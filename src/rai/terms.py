@@ -82,8 +82,9 @@ def generate_candidates(selected, newly_added: FeatureTerm,
     out: list[FeatureTerm] = []
     for t in selected:
         cand = newly_added.product(t)
-        if (cand in excluded or cand in seen
-                or max_order is not None and cand.order > max_order):
+        if max_order is not None and cand.order > max_order:
+            continue
+        if cand in excluded or cand in seen:
             continue
         excluded.add(cand)
         out.append(cand)
@@ -115,7 +116,8 @@ def realize(terms, raw: np.ndarray) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         for row, term in zip(rows, terms):
             row[:] = monomial(term, raw)
-    return (rows, *_unit_rows(rows))
+    means, scales = _unit_rows(rows)
+    return rows, means, scales
 
 
 def term_column(dataset: Dataset, term: FeatureTerm) -> np.ndarray:
