@@ -175,10 +175,11 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     )
 
 
-def _t_from_rho(rho: float, df: int) -> float:
-    if abs(rho) >= 1.0:
-        return math.copysign(T_STAT_MAX, rho)
-    return rho * math.sqrt(df) / math.sqrt(1.0 - rho * rho)
+def _t_of(rho: np.ndarray, df: int) -> np.ndarray:
+    """|t| of |rho|: T_STAT_MAX for a finite rho >= 1, inf for inf or NaN."""
+    with np.errstate(all="ignore"):
+        t = rho * math.sqrt(df) / np.sqrt(1.0 - rho * rho)
+    return np.where(rho < 1.0, t, np.where(rho < np.inf, T_STAT_MAX, np.inf))
 
 
 class ModelState:
@@ -245,7 +246,7 @@ class ModelState:
             return adj, nrm, 0.0, 0.0
         rho = float(np.dot(self.residual, adj) / (self.rnorm * nrm))
         rho = min(1.0, max(-1.0, rho))
-        return adj, nrm, rho, _t_from_rho(rho, self.df)
+        return adj, nrm, rho, math.copysign(_t_of(abs(rho), self.df), rho)
 
     # -- updates -------------------------------------------------------
 
@@ -284,13 +285,6 @@ CHUNK_BYTES = 2 ** 20
 # Below this screened adjusted norm^2, 1 - ||Q^T x||^2 has cancelled too
 # far to stand in for the explicit Gram-Schmidt norm.
 SCREEN_MIN_NORM2 = 1e-4
-
-
-def _t_of(rho: np.ndarray, df: int) -> np.ndarray:
-    """|t| of |rho|: T_STAT_MAX for a finite rho >= 1, inf for inf or NaN."""
-    with np.errstate(all="ignore"):
-        t = rho * math.sqrt(df) / np.sqrt(1.0 - rho * rho)
-    return np.where(rho < 1.0, t, np.where(rho < np.inf, T_STAT_MAX, np.inf))
 
 
 class Screen:

@@ -116,32 +116,24 @@ def gen_design(spec: SimSpec, rep: int) -> np.ndarray:
     """Raw design: column j is N(tau_j, 1) with tau_j ~ N(0, 4)."""
     rng = _rng(spec, rep, 0)
     tau = rng.normal(0.0, 2.0, spec.p)
-    return rng.normal(tau, 1.0, (spec.n, spec.p))
+    X = rng.standard_normal((spec.n, spec.p))
+    X += tau        # the bits of rng.normal(tau, 1.0, (n, p)), in place
+    return X
 
 
-def _div(num: float, den: float) -> float:
-    """num / den with the IEEE result where Python raises: +-inf for a
-    nonzero numerator over a zero, nan for 0 / 0 and nan / 0."""
-    if den != 0.0:
-        return num / den
-    if num == 0.0 or math.isnan(num):
-        return math.nan
-    return math.copysign(math.inf, num) * math.copysign(1.0, den)
-
-
-def _signbit(x: float) -> bool:
-    return math.copysign(1.0, x) < 0.0
+_div = np.divide    # gives inf or nan on a zero denominator, as C does
 
 
 def _brentq(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
     """Root of f in [a, b] by Brent's method, bit for bit what scipy's
     brentq (scipy/optimize/Zeros/brentq.c) returns.
 
-    A line-for-line port of the C routine.  Its divisions go through
-    _div, so a zero denominator yields inf or nan and falls through to
-    bisection as in C.  Like scipy's wrapper it raises ValueError on a
-    same-sign bracket or a NaN value of f, and RuntimeError when maxiter
-    iterations do not converge.
+    A line-for-line port of the C routine.  Its divisions are numpy's,
+    so a zero denominator yields inf or nan and falls through to
+    bisection as in C, and each step is taken back as a Python float,
+    so f sees floats only.  Like scipy's wrapper it raises ValueError on
+    a same-sign bracket or a NaN value of f, and RuntimeError when
+    maxiter iterations do not converge.
     """
     def value(x):
         fx = float(f(x))
@@ -156,11 +148,12 @@ def _brentq(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
         return xpre
     if fcur == 0.0:
         return xcur
-    if _signbit(fpre) == _signbit(fcur):
+    if np.signbit(fpre) == np.signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+        if (fpre != 0.0 and fcur != 0.0
+                and np.signbit(fpre) != np.signbit(fcur)):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -173,15 +166,16 @@ def _brentq(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
             return xcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
-            else:
-                # extrapolate
-                dpre = _div(fpre - fcur, xpre - xcur)
-                dblk = _div(fblk - fcur, xblk - xcur)
-                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
-                            dblk * dpre * (fblk - fpre))
+            with np.errstate(all="ignore"):
+                if xpre == xblk:
+                    # interpolate
+                    stry = float(_div(-fcur * (xcur - xpre), fcur - fpre))
+                else:
+                    # extrapolate
+                    dpre = _div(fpre - fcur, xpre - xcur)
+                    dblk = _div(fblk - fcur, xblk - xcur)
+                    stry = float(_div(-fcur * (fblk * dblk - fpre * dpre),
+                                      dblk * dpre * (fblk - fpre)))
             # C's MIN(a, b), which takes b when a is nan
             lim, alt = abs(spre), 3 * abs(sbis) - delta
             if 2 * abs(stry) < (lim if lim < alt else alt):

@@ -125,6 +125,12 @@ def expected_true_model_r2(n, k, target_r2):
 
 def random_raw(seed, n, p, correlated=False):
     """Raw design and response with planted signal on the first columns."""
+    X, signal, noise = random_parts(seed, n, p, correlated)
+    return X, signal + noise
+
+
+def random_parts(seed, n, p, correlated=False):
+    """`random_raw`'s design, and its response as signal and noise."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     if correlated:
@@ -133,8 +139,7 @@ def random_raw(seed, n, p, correlated=False):
         X = 0.6 * X + 0.8 * f
     k = min(3, p)
     beta = rng.normal(size=k) * 1.5
-    y = X[:, :k] @ beta + rng.normal(size=n)
-    return X, y
+    return X, X[:, :k] @ beta, rng.normal(size=n)
 
 
 def counting(products):

@@ -29,7 +29,7 @@ from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         TERMINATED_STREAM, TERMINATED_WEALTH, RaiConfig,
                         SkipRecord)
 from rai.errors import RaiError, SingularStep
-from rai.kernel import COLLINEARITY_TOL, Dataset, ModelState, _t_from_rho
+from rai.kernel import COLLINEARITY_TOL, T_STAT_MAX, Dataset, ModelState
 from rai.terms import FeatureTerm, generate_candidates, term_column
 from rai.wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT,
                         pass_parameters)
@@ -222,7 +222,10 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
     else:
         rho = float(np.dot(state.residual, adj) / (rnorm * nrm))
         rho = min(1.0, max(-1.0, rho))
-    t = _t_from_rho(rho, state.df)
+    if abs(rho) >= 1.0:
+        t = math.copysign(T_STAT_MAX, rho)
+    else:
+        t = rho * math.sqrt(state.df) / math.sqrt(1.0 - rho * rho)
     if abs(t) > tlvl:
         ledger.earn(term.powers)
         return REJECTED, state.add_adjusted(adj, term), abs(t)

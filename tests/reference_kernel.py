@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from rai.errors import CollinearFeature, RaiError
-from rai.kernel import Dataset, ModelState, r_squared_of
+from rai.kernel import T_STAT_MAX, Dataset, ModelState, r_squared_of
 
 
 class InsufficientDf(RaiError):
@@ -41,6 +41,18 @@ def t_statistic(state: ModelState, j: int) -> float:
     if state.df < 1:
         raise InsufficientDf(f"df = {state.df} with |S| = {state.size}")
     return _scored(state, j)[3]
+
+
+def t_of_rho(rho, df: int) -> np.ndarray:
+    """|t| on df degrees of freedom of each |rho| in `rho`, by the
+    textbook formula |rho| sqrt(df) / sqrt(1 - rho^2).  A finite |rho|
+    >= 1 gets T_STAT_MAX, the package's stand-in for an exact fit, and
+    an infinite or NaN bound gets inf, which no threshold settles."""
+    rho = np.abs(np.asarray(rho, dtype=float))
+    with np.errstate(all="ignore"):
+        t = rho * np.sqrt(df) / np.sqrt(1.0 - rho * rho)
+    return np.where(np.isfinite(rho), np.where(rho < 1.0, t, T_STAT_MAX),
+                    np.inf)
 
 
 def _scored(state: ModelState, j: int):

@@ -14,9 +14,9 @@ from rai.kernel import (COLLINEARITY_TOL, RESIDUAL_TOL, SCREEN_ERR,
                         SCREEN_MARGIN, T_STAT_MAX, Screen, _t_of)
 
 from conftest import (counting, ols_fit, ols_r2, ols_t_stats, projected_gain,
-                      projector_r2, random_raw)
+                      projector_r2, random_parts, random_raw)
 from reference_kernel import (InsufficientDf, adjusted_column, gain,
-                              partial_correlation, t_statistic)
+                              partial_correlation, t_of_rho, t_statistic)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -462,6 +462,14 @@ def resolvable_score(state, column):
     return None if scored is None or scored[1] ** 2 < 1e-3 else scored
 
 
+def column_stream(seed):
+    """The generator a test draws its appended columns from.  It is a
+    stream of its own: `random_raw(seed, ...)` draws the response noise
+    from `default_rng(seed)`, and columns drawn from that stream were
+    sometimes the noise itself (see TestScreen.test_noise_column)."""
+    return np.random.default_rng([seed, 1])
+
+
 def unit_rows(rng, k, n):
     """k random centred rows of unit norm, as `realize` returns them."""
     rows = rng.normal(size=(k, n))
@@ -484,7 +492,7 @@ class TestScreen:
         ds = standardize(X, y)
         state = ModelState.empty(ds)
         screen = Screen(ds)
-        extra = unit_rows(rng, 3, n)
+        extra = unit_rows(column_stream(seed), 3, n)
         half = int(rng.integers(0, 3))
         screen.add_columns(extra[:half])
         for j in rng.permutation(ds.p)[:min(3, ds.p - 1)]:
@@ -494,7 +502,7 @@ class TestScreen:
         # no bound is above inf, so every slot settles and is scored
         t = screen.settled(state, np.arange(ds.p + 3), np.inf)
         assert len(t) == ds.p + 3
-        t_low, t_high = _t_of(low, state.df), screen.t[1]
+        t_low, t_high = t_of_rho(low, state.df), screen.t[1]
         for slot, column in enumerate(np.vstack((ds.columns.T, extra))):
             scored = resolvable_score(state, column)
             if scored is None:
@@ -507,6 +515,26 @@ class TestScreen:
             assert t[slot] == pytest.approx(abs(exact_t), rel=1e-9,
                                             abs=1e-12)
 
+    def test_noise_column(self):
+        """A column equal to the response noise explains the residual
+        exactly once the three planted columns and one more are in the
+        model: the exact path and the screen both score it T_STAT_MAX.
+        Seed 9277769 of `test_chunked_catch_up_holds_exact_scores` drew
+        this case by chance while its columns shared random_raw's stream."""
+        seed, n, p = 9277769, 51, 5
+        X, signal, noise = random_parts(seed, n, p, correlated=True)
+        ds = standardize(X, signal + noise)
+        column = (noise - noise.mean())[None, :]   # a one-row block
+        column /= np.linalg.norm(column)
+        state = ModelState.empty(ds)
+        for j in range(4):
+            state = state.add_feature(j)
+        screen = Screen(ds)
+        slots = screen.add_columns(column)
+        _, _, rho, t = state.score(column[0])
+        assert (abs(rho), abs(t)) == (1.0, T_STAT_MAX)
+        assert screen.settled(state, slots, np.inf).tolist() == [T_STAT_MAX]
+
     @given(seeds, st.data())
     @settings(max_examples=40, deadline=None)
     def test_chunked_catch_up_holds_exact_scores(self, seed, data):
@@ -515,6 +543,7 @@ class TestScreen:
         settle scores bracketing the exact |t|, and a full catch-up
         matches a fresh Q^T x and x . r."""
         rng = np.random.default_rng(seed)
+        appended = column_stream(seed)
         n = int(rng.integers(20, 80))
         X, y = random_raw(seed, n, int(rng.integers(3, 25)),
                           correlated=bool(seed % 2))
@@ -532,7 +561,7 @@ class TestScreen:
                     sorted(set(range(ds.p)) - set(state.selected))))
                 state = state.add_feature(j)
             elif op == "columns":
-                extra = unit_rows(rng, int(rng.integers(1, 6)), n)
+                extra = unit_rows(appended, int(rng.integers(1, 6)), n)
                 start = len(columns)
                 assert screen.add_columns(extra).tolist() == list(
                     range(start, start + len(extra)))
@@ -547,7 +576,7 @@ class TestScreen:
                 _, low, _ = screen._rho_bounds(state.rnorm, slots)
                 for slot, t_slot, t_low in zip(
                         slots.tolist(), t.tolist(),
-                        _t_of(low, state.df).tolist()):
+                        t_of_rho(low, state.df).tolist()):
                     scored = resolvable_score(state, columns[slot])
                     if scored is not None:
                         exact = scored[3]
@@ -577,6 +606,7 @@ class TestScreen:
         a chunk is rescored exactly when the walk reaches it after it
         took something in or was appended."""
         rng = np.random.default_rng(seed)
+        appended = column_stream(seed)
         n = int(rng.integers(20, 80))
         X, y = random_raw(seed, n, int(rng.integers(3, 25)),
                           correlated=bool(seed % 2))
@@ -608,7 +638,7 @@ class TestScreen:
                     sorted(set(range(ds.p)) - set(state.selected))))
                 state = state.add_feature(j)
             elif op == "columns":
-                extra = unit_rows(rng, int(rng.integers(1, 6)), n)
+                extra = unit_rows(appended, int(rng.integers(1, 6)), n)
                 start = len(columns)
                 screen.add_columns(extra)
                 twin.add_columns(extra)
@@ -619,7 +649,7 @@ class TestScreen:
             elif op == "settle":
                 slots = np.array(sorted(data.draw(st.sets(
                     st.integers(0, len(columns) - 1), min_size=1))))
-                fresh = _t_of(np.stack(twin.bounds(
+                fresh = t_of_rho(np.stack(twin.bounds(
                     state, np.arange(len(columns)))), state.df)
                 fresh = fresh[:, slots]
                 # a threshold at each upper bound, less the margin
@@ -715,7 +745,7 @@ class TestScreen:
         ds = correlated_dataset
         state = ModelState.empty(ds).add_feature(4)
         slots = np.delete(np.arange(ds.p), 4)
-        high = _t_of(Screen(ds).bounds(state, slots)[2], state.df)
+        high = t_of_rho(Screen(ds).bounds(state, slots)[2], state.df)
         assert np.isfinite(high).all()
         for bound in high.tolist():
             at = bound / (1.0 - SCREEN_MARGIN)

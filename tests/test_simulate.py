@@ -103,6 +103,19 @@ class TestGenDesign:
         b = gen_design(spec_for("global_null", n=80, p=4, seed=2), 0)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("scenario, n, p, seed, rep", [
+        ("global_null", 200, 100, 0, 0), ("global_null", 3, 1, 7, 299),
+        ("four_interactions", 2000, 100, 1, 2),
+        ("four_interactions", 1000, 60, 15, 1),
+        ("single_interaction", 61, 2, 2**32 - 1, 5)])
+    def test_bits_of_a_normal_draw_about_tau(self, scenario, n, p, seed, rep):
+        """The design is drawn in place, with the bits of the one-call
+        draw rng.normal(tau, 1.0, (n, p)) on the same stream."""
+        spec = spec_for(scenario, n=n, p=p, seed=seed)
+        rng = _rng(spec, rep, 0)
+        want = rng.normal(rng.normal(0.0, 2.0, p), 1.0, (n, p))
+        assert gen_design(spec, rep).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed,rep", [(0, 0), (3, 1), (11, 2)])
     def test_column_means_track_tau(self, seed, rep):
         # design stream draws tau first, then the entries, per the
@@ -580,7 +593,10 @@ class TestBrentq:
             return real_div(num, den)
 
         mismatches = []
-        with mock.patch.object(simulate, "_div", div):
+        # the zero divisions are IEEE's, and no numpy warning escapes
+        with (mock.patch.object(simulate, "_div", div),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
             for name, family in GENERIC_FAMILIES.items():
                 for _ in range(300):
                     k = float(rng.uniform(-2.0, 3.0))
@@ -621,5 +637,5 @@ class TestBrentq:
     def test_division_gives_the_ieee_result(self, num, den):
         with np.errstate(divide="ignore", invalid="ignore"):
             want = float(np.float64(num) / np.float64(den))
-        got = simulate._div(num, den)
+            got = simulate._div(num, den)     # as _brentq calls it
         assert got == want or (math.isnan(got) and math.isnan(want))
