@@ -29,15 +29,19 @@ a p > n design, a pure-noise design for `diagnose` on an empty model,
 and a noiseless y = x1 + x2, whose exact fit leaves no |t| that any
 pass can clear; one run on it charges 300 passes, so the late ones
 price alpha at the clamp just below 1.  The `simulate` runs cover
-every method, and `true_model` once more on the null scenario, where
-the true model is the intercept alone.  Runs that must fail (an
+every method on the single-interaction scenario, `true_model` once
+more on the null scenario, where the true model is the intercept
+alone, and `true_model`, `rai_interactions` and `stepwise_aic` on the
+four-interaction scenario, whose four true columns feed the
+calibration and the true model's fit.  Runs that must fail (an
 unwritable `--trace`, a missing response column, `--max-order` without
 `--interactions`, an output flag that names the input or a hard link
-to it, an input that is not UTF-8, and a `simulate --n` too small for
-the true model's t-statistics) come last, each digested by its
-standard error and exit code, and the two that name the input by
-their input too, which they must leave as it was.  Every run uses one
-BLAS thread.
+to it, an input that is not UTF-8, a `simulate --n` too small for the
+true model's t-statistics, and a `--wealth` and `--payout` at which
+the account could overflow) come last, each digested by its standard
+error and exit code, and those that name a file by that file too,
+which they must leave as it was or not write.  Every run uses one BLAS
+thread.
 """
 import argparse
 import hashlib
@@ -122,6 +126,12 @@ def commands(inputs: dict[str, Path], work: Path):
         yield name, ["simulate", "--scenario", scenario,
                      "--n", "200", "--p", "20", "--reps", "3", "--seed", "5",
                      "--method", method, "--out", str(out)], [out]
+    for method in ("true_model", "rai_interactions", "stepwise_aic"):
+        name = f"simulate-four_interactions-{method}"
+        out = work / f"{name}.jsonl"
+        yield name, ["simulate", "--scenario", "four_interactions",
+                     "--n", "300", "--p", "12", "--reps", "2", "--seed", "3",
+                     "--method", method, "--out", str(out)], [out]
 
 
 def failing_commands(inputs: dict[str, Path], work: Path):
@@ -152,6 +162,10 @@ def failing_commands(inputs: dict[str, Path], work: Path):
     yield "simulate-four_interactions-n5", [
         "simulate", "--scenario", "four_interactions", "--n", "5", "--p",
         "10", "--reps", "2"], []
+    report = work / "select-overflowing-wealth.json"
+    yield "select-overflowing-wealth", [
+        *select, "y", "--wealth", "1e308", "--payout", "1e308", "--json",
+        str(report)], [report]
 
 
 def run(argv: list[str], env: dict, work: Path):

@@ -329,7 +329,7 @@ def cmd_diagnose(args) -> int:
     s_f = trace.first_rejection_pass()
     if 1 <= l < dataset.p:
         gamma, details = submodularity_ratio(dataset, selected_idx, k,
-                                             budget=budget, full_output=True)
+                                             budget=budget)
         inputs = BoundInputs(r2_opt=best_r2, l=l, k=min(k, dataset.p),
                              gamma=gamma, s_f=s_f)
         additive, multiplicative = theorem_bound_branches(inputs)

@@ -231,9 +231,9 @@ def run_rai(dataset: Dataset,
         while i < len(queue):
             if i == len(slots):
                 # terms appended since the last realization fill the tail;
-                # realize only as many as the wealth pays tests for, so a
-                # run that halts never realizes the rest
-                count = min(len(queue) - i, int(ledger.wealth / alpha) + 1)
+                # realize only the terms the wealth pays tests for (the
+                # ratio may be inf), so a run that halts realizes no more
+                count = int(min(ledger.wealth / alpha, len(queue))) + 1
                 block, _, _ = realize(queue[i:i + count], dataset.raw)
                 slots = np.append(slots, screen.add_columns(block))
             if state.df < 1:

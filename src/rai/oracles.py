@@ -135,12 +135,13 @@ def brute_force_subset(dataset: Dataset, k: int,
 
 
 def submodularity_ratio(dataset: Dataset, S, k: int,
-                        budget: int | None = None, full_output: bool = False):
+                        budget: int | None = None) -> tuple[float, dict]:
     """min over disjoint T with 1 <= |T| <= k of (r'r) / (r' C^-1 r).
 
     r holds the correlations of the response with the S-adjusted,
     renormalized candidate columns and C their correlation matrix.
     Numerically singular candidate sets are skipped and counted.
+    Returns (ratio, {"argmin": its T, "n_sets", "n_skipped": counts}).
     """
     S = list(S)
     rest = [j for j in range(dataset.p) if j not in S]
@@ -182,10 +183,8 @@ def submodularity_ratio(dataset: Dataset, S, k: int,
                 argmin = T
     if not math.isfinite(gamma):
         raise AllSubsetsSingular("every candidate set was singular")
-    if full_output:
-        return gamma, {"argmin": argmin, "n_sets": scored,
-                       "n_skipped": total - scored}
-    return gamma
+    return gamma, {"argmin": argmin, "n_sets": scored,
+                   "n_skipped": total - scored}
 
 
 @dataclass(frozen=True)

@@ -196,10 +196,9 @@ def _brentq(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
         f"failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
-def calibrate_beta(X: np.ndarray, terms, target_r2: float) -> np.ndarray:
-    """Coefficients c / ||centered term column|| with c tuned so the
-    sample signal fraction Var(mu) / (Var(mu) + 1) equals target_r2."""
-    cols = [monomial(t, X) for t in terms]
+def calibrate_beta(cols, target_r2: float) -> np.ndarray:
+    """Coefficients c / ||centered column|| for the true terms' `cols`, c
+    tuned so the signal fraction Var(mu) / (Var(mu) + 1) is target_r2."""
     norms = np.array([np.linalg.norm(c - c.mean()) for c in cols])
     if np.any(norms <= 1e-12):
         raise DegenerateTerms("a true-model term column is constant")
@@ -227,18 +226,15 @@ def _signal_scale(v: float, target_r2: float) -> float:
 
 
 def gen_response(X: np.ndarray, spec: SimSpec,
-                 rep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Response, mean surface and coefficients for one replication."""
+                 rep: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Response, mean surface and true-term columns of one replication."""
     rng = _rng(spec, rep, 1)
     eps = rng.normal(0.0, 1.0, X.shape[0])
-    terms = true_terms(spec)
-    if not terms:
-        mu = np.zeros(X.shape[0])
-        return eps.copy(), mu, np.zeros(0)
-    beta = calibrate_beta(X, terms, spec.target_r2)
-    cols = np.column_stack([monomial(t, X) for t in terms])
-    mu = cols @ beta
-    return mu + eps, mu, beta
+    cols = [monomial(t, X) for t in true_terms(spec)]
+    if not cols:
+        return eps, np.zeros(X.shape[0]), cols
+    mu = np.column_stack(cols) @ calibrate_beta(cols, spec.target_r2)
+    return mu + eps, mu, cols
 
 
 def risk(mu: np.ndarray, yhat: np.ndarray) -> float:
@@ -249,17 +245,16 @@ def risk(mu: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.dot(diff, diff))
 
 
-def _ols_t_stats(cols: np.ndarray, y: np.ndarray) -> list[float]:
-    """t-statistics of each column in the OLS fit with an intercept."""
-    n = y.size
-    A = np.column_stack([np.ones(n), cols])
+def _ols(cols: list, y: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Fitted values of the OLS fit of y on an intercept and `cols`, and
+    the t-statistic of each column."""
+    A = np.column_stack([np.ones(y.size), *cols])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    dof = n - A.shape[1]
-    sigma2 = float(np.dot(resid, resid)) / dof
-    cov = sigma2 * np.linalg.inv(A.T @ A)
-    se = np.sqrt(np.diag(cov))
-    return [float(t) for t in (coef / se)[1:]]
+    fitted = A @ coef
+    resid = y - fitted
+    sigma2 = float(np.dot(resid, resid)) / (y.size - A.shape[1])
+    se = np.sqrt(np.diag(sigma2 * np.linalg.inv(A.T @ A)))
+    return fitted, [float(t) for t in (coef / se)[1:]]
 
 
 def _fitted_from_state(dataset: Dataset, state) -> np.ndarray:
@@ -284,9 +279,7 @@ def _run_method(method: str, dataset: Dataset, y, truth_cols: list):
         yhat = np.full(y.size, float(y.mean()))
         return yhat, [], 0, 0.0, 0
     if method == "true_model":
-        A = np.column_stack([np.ones(y.size), *truth_cols])
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return A @ coef, [], 0, 0.0, 0
+        return _ols(truth_cols, y)[0], [], 0, 0.0, 0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -316,16 +309,14 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
     names = [f"X{j + 1}" for j in range(spec.p)]
 
     rows = []
-    false_total = rejections_total = 0
     for rep in range(spec.replications):
         t0 = time.perf_counter()
         X = gen_design(spec, rep)
-        y, mu, _beta = gen_response(X, spec, rep)
+        y, mu, cols = gen_response(X, spec, rep)
         dataset = standardize(X, y, names)
-        truth_cols = [monomial(t, X) for t in truth]
         try:
             yhat, selected, passes, spent, rejections = _run_method(
-                method, dataset, y, truth_cols)
+                method, dataset, y, cols)
         except (RaiError, np.linalg.LinAlgError) as exc:
             # a broken replication must not sink the rest of the study
             rows.append({"kind": "replication", "rep": rep,
@@ -345,32 +336,29 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
             "wealth_spent": spent,
             "rejections": rejections,
             "false_rejections": false_rej,
-            "true_term_t": (_ols_t_stats(np.column_stack(truth_cols), y)
-                            if truth else []),
+            "true_term_t": _ols(cols, y)[1] if cols else [],
         }
         if include_timing:
             row["wall_time_s"] = time.perf_counter() - t0
         rows.append(row)
-        false_total += false_rej
-        rejections_total += rejections
 
     ok_rows = [r for r in rows if "error" not in r]
+    m = len(ok_rows)
     summary = {"kind": "summary", "replications": spec.replications,
-               "failed": len(rows) - len(ok_rows)}
-    if ok_rows:
+               "failed": len(rows) - m}
+    if m:
         for field_name in ("risk", "model_size", "passes", "wealth_spent"):
             stats = _quartiles([r[field_name] for r in ok_rows])
             for stat_name, value in stats.items():
                 summary[f"{field_name}_{stat_name}"] = value
         summary["recovery_rate"] = float(
             np.mean([r["all_targets_selected"] for r in ok_rows]))
-    summary["rejections_total"] = rejections_total
-    summary["false_rejections_total"] = false_total
-    if ok_rows:
+    total_r = sum(r["rejections"] for r in ok_rows)
+    total_v = sum(r["false_rejections"] for r in ok_rows)
+    summary.update(rejections_total=total_r, false_rejections_total=total_v)
+    if m:
         # plug-in marginal FDR, E(V) / (E(R) + 1), from per-rep averages
-        m = len(ok_rows)
-        summary["mfdr_estimate"] = (false_total / m) / (
-            rejections_total / m + 1.0)
+        summary["mfdr_estimate"] = (total_v / m) / (total_r / m + 1.0)
 
     spec_payload = {**asdict(spec), "method": method}
     manifest = {

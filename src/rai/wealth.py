@@ -26,6 +26,10 @@ DEFAULT_PAYOUT = 0.05
 ALPHA_FLOOR = 1e-300
 ALPHA_CEILING = math.nextafter(1.0, 0.0)
 
+# A model makes fewer rejections than it has rows, so a wealth and a
+# payout of at most this keep the account finite for n below about 1e8.
+ACCOUNT_MAX = 1e300
+
 # Decisions, as the event log stores them.  A test is charged unless it
 # was dropped as collinear or could not be paid for; SKIPPED marks a
 # charge that a pass skip made for a test it jumped over.
@@ -87,15 +91,19 @@ class Run(NamedTuple):
 
 
 def check_account(initial_wealth: float, payout: float) -> None:
-    """Raise ValueError unless the wealth is positive and finite and the
-    payout non-negative and finite.  NaN fails both checks, as it must:
-    a NaN account would never refuse an overdraft."""
+    """Raise ValueError unless the wealth is positive and the payout
+    non-negative, each finite and at most ACCOUNT_MAX.  NaN fails both
+    checks, as it must: a NaN account would never refuse an overdraft."""
     if not 0 < initial_wealth < math.inf:
         raise ValueError("initial_wealth (--wealth) must be positive and "
                          f"finite, got {initial_wealth}")
     if not 0 <= payout < math.inf:
         raise ValueError("payout (--payout) must be non-negative and "
                          f"finite, got {payout}")
+    for key, v in (("initial_wealth (--wealth)", initial_wealth),
+                   ("payout (--payout)", payout)):
+        if v > ACCOUNT_MAX:
+            raise ValueError(f"{key} must be at most {ACCOUNT_MAX:g}, got {v}")
 
 
 class WealthLedger:

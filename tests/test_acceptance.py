@@ -94,7 +94,7 @@ def bound_instances():
         kk = min(k, dataset.p)
         _, r2_opt = brute_force_subset(dataset, kk)
         # with every column selected there is no disjoint set to rate
-        gamma = (submodularity_ratio(dataset, idx, kk)
+        gamma = (submodularity_ratio(dataset, idx, kk)[0]
                  if l < dataset.p else 1.0)
         bound = theorem_bound(BoundInputs(
             r2_opt=r2_opt, l=l, k=kk, gamma=gamma,
@@ -167,7 +167,7 @@ def test_gain_decomposition_identity_and_ratio_bound(verdict):
         joint = gain(dataset, S, T)
         identity_worst = max(identity_worst,
                              abs(joint - projected_gain(dataset, T, S)))
-        gamma = submodularity_ratio(dataset, S, len(T))
+        gamma, _ = submodularity_ratio(dataset, S, len(T))
         singles = sum(gain(dataset, S, [x]) for x in T)
         ratio_worst = max(ratio_worst, joint - singles / gamma)
     elapsed = time.perf_counter() - t0

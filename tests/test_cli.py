@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -347,7 +348,12 @@ class TestSelect:
         ("--wealth", "nan",
          "initial_wealth (--wealth) must be positive and finite, got nan"),
         ("--payout", "nan",
-         "payout (--payout) must be non-negative and finite, got nan")])
+         "payout (--payout) must be non-negative and finite, got nan"),
+        # an account that could overflow to inf would never overdraw
+        ("--wealth", "1e308",
+         "initial_wealth (--wealth) must be at most 1e+300, got 1e+308"),
+        ("--payout", "1e308",
+         "payout (--payout) must be at most 1e+300, got 1e+308")])
     def test_bad_config_flag_exits_two_before_reading_input(
             self, tmp_path, capsys, command, flag, value, message):
         # the input file is missing, so a run that read it first would
@@ -355,6 +361,27 @@ class TestSelect:
         assert main([command, str(tmp_path / "none.csv"), "--response",
                      "y", flag, value]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--interactions"]])
+    def test_largest_account_writes_strict_json(self, tmp_path, flags):
+        # at the cap every rejection earns 1e300, and the wealth over an
+        # early pass's alpha is inf; no warning, no Infinity in the files
+        path, _, _ = signal_file(tmp_path, n=200)
+        report, trace = tmp_path / "w.json", tmp_path / "w.jsonl"
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["select", str(path), "--response", "y", "--wealth",
+                         "1e300", "--payout", "1e300", *flags, "--json",
+                         str(report), "--trace", str(trace)]) == EXIT_OK
+        wealth = json.loads(report.read_text(),
+                            parse_constant=refuse)["wealth"]
+        assert wealth["initial"] == 1e300 and wealth["final"] > 1e300
+        for line in trace.read_text().splitlines():
+            json.loads(line, parse_constant=refuse)
 
     @pytest.mark.parametrize("order", ["-1", "0", "1"])
     def test_max_order_below_two_exits_two(self, tmp_path, capsys, order):

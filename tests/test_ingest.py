@@ -362,6 +362,20 @@ def test_dropped_columns_warned_and_columns_c_contiguous():
     assert same_bits(ds.raw, X[:, [0, 2, 4]])
 
 
+def test_csv_design_is_column_major_and_kept_as_raw(tmp_path):
+    # the CLI's design is column-major and `standardize` keeps it as
+    # `raw` without a copy, so `monomial` reads contiguous columns on the
+    # CSV path; a C-order design there would make every gather strided
+    rng = np.random.default_rng(5)
+    path = tmp_path / "design.csv"
+    np.savetxt(path, rng.normal(size=(50, 6)), delimiter=",",
+               header="a,b,y,c,d,e", comments="", fmt="%.17g")
+    names, X, y = rai.cli._read_design(str(path), "y")
+    assert X.flags.f_contiguous
+    raw = standardize(X, y, names).raw
+    assert raw.flags.f_contiguous and np.shares_memory(raw, X)
+
+
 def test_constant_rule_is_scale_free():
     # the reference loop calls every column here constant, because its
     # rule has an absolute floor of 1e-12 sqrt(n); relative to the data

@@ -256,11 +256,11 @@ class TestSubmodularityRatio:
 
     def test_orthogonal_design_gives_one(self):
         ds, _ = orthogonal_dataset(seed=23, n=40, p=6)
-        gamma = submodularity_ratio(ds, [0, 1], 3)
+        gamma, _ = submodularity_ratio(ds, [0, 1], 3)
         assert gamma == pytest.approx(1.0, abs=1e-8)
 
     def test_k_one_is_always_one(self, correlated_dataset):
-        gamma = submodularity_ratio(correlated_dataset, [2], 1)
+        gamma, _ = submodularity_ratio(correlated_dataset, [2], 1)
         assert gamma == pytest.approx(1.0, abs=1e-12)
 
     @given(seeds)
@@ -268,14 +268,14 @@ class TestSubmodularityRatio:
     def test_matches_direct_enumeration(self, seed):
         X, y = random_raw(seed, 30, 6, correlated=True)
         ds = standardize(X, y)
-        gamma = submodularity_ratio(ds, [], 3)
+        gamma, _ = submodularity_ratio(ds, [], 3)
         np.testing.assert_allclose(gamma, gamma_oracle(ds, [], 3),
                                    atol=1e-10)
 
     def test_with_base_set(self):
         X, y = random_raw(77, 35, 7, correlated=True)
         ds = standardize(X, y)
-        gamma = submodularity_ratio(ds, [1, 4], 2)
+        gamma, _ = submodularity_ratio(ds, [1, 4], 2)
         np.testing.assert_allclose(gamma, gamma_oracle(ds, [1, 4], 2),
                                    atol=1e-10)
         assert gamma > 0
@@ -287,7 +287,7 @@ class TestSubmodularityRatio:
                              rng.normal(size=30)])
         y = a + rng.normal(size=30)
         ds = standardize(X, y)
-        gamma, info = submodularity_ratio(ds, [], 2, full_output=True)
+        gamma, info = submodularity_ratio(ds, [], 2)
         assert info["n_skipped"] >= 1  # the duplicated pair is singular
         assert info["n_sets"] + info["n_skipped"] == 4 + 6
 
@@ -321,16 +321,15 @@ class TestSubmodularityRatio:
         # and with each of the 3 others) count as skipped
         X, y = random_raw(41, 30, 4, correlated=True)
         with_copy = standardize(np.column_stack([X, X[:, 0]]), y)
-        gamma, want = submodularity_ratio(standardize(X, y), [0], 2,
-                                          full_output=True)
-        assert submodularity_ratio(with_copy, [0], 2, full_output=True) == (
+        gamma, want = submodularity_ratio(standardize(X, y), [0], 2)
+        assert submodularity_ratio(with_copy, [0], 2) == (
             gamma, {**want, "n_skipped": want["n_skipped"] + 4})
 
     def test_submodular_case_on_orthogonal_design(self):
         """gamma >= 1 comes with the defining inequality of submodular
         gains on all enumerated disjoint pairs."""
         ds, _ = orthogonal_dataset(seed=37, n=45, p=6)
-        assert submodularity_ratio(ds, [0], 2) >= 1.0 - 1e-10
+        assert submodularity_ratio(ds, [0], 2)[0] >= 1.0 - 1e-10
         idx = list(range(ds.p))
         for T in ([], [0]):
             rest = [j for j in idx if j not in T]
@@ -399,7 +398,7 @@ class TestLemmaRsbnd:
         perm = [int(j) for j in rng.permutation(7)]
         S, T = perm[:2], perm[2:4]
         try:
-            gamma = submodularity_ratio(ds, S, len(T))
+            gamma, _ = submodularity_ratio(ds, S, len(T))
         except AllSubsetsSingular:
             return
         total = gain(ds, S, T)

@@ -10,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 import rai
 from rai import simulate
 from rai.errors import DegenerateTerms, LengthMismatch, RaiError
-from rai.simulate import (METHODS, SCENARIOS, SimSpec, _brentq,
-                          _ols_t_stats, _rng, _signal_scale, calibrate_beta,
+from rai.simulate import (METHODS, SCENARIOS, SimSpec, _brentq, _ols,
+                          _rng, _signal_scale, calibrate_beta,
                           gen_design, gen_response, recovery_targets, risk,
                           run_experiment, signal_support, true_terms)
 from rai.terms import FeatureTerm, monomial
 
-from conftest import (expected_true_model_r2, expected_true_term_t, ols_r2,
-                      ols_t_stats)
+from conftest import (expected_true_model_r2, expected_true_term_t, ols_fit,
+                      ols_r2, ols_t_stats)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -29,6 +29,10 @@ def spec_for(scenario, n=200, p=12, reps=2, seed=0, r2=0.83):
 
 def truth_matrix(spec, X):
     return np.column_stack([monomial(t, X) for t in true_terms(spec)])
+
+
+def term_columns(terms, X):
+    return [monomial(t, X) for t in terms]
 
 
 class TestSimSpec:
@@ -144,25 +148,27 @@ class TestGenResponse:
     def test_global_null_is_pure_noise(self):
         spec = spec_for("global_null", n=150, p=4, seed=8)
         X = gen_design(spec, 2)
-        y, mu, beta = gen_response(X, spec, 2)
+        y, mu, cols = gen_response(X, spec, 2)
         assert np.all(mu == 0.0)
-        assert beta.size == 0
+        assert cols == []
         eps = _rng(spec, 2, 1).normal(0.0, 1.0, spec.n)
         assert np.array_equal(y, eps)
 
     def test_rerun_is_bit_identical(self):
         spec = spec_for("single_interaction", n=120, p=6, seed=5)
         X = gen_design(spec, 1)
-        y1, mu1, b1 = gen_response(X, spec, 1)
-        y2, mu2, b2 = gen_response(X, spec, 1)
+        y1, mu1, c1 = gen_response(X, spec, 1)
+        y2, mu2, c2 = gen_response(X, spec, 1)
         assert y1.tobytes() == y2.tobytes()
         assert mu1.tobytes() == mu2.tobytes()
-        assert np.array_equal(b1, b2)
+        assert np.array_equal(calibrate_beta(c1, spec.target_r2),
+                              calibrate_beta(c2, spec.target_r2))
 
     def test_mean_surface_matches_coefficients(self):
         spec = spec_for("four_interactions", n=250, p=10, seed=3)
         X = gen_design(spec, 0)
-        y, mu, beta = gen_response(X, spec, 0)
+        y, mu, cols = gen_response(X, spec, 0)
+        beta = calibrate_beta(cols, spec.target_r2)
         np.testing.assert_allclose(mu, truth_matrix(spec, X) @ beta,
                                    rtol=1e-12)
 
@@ -193,8 +199,8 @@ class TestGenResponse:
             ts = []
             for rep in range(3):
                 X = gen_design(spec, rep)
-                y, _, _ = gen_response(X, spec, rep)
-                ts += [abs(t) for t in _ols_t_stats(truth_matrix(spec, X), y)]
+                y, _, cols = gen_response(X, spec, rep)
+                ts += [abs(t) for t in _ols(cols, y)[1]]
             assert all(band[0] <= t <= band[1] for t in ts), (
                 f"target_r2={r2}: t*={t_star:.2f}, band "
                 f"[{band[0]:.1f}, {band[1]:.1f}], observed |t| spans "
@@ -207,7 +213,7 @@ class TestCalibrateBeta:
         spec = spec_for("single_interaction", n=500, p=3, seed=1)
         X = gen_design(spec, 0)
         terms = true_terms(spec)
-        beta = calibrate_beta(X, terms, 0.5)
+        beta = calibrate_beta(term_columns(terms, X), 0.5)
         mu = truth_matrix(spec, X) @ beta
         centered = mu - mu.mean()
         assert abs(centered @ centered / (spec.n - 1) - 1.0) < 1e-6
@@ -218,7 +224,7 @@ class TestCalibrateBeta:
     def test_sample_signal_fraction_hits_target_exactly(self, seed, target):
         spec = spec_for("single_interaction", n=300, p=4, seed=seed)
         X = gen_design(spec, 0)
-        beta = calibrate_beta(X, true_terms(spec), target)
+        beta = calibrate_beta(term_columns(true_terms(spec), X), target)
         mu = truth_matrix(spec, X) @ beta
         v = float(np.var(mu, ddof=1))
         assert abs(v / (v + 1.0) - target) < 1e-6
@@ -230,7 +236,7 @@ class TestCalibrateBeta:
         n1 = np.linalg.norm(X[:, 1] - X[:, 1].mean())
         X[:, 1] *= n0 / n1
         terms = (FeatureTerm.marginal(0), FeatureTerm.marginal(1))
-        beta = calibrate_beta(X, terms, 0.5)
+        beta = calibrate_beta(term_columns(terms, X), 0.5)
         np.testing.assert_allclose(beta[0], beta[1], rtol=1e-10)
 
     @pytest.mark.parametrize("target", [0.83, 0.6])
@@ -246,7 +252,7 @@ class TestCalibrateBeta:
         X = np.ones((50, 2))
         X[:, 1] = np.arange(50.0)
         with pytest.raises(DegenerateTerms):
-            calibrate_beta(X, (FeatureTerm.marginal(0),), 0.5)
+            calibrate_beta(term_columns((FeatureTerm.marginal(0),), X), 0.5)
 
     def test_underflowing_bracket_rejected(self):
         # (1 - target_r2) * v underflows to 0, so no finite bracket exists
@@ -486,6 +492,26 @@ class TestRunExperiment:
         expected = (v / m) / (r / m + 1.0)
         assert summary["mfdr_estimate"].hex() == expected.hex()
 
+    @pytest.mark.parametrize("scenario", ["four_interactions",
+                                          "single_interaction"])
+    @pytest.mark.parametrize("method", ["true_model", "rai_interactions"])
+    def test_each_true_term_is_built_once_per_replication(
+            self, monkeypatch, scenario, method):
+        # the response, the calibration, the true model and the true
+        # terms' t-statistics all share one set of columns
+        built = []
+        real = simulate.monomial
+
+        def counted(term, X):
+            built.append(term)
+            return real(term, X)
+
+        monkeypatch.setattr(simulate, "monomial", counted)
+        spec = spec_for(scenario, n=150, p=10, reps=3, seed=4)
+        rows = run_experiment(spec, method)["rows"]
+        assert all("error" not in row for row in rows)
+        assert built == list(true_terms(spec)) * spec.replications
+
     def test_method_list_is_complete(self):
         assert set(METHODS) == {"rai", "rai_interactions", "stepwise_aic",
                                 "mean_model", "true_model"}
@@ -499,8 +525,9 @@ class TestOlsTStatHelper:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(60, 3))
         y = X @ np.array([1.0, -0.5, 0.0]) + rng.normal(size=60)
-        ours = _ols_t_stats(X, y)
+        fitted, ours = _ols(list(X.T), y)
         np.testing.assert_allclose(ours, ols_t_stats(X, y), rtol=1e-8)
+        np.testing.assert_allclose(fitted, ols_fit(X, y)[2], rtol=1e-12)
 
 
 def scipy_brentq():
@@ -574,10 +601,10 @@ class TestBrentq:
         brentq = scipy_brentq()
         for seed in range(5):
             spec = spec_for(scenario, n=150, p=10, seed=seed)
-            X = gen_design(spec, 0)
-            ours = calibrate_beta(X, true_terms(spec), 0.83)
+            cols = term_columns(true_terms(spec), gen_design(spec, 0))
+            ours = calibrate_beta(cols, 0.83)
             with mock.patch.object(simulate, "_brentq", brentq):
-                theirs = calibrate_beta(X, true_terms(spec), 0.83)
+                theirs = calibrate_beta(cols, 0.83)
             assert ours.tobytes() == theirs.tobytes()
 
     def test_generic_functions_match_scipy(self):

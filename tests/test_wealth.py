@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -9,8 +10,8 @@ from rai import (RaiConfig, WealthLedger, pass_parameters, run_rai,
                  simulate, standardize)
 from rai.simulate import SimSpec, recovery_targets, run_experiment
 from rai.terms import FeatureTerm
-from rai.wealth import (ALPHA_CEILING, ALPHA_FLOOR, HALTED_WEALTH,
-                        REJECTED, REMOVED_COLLINEAR)
+from rai.wealth import (ACCOUNT_MAX, ALPHA_CEILING, ALPHA_FLOOR,
+                        HALTED_WEALTH, REJECTED, REMOVED_COLLINEAR)
 
 import reference_engine as ref
 from conftest import charges, entries
@@ -211,6 +212,18 @@ class TestWealthLedger:
             WealthLedger(initial_wealth=value)
         with pytest.raises(ValueError):
             WealthLedger(payout=value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("initial_wealth", 1e308), ("initial_wealth", 1.0000000001e300),
+        ("payout", 1e308), ("payout", math.nextafter(ACCOUNT_MAX, math.inf))])
+    def test_an_account_that_could_overflow_is_refused(self, field, value):
+        # an infinite account could never overdraw; the error names the
+        # field, the flag and the value
+        flag = {"initial_wealth": "--wealth", "payout": "--payout"}[field]
+        message = f"{field} ({flag}) must be at most 1e+300, got {value}"
+        for make in (WealthLedger, RaiConfig):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(**{field: value})
 
     def test_invalid_alpha(self):
         led = WealthLedger()
