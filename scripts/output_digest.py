@@ -33,7 +33,12 @@ every method on the single-interaction scenario, `true_model` once
 more on the null scenario, where the true model is the intercept
 alone, and `true_model`, `rai_interactions` and `stepwise_aic` on the
 four-interaction scenario, whose four true columns feed the
-calibration and the true model's fit.  Runs that must fail (an
+calibration and the true model's fit.  One more design with a planted
+product is written in layouts that reach the CSV reader's corners (the
+response first or in the middle, CRLF line ends without a last one,
+blank lines, and a table that spans several of the reader's chunks),
+and each is run under `select`, `select --interactions` and
+`diagnose`.  Runs that must fail (an
 unwritable `--trace`, a missing response column, `--max-order` without
 `--interactions`, an output flag that names the input or a hard link
 to it, an input that is not UTF-8, a `simulate --n` too small for the
@@ -89,7 +94,45 @@ def make_inputs(work: Path) -> dict[str, Path]:
     X = rng.normal(size=(100, 5))
     exact = work / "exact.csv"
     write_csv(exact, X, X[:, 0] + X[:, 1])
-    return {"product": product, "wide": wide, "null": null, "exact": exact}
+    inputs = {"product": product, "wide": wide, "null": null, "exact": exact}
+    inputs.update(layout_inputs(work))
+    return inputs
+
+
+def layout_inputs(work: Path) -> dict[str, Path]:
+    """One design written in layouts that reach the reader's corners: the
+    response first and in the middle, CRLF line ends with none after the
+    last row, blank lines in the body, and 8,000 rows, which span three
+    of the reader's 256 KB chunks."""
+    rng = np.random.default_rng(2016)
+    n, p = 8000, 8
+    X = rng.normal(1.0, 1.0, size=(n, p))
+    y = X[:, 0] - X[:, 1] + X[:, 0] * X[:, 2] + 2.0 * rng.normal(size=n)
+    cells = [[f"{v:.17g}" for v in row] for row in np.column_stack([X, y])]
+    names = [f"x{j + 1}" for j in range(p)] + ["y"]
+    # name: (response column, line end, end after the last row, rows,
+    # a blank line before every 50th row)
+    layouts = {
+        "first": (0, "\n", True, 300, False),
+        "middle": (p // 2, "\n", True, 300, False),
+        "crlf": (p, "\r\n", False, 300, False),
+        "blank": (p, "\n", True, 300, True),
+        "chunks": (p, "\n", True, n, False),
+    }
+    found = {}
+    for name, (at, end, last_end, rows, blank) in layouts.items():
+        order = list(range(p))
+        order.insert(at, p)
+        lines = [",".join(names[j] for j in order)]
+        for i, row in enumerate(cells[:rows]):
+            if blank and i % 50 == 7:
+                lines.append("")
+            lines.append(",".join(row[j] for j in order))
+        path = work / f"layout-{name}.csv"
+        path.write_bytes((end.join(lines) + (end if last_end else ""))
+                         .encode())
+        found[f"layout-{name}"] = path
+    return found
 
 
 def commands(inputs: dict[str, Path], work: Path):
@@ -102,6 +145,9 @@ def commands(inputs: dict[str, Path], work: Path):
     selects = [(data, flags_name) for data in ("product", "wide")
                for flags_name in flag_sets]
     selects += [("exact", "plain"), ("exact", "interactions")]
+    layouts = sorted(name for name in inputs if name.startswith("layout-"))
+    selects += [(data, flags_name) for data in layouts
+                for flags_name in ("plain", "interactions")]
     for data, flags_name in selects:
         name = f"select-{data}-{flags_name}"
         report, trace = work / f"{name}.json", work / f"{name}.jsonl"
@@ -112,7 +158,9 @@ def commands(inputs: dict[str, Path], work: Path):
     yield "select-exact-300-passes", [
         "select", str(inputs["exact"]), "--response", "y", "--wealth",
         "1000", "--max-passes", "300", "--json", str(report)], [report]
-    for data, k in (("product", "3"), ("wide", "2"), ("null", "3")):
+    diagnoses = [("product", "3"), ("wide", "2"), ("null", "3")]
+    diagnoses += [(data, "3") for data in layouts]
+    for data, k in diagnoses:
         name = f"diagnose-{data}"
         report = work / f"{name}.json"
         yield name, ["diagnose", str(inputs[data]), "--response", "y",

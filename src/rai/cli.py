@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .engine import RaiConfig, fit_terms, run_rai
 from .errors import BudgetExceeded, RaiError
-from .kernel import standardize
+from .kernel import _keep_rows, standardize
 from .oracles import (BoundInputs, brute_force_subset, enum_budget,
                       forward_stepwise, r_squared_of, submodularity_ratio,
                       theorem_bound, theorem_bound_branches)
@@ -42,12 +42,20 @@ class ParseFailure(Exception):
     pass
 
 
+# bytes of parsed values per np.loadtxt call: the one transient beside
+# the table's block
+CHUNK_BYTES = 1 << 18
+
+
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     """Delimited text with a header row; comma or tab, sniffed from the
-    header.  A UTF-8 byte order mark is skipped.  Duplicate column names
-    and any non-numeric or missing cell are hard errors.
+    header.  A UTF-8 byte order mark is skipped.  An unnamed column,
+    duplicate column names and any non-numeric or missing cell are hard
+    errors.
 
-    The body is parsed in one pass by np.loadtxt.  A body it does not
+    The table comes back as the (n, width) F-order view of one (width,
+    n) C-order block: each column is one contiguous row.  np.loadtxt
+    parses the body chunk by chunk into that block.  A body it does not
     take as a non-empty, all-finite table of the header's width (blank
     cells, quotes, ragged rows, bad cells, ...) is read again by the csv
     reader, which accepts, rejects and words its errors as it always
@@ -61,11 +69,14 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             fh.seek(0)
             reader = csv.reader(fh, delimiter=delim)
             header = [h.strip() for h in next(reader)]
+            if "" in header:
+                raise ParseFailure(
+                    f"{path}: column {header.index('') + 1} has no name")
             repeated = sorted(h for h, k in Counter(header).items() if k > 1)
             if repeated:
                 raise ParseFailure(
                     f"{path}: duplicate column names: {', '.join(repeated)}")
-            data = _load_body(fh, delim, len(header))
+            data = _load_body(fh, delim, len(header), _row_bound(path))
             if data is None:
                 fh.seek(0)
                 reader = csv.reader(fh, delimiter=delim)
@@ -76,28 +87,70 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def _load_body(fh, delim: str, width: int) -> np.ndarray | None:
-    """The rest of `fh` as a float table, or None unless np.loadtxt takes
-    it as at least one row of `width` finite values.  comments=None,
-    because a '#' cell is an error, not the start of a comment."""
-    try:
-        with warnings.catch_warnings():
-            # an empty body warns; the csv reader reports it
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=delim, comments=None,
-                              dtype=float, ndmin=2)
-    except ValueError:
+def _row_bound(path: str) -> int:
+    """An upper bound on the data rows of a file: its lines less the
+    header's.  Lines end as the text reader splits them, at '\n',
+    '\r\n' or a lone '\r', so a CR-only file counts as many lines as
+    a LF one."""
+    lines, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            # numpy counts a byte several times faster than bytes.count
+            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8)
+                                          == ord("\n")))
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1
+            last = chunk[-1:]
+    if last not in (b"", b"\n", b"\r"):
+        lines += 1                  # a last line with no line end
+    return max(lines - 1, 0)
+
+
+def _load_body(fh, delim: str, width: int,
+               bound: int) -> np.ndarray | None:
+    """The rest of `fh`, at most `bound` rows, as the (n, width) view of
+    one (width, n) block, or None unless np.loadtxt takes it as at least
+    one row of `width` finite values.  Each call parses about
+    CHUNK_BYTES of values and writes their transpose into the block.
+    comments=None, because a '#' cell is an error, not the start of a
+    comment."""
+    block = np.empty((width, bound))
+    step = max(1, CHUNK_BYTES // (8 * width))
+    n = 0
+    with warnings.catch_warnings():
+        # an empty body warns; the csv reader reports it
+        warnings.simplefilter("ignore", UserWarning)
+        while True:
+            try:
+                chunk = np.loadtxt(fh, delimiter=delim, comments=None,
+                                   dtype=float, ndmin=2, max_rows=step)
+            except ValueError:
+                return None
+            if len(chunk) == 0:
+                break
+            if (chunk.shape[1] != width or n + len(chunk) > bound
+                    or not np.isfinite(chunk).all()):
+                return None
+            block[:, n:n + len(chunk)] = chunk.T
+            n += len(chunk)
+            if len(chunk) < step:
+                break
+    if n == 0:
         return None
-    if data.shape[0] == 0 or data.shape[1] != width:
-        return None
-    if not np.isfinite(data).all():
-        return None
-    return data
+    if n < bound:
+        # blank lines: move each row to its place in a (width, n) block
+        flat = block.reshape(-1)
+        for j in range(1, width):
+            flat[j * n:(j + 1) * n] = block[j, :n]
+        block = flat[:width * n].reshape(width, n)
+    return block.T
 
 
 def _csv_body(path: str, reader, width: int) -> np.ndarray:
     """The data rows of `reader`, one float() per cell, with errors that
-    name the offending line."""
+    name the offending line, laid out as `_load_body`'s."""
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
@@ -113,23 +166,27 @@ def _csv_body(path: str, reader, width: int) -> np.ndarray:
                 f"{path}:{lineno}: non-numeric or missing value")
     if not rows:
         raise ParseFailure(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = np.array(rows, dtype=float, order="F")
     if not np.all(np.isfinite(data)):
         raise ParseFailure(f"{path}: non-finite value in table")
     return data
 
 
 def _read_design(path: str, response: str):
-    """(names, X, y) from a data file, the response split off.  Only X
-    and a copy of y outlive the call, not the whole parsed table."""
+    """(names, X, y) from a data file, the response split off.  X is the
+    (n, p) F-order view of the table's own block, its rows after the
+    response's moved up one, and y a copy: no second block is made."""
     header, data = _read_table(path)
     if response not in header:
         raise ParseFailure(f"response column {response!r} not in header")
-    ridx = header.index(response)
-    keep = [j for j in range(len(header)) if j != ridx]
-    if not keep:
+    if len(header) == 1:
         raise ParseFailure("no predictor columns besides the response")
-    return [header[j] for j in keep], data[:, keep], data[:, ridx].copy()
+    ridx = header.index(response)
+    rows = data.T
+    y = rows[ridx].copy()
+    keep = np.arange(len(header)) != ridx
+    X = _keep_rows(rows, keep).T
+    return [h for h, k in zip(header, keep) if k], X, y
 
 
 def _config_from_args(args) -> RaiConfig:
@@ -265,7 +322,9 @@ def cmd_select(args) -> int:
     config = _config_from_args(args)
     names, X, y = _read_design(args.input, args.response)
     t0 = time.perf_counter()
-    dataset = standardize(X, y, names)
+    # without products no term needs the raw columns: standardize the
+    # design in place and keep one copy of it
+    dataset = standardize(X, y, names, keep_raw=config.interactions)
     state, trace = run_rai(dataset, config)
     elapsed = time.perf_counter() - t0
     report = _selection_report(dataset, state, trace, config,
@@ -303,7 +362,7 @@ def cmd_diagnose(args) -> int:
     _check_writable(args.input, json=args.json)
     config = _config_from_args(args)
     names, X, y = _read_design(args.input, args.response)
-    dataset = standardize(X, y, names)
+    dataset = standardize(X, y, names, keep_raw=config.interactions)
     state, trace = run_rai(dataset, config)
     # diagnose searches no interactions, so every term is a marginal
     selected_idx = [t.powers[0][0] for t in state.selected]

@@ -209,6 +209,9 @@ def run_rai(dataset: Dataset,
     """
     if config is None:
         config = RaiConfig()
+    if config.interactions and dataset.raw is None:
+        raise ValueError("interactions need the raw columns, and the "
+                         "dataset keeps none")
     n = dataset.n
     max_passes = config.resolve_max_passes(n)
     ledger = WealthLedger(config.initial_wealth, config.payout)
@@ -304,11 +307,28 @@ def fit_terms(dataset: Dataset,
 
     Returns (slopes, intercept) on the original data scale, with slopes
     aligned to `terms`.  Used to report a selected model in units the
-    caller supplied, including interaction terms.  Raises ValueError
-    naming each term whose monomial is constant or not finite.
+    caller supplied, including interaction terms.  A marginal is the
+    dataset's own column, mean and scale, the bits `realize` gives it;
+    only a product is realized from `raw`.  Raises ValueError naming
+    each product of a dataset without `raw`, and each term whose
+    monomial is constant or not finite.
     """
     terms = list(terms)
-    rows, means, scales = realize(terms, dataset.raw)
+    products = [k for k, t in enumerate(terms) if t.order > 1]
+    if products and dataset.raw is None:
+        raise ValueError("; ".join(
+            f"term {terms[k].display()} is a product, and the dataset "
+            "keeps no raw columns to realize it" for k in products))
+    rows = np.empty((len(terms), dataset.n))
+    means, scales = np.empty(len(terms)), np.empty(len(terms))
+    for k, term in enumerate(terms):
+        if term.order == 1:
+            j = term.powers[0][0]
+            rows[k] = dataset.columns[:, j]
+            means[k], scales[k] = dataset.means[j], dataset.scales[j]
+    if products:
+        rows[products], means[products], scales[products] = realize(
+            [terms[k] for k in products], dataset.raw)
     if bad := [t.display() for t, row in zip(terms, rows)
                if not np.isfinite(row).all()]:
         raise ValueError("; ".join(f"term {name} is constant or not finite"

@@ -95,11 +95,15 @@ class Dataset:
 
     `columns` holds only the surviving (non-constant) predictors, each
     one contiguous row of a C-order block, as realized terms are; `names`
-    maps them back to the caller's labels.  `raw` keeps the matching
-    uncentered columns so higher-order terms can be formed on the
-    original scale before standardizing.  When no column was dropped it
-    is a read-only view of the caller's matrix, not a copy, so the
-    caller must not write to that matrix while the dataset is in use.
+    maps them back to the caller's labels, and `means` and `scales` are
+    the centering and scaling constants each column was standardized
+    with, so a marginal needs nothing else to be fitted on the original
+    scale.  `raw` keeps the matching uncentered columns so that products
+    can be formed on the original scale before standardizing.  When no
+    column was dropped it is a read-only view of the caller's matrix,
+    not a copy, so the caller must not write to that matrix while the
+    dataset is in use.  It is None for a dataset built without it
+    (`standardize(..., keep_raw=False)`), which can realize no product.
     """
 
     columns: np.ndarray          # (n, p) view of (p, n) C-order rows
@@ -107,11 +111,15 @@ class Dataset:
     names: tuple[str, ...]
     response_mean: float
     response_scale: float
-    raw: np.ndarray              # (n, p), original uncentered columns
+    raw: np.ndarray | None       # (n, p), original uncentered columns
+    means: np.ndarray            # (p,), each column's mean
+    scales: np.ndarray           # (p,), each centered column's norm
 
     def __post_init__(self) -> None:
-        for arr in (self.columns, self.response, self.raw):
-            arr.setflags(write=False)
+        for arr in (self.columns, self.response, self.raw, self.means,
+                    self.scales):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -123,13 +131,19 @@ class Dataset:
 
 
 def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
-                names: list[str] | None = None) -> Dataset:
+                names: list[str] | None = None, *,
+                keep_raw: bool = True) -> Dataset:
     """Build a Dataset from an uncentered design and response.
 
     Constant predictor columns are dropped with a warning.  Raises
     AllColumnsConstant when nothing survives and ConstantResponse when
     the response has no variance.  Every standardized value is the one
     `_unit_rows` gives for its column alone, as a row.
+
+    With `keep_raw=False` the caller hands the design over and will
+    realize no product: the dataset keeps no `raw`, and a design whose
+    transpose is a writeable C-order block is standardized in place, as
+    its own `columns`, so no second n x p block is made.
     """
     X = np.asarray(raw_matrix, dtype=float)
     y = np.asarray(raw_response, dtype=float)
@@ -147,7 +161,8 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     elif len(names) != p:
         raise ValueError("names length does not match the design")
 
-    rows = X.T.copy()
+    in_place = not keep_raw and X.T.flags.c_contiguous and X.flags.writeable
+    rows = X.T if in_place else X.T.copy()
     means, scales = _unit_rows(rows)
     y_std = np.array(y, ndmin=2)        # the response as a one-row block
     (y_mean,), (y_scale,) = _unit_rows(y_std)
@@ -157,13 +172,16 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
     keep = ~_constant(scales, means, n)
     if not keep.any():
         raise AllColumnsConstant("every predictor column is constant")
-    raw = X.view()
+    raw = X.view() if keep_raw else None
     if not keep.all():
         dropped = [names[j] for j in np.flatnonzero(~keep)]
         warnings.warn(f"dropped constant columns: {', '.join(dropped)}",
                       stacklevel=2)
-        rows = rows[keep]           # the full block is freed before raw
-        raw = X[:, keep]
+        # in place the kept rows move up; a copy frees the full block
+        rows = _keep_rows(rows, keep) if in_place else rows[keep]
+        means, scales = means[keep], scales[keep]
+        if keep_raw:
+            raw = X[:, keep]
 
     return Dataset(
         columns=rows.T,
@@ -172,7 +190,19 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
         response_mean=float(y_mean),
         response_scale=float(y_scale),
         raw=raw,
+        means=means,
+        scales=scales,
     )
+
+
+def _keep_rows(rows: np.ndarray, keep) -> np.ndarray:
+    """The rows that the mask `keep` marks, moved up in place one at a
+    time, as the leading rows of `rows`: no second block is made."""
+    kept = np.flatnonzero(keep)
+    for i, j in enumerate(kept.tolist()):
+        if i != j:
+            rows[i] = rows[j]
+    return rows[:len(kept)]
 
 
 def _t_of(rho: np.ndarray, df: int) -> np.ndarray:

@@ -28,8 +28,9 @@ from rai.kernel import Dataset
 
 def read_table(path: str) -> tuple[list[str], np.ndarray]:
     """Delimited text with a header row; comma or tab, sniffed from the
-    header.  A UTF-8 byte order mark is skipped.  Duplicate column names
-    and any non-numeric or missing cell are hard errors."""
+    header.  A UTF-8 byte order mark is skipped.  An unnamed column,
+    duplicate column names and any non-numeric or missing cell are hard
+    errors."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             first = fh.readline()
@@ -39,6 +40,9 @@ def read_table(path: str) -> tuple[list[str], np.ndarray]:
             fh.seek(0)
             reader = csv.reader(fh, delimiter=delim)
             header = [h.strip() for h in next(reader)]
+            for j, name in enumerate(header, start=1):
+                if not name:
+                    raise ParseFailure(f"{path}: column {j} has no name")
             repeated = sorted(h for h, k in Counter(header).items() if k > 1)
             if repeated:
                 raise ParseFailure(
@@ -108,7 +112,8 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
         raise ConstantResponse("response is constant")
     y_std, y_mean, y_scale = resp
 
-    kept_cols, kept_names, kept_raw = [], [], []
+    kept_cols, kept_names, kept_raw, kept_means, kept_scales = (
+        [], [], [], [], [])
     dropped = []
     for j in range(p):
         out = _unit_centered(X[:, j])
@@ -118,6 +123,8 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
         kept_cols.append(out[0])
         kept_names.append(names[j])
         kept_raw.append(X[:, j])
+        kept_means.append(out[1])
+        kept_scales.append(out[2])
     if not kept_cols:
         raise AllColumnsConstant("every predictor column is constant")
     if dropped:
@@ -131,4 +138,6 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
         response_mean=y_mean,
         response_scale=y_scale,
         raw=np.column_stack(kept_raw),
+        means=np.array(kept_means),
+        scales=np.array(kept_scales),
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -131,6 +132,23 @@ class TestReadTable:
         assert code == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "a, b" in err
+
+    @pytest.mark.parametrize("header,column", [
+        (",a,b,c,y", 1), ("a, ,b,c,y", 2), ("a,b,c,y,", 5)])
+    def test_unnamed_column_exits_two_naming_it(self, tmp_path, capsys,
+                                                header, column):
+        # a pandas `to_csv` file: the index column has no name, and must
+        # not be taken as a predictor
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(200, 5))
+        X[:, 0] = np.arange(200)
+        X[:, 4] = X[:, 1] + 0.5 * rng.normal(size=200)
+        path = tmp_path / "indexed.csv"
+        write_table(path, header.split(","), X)
+        code = main(["select", str(path), "--response", "y"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {path}: column {column} has no name\n")
 
 
 class TestSelect:
@@ -286,6 +304,31 @@ class TestSelect:
                 assert after == before, rec
                 assert rec["t_abs"] is None, rec
             assert after >= 0.0, rec
+
+    def test_design_is_held_once(self, tmp_path, capsys):
+        """Without --interactions the CLI holds one n x p copy of the
+        design: the traced peak of a whole select stays below 1.5 times
+        the design's bytes, with the response in a middle column, which
+        the reader must take out of its block without a second one."""
+        n, p = 10000, 200
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(n, p))
+        y = X[:, :5].sum(axis=1) + rng.normal(size=n)
+        path = tmp_path / "tall.csv"
+        np.savetxt(path, np.column_stack([X[:, :100], y, X[:, 100:]]),
+                   delimiter=",", fmt="%.9g", comments="",
+                   header=",".join([f"x{j}" for j in range(100)] + ["y"]
+                                   + [f"x{j}" for j in range(100, p)]))
+        tracemalloc.start()
+        try:
+            code = main(["select", str(path), "--response", "y"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert all(f"\n  x{j} " in out for j in range(5))
+        assert peak < 1.5 * n * p * 8, peak / (n * p * 8)
 
     def test_constant_response_exits_three(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

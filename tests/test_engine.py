@@ -776,6 +776,46 @@ class TestFitTerms:
             assert np.array_equal((ds.raw[:, j] - mean) / scale,
                                   ds.columns[:, j])
 
+    @pytest.mark.parametrize("scales", [(1.0,) * 5,
+                                        (1e-150, 1.0, 1e7, 1e150, 3e-3)])
+    def test_dataset_without_raw_fits_the_same_bits(self, scales):
+        # marginals come from the dataset's own rows, means and scales,
+        # which are the bits `realize` gives them from `raw`
+        rng = np.random.default_rng(31)
+        X = rng.normal(3.0, 1.0, size=(80, 5)) * scales
+        X[:, 2] = 4.0                       # dropped as constant
+        y = X[:, 0] / scales[0] - X[:, 3] / scales[3] + rng.normal(size=80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            library = standardize(X, y)
+            handed = standardize(np.asfortranarray(X), y, keep_raw=False)
+        assert handed.raw is None and handed.p == library.p == 4
+        # the kept constants are those `realize` gives each raw column
+        marginals = [FeatureTerm.marginal(j) for j in range(4)]
+        _, means, scales = realize(marginals, library.raw)
+        for ds in (library, handed):
+            assert np.array_equal(ds.means.view(np.uint64),
+                                  means.view(np.uint64))
+            assert np.array_equal(ds.scales.view(np.uint64),
+                                  scales.view(np.uint64))
+        terms = [FeatureTerm.marginal(j) for j in (3, 0, 1)]
+        for chosen in (terms, terms[:1], []):
+            slopes, intercept = rai.fit_terms(library, chosen)
+            own_slopes, own_intercept = rai.fit_terms(handed, chosen)
+            assert np.array_equal(own_slopes.view(np.uint64),
+                                  slopes.view(np.uint64))
+            assert (np.float64(own_intercept).view(np.uint64)
+                    == np.float64(intercept).view(np.uint64))
+
+    def test_product_needs_raw_columns(self):
+        X, y = random_raw(2, 60, 3)
+        ds = standardize(X.copy(order="F"), y, keep_raw=False)
+        with pytest.raises(ValueError, match=r"^term X1\*X3 is a product"):
+            rai.fit_terms(ds, [FeatureTerm.marginal(1),
+                               FeatureTerm.from_exponents({0: 1, 2: 1})])
+        with pytest.raises(ValueError, match="interactions need the raw"):
+            run_rai(ds, RaiConfig(interactions=True))
+
     def test_constant_term_rejected(self):
         # a column of -1s and 1s varies, but its square does not
         X = np.column_stack([np.tile([-1.0, 1.0], 5), np.arange(10.0)])

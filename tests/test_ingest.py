@@ -52,10 +52,14 @@ def outcome(fn, *args):
 
 # -- _read_table -----------------------------------------------------------
 
-NUMBERS = st.one_of(
+# spellings that np.loadtxt and float() both take, whatever the delimiter
+PLAIN_NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(min_value=-1e6, max_value=1e6).map(lambda v: f"{v:.9g}"),
     st.integers(min_value=-10**6, max_value=10**6).map(str),
+)
+NUMBERS = st.one_of(
+    PLAIN_NUMBERS,
     st.sampled_from(["+1.5", "1e5", ".5", "-0", "0", "5.", "1E-3",
                      " 2 ", "3 ", "\t4", "1e-320", "-2.5e+300"]),
 )
@@ -71,7 +75,7 @@ def tables(draw):
     """Bytes of a delimited file, mostly valid, sometimes not."""
     width = draw(st.integers(min_value=1, max_value=5))
     names = draw(st.lists(st.sampled_from(["a", "b", "c", "y", " x ",
-                                            "d e", "z1", '"q"']),
+                                            "d e", "z1", '"q"', "", " "]),
                           min_size=width, max_size=width, unique=True))
     if draw(st.integers(0, 19)) == 0:
         names[-1] = names[0]        # a duplicate name
@@ -128,6 +132,87 @@ def test_read_table_matches_reference(tmp_path):
     print(f"\ntables: {paths['loadtxt']} by np.loadtxt, "
           f"{paths['csv']} read again by the csv reader")
     assert paths["loadtxt"] >= 50 and paths["csv"] >= 50
+
+
+@st.composite
+def chunked_tables(draw):
+    """(bytes, rows per chunk, data rows, clean) of a table that spans
+    three or more of np.loadtxt's chunks, its row count at a chunk
+    boundary or one row either side; with CRLF or CR-only line ends, no
+    trailing line end, blank lines, a byte order mark or tabs, and
+    sometimes a bad cell in the last chunk."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    step = draw(st.integers(min_value=1, max_value=5))
+    n = (draw(st.integers(min_value=3, max_value=5)) * step
+         + draw(st.sampled_from([-1, 0, 1])))
+    delim = draw(st.sampled_from([",", "\t"]))
+    rows = [delim.join(draw(PLAIN_NUMBERS) for _ in range(width))
+            for _ in range(n)]
+    clean = draw(st.integers(0, 3)) > 0
+    if not clean:
+        # the last chunk holds the last n % step rows, or step of them
+        i = n - 1 - draw(st.integers(0, (n % step or step) - 1))
+        cells = rows[i].split(delim)
+        cells[draw(st.integers(0, width - 1))] = draw(ODD_CELLS)
+        rows[i] = delim.join(cells)
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    names = [f"c{j}" for j in range(width)]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([delim.join(names)] + rows)
+    if draw(st.booleans()):
+        text += end
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8"), step, n, clean
+
+
+def test_read_table_across_chunks_matches_reference(tmp_path):
+    """Chunk by chunk, the reader gives the reference's header, bits and
+    errors; a clean table takes np.loadtxt's path and fills its block
+    exactly, and every response position splits off the same X and y."""
+    path = str(tmp_path / "t.csv")
+
+    @given(chunked_tables())
+    @settings(max_examples=300, deadline=None)
+    def check(table):
+        blob, step, n, clean = table
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        header = blob.decode("utf-8-sig").splitlines()[0]
+        width = len(header.split("\t" if "\t" in header else ","))
+        with mock.patch.object(rai.cli, "CHUNK_BYTES", 8 * width * step), \
+                mock.patch.object(rai.cli, "_csv_body",
+                                  wraps=rai.cli._csv_body) as fallback:
+            assert_same_table(path)
+            if not clean:
+                return
+            assert not fallback.called
+            assert rai.cli._row_bound(path) >= n
+            want_header, want = ref.read_table(path)
+            for response in {want_header[0], want_header[width // 2],
+                             want_header[-1]} if width > 1 else ():
+                names, X, y = rai.cli._read_design(path, response)
+                j = want_header.index(response)
+                assert names == want_header[:j] + want_header[j + 1:]
+                assert same_bits(X, np.delete(want, j, axis=1))
+                assert same_bits(y, want[:, j])
+                assert X.flags.f_contiguous
+
+    check()
+
+
+def test_row_bound_counts_every_line_end(tmp_path):
+    # LF, CRLF and CR-only files of the same three rows, with and
+    # without a last line end, and a CRLF split across the read size
+    path = tmp_path / "t.csv"
+    for end in ("\n", "\r\n", "\r"):
+        for tail in ("", end):
+            path.write_bytes(end.join(["a,b", "1,2", "3,4", "5,6"]).encode()
+                             + tail.encode())
+            assert rai.cli._row_bound(str(path)) == 3, (end, tail)
+    head = b"a\n" + b"1" * ((1 << 20) - 3) + b"\r"
+    path.write_bytes(head + b"\n2\r\n")
+    assert rai.cli._row_bound(str(path)) == 2
 
 
 @pytest.mark.parametrize("fmt", ["{!r}", "{:.9g}", "{:.17g}", "{:.3e}"])
@@ -237,7 +322,8 @@ def standardize_with_warnings(fn, X, y):
     return out, [str(w.message) for w in caught]
 
 
-FIELDS = ("columns", "response", "raw", "response_mean", "response_scale")
+FIELDS = ("columns", "response", "raw", "response_mean", "response_scale",
+          "means", "scales")
 
 
 def marginal_constants(ds):
@@ -269,6 +355,17 @@ def assert_same_dataset(X, y):
     if not got_warn:
         assert np.shares_memory(got.raw, X)     # no copy of the design
     assert not got.raw.flags.writeable
+    # handed over, the design gives the same dataset without its raw
+    # columns, standardized in place when its columns are rows
+    given = X.copy(order="A")
+    (own, own_err), own_warn = standardize_with_warnings(
+        lambda X, y: standardize(X, y, keep_raw=False), given, y)
+    assert (own_err, own_warn) == (got_err, got_warn)
+    assert own.raw is None and own.names == got.names
+    for name in FIELDS:
+        if name != "raw":
+            assert same_bits(getattr(own, name), getattr(got, name)), name
+    assert np.shares_memory(own.columns, given) == given.flags.f_contiguous
 
 
 @given(designs())
@@ -363,17 +460,31 @@ def test_dropped_columns_warned_and_columns_c_contiguous():
 
 
 def test_csv_design_is_column_major_and_kept_as_raw(tmp_path):
-    # the CLI's design is column-major and `standardize` keeps it as
-    # `raw` without a copy, so `monomial` reads contiguous columns on the
-    # CSV path; a C-order design there would make every gather strided
+    # the CLI's design is column-major, the F-order view of the one block
+    # the reader parsed into, wherever the response stood; `standardize`
+    # keeps it as `raw` without a copy, so `monomial` reads contiguous
+    # columns on the CSV path, or, handed the design, standardizes that
+    # block in place and keeps no raw columns
     rng = np.random.default_rng(5)
     path = tmp_path / "design.csv"
     np.savetxt(path, rng.normal(size=(50, 6)), delimiter=",",
                header="a,b,y,c,d,e", comments="", fmt="%.17g")
-    names, X, y = rai.cli._read_design(str(path), "y")
-    assert X.flags.f_contiguous
-    raw = standardize(X, y, names).raw
-    assert raw.flags.f_contiguous and np.shares_memory(raw, X)
+    for response in "aye":
+        tables = []
+
+        def read_table(path):
+            tables.append(_read_table(path))
+            return tables[-1]
+
+        with mock.patch.object(rai.cli, "_read_table", read_table):
+            names, X, y = rai.cli._read_design(str(path), response)
+        (_, table), = tables
+        assert X.flags.f_contiguous and np.shares_memory(X, table)
+        assert not np.shares_memory(y, table)
+        raw = standardize(X, y, names).raw
+        assert raw.flags.f_contiguous and np.shares_memory(raw, X)
+        own = standardize(X, y, names, keep_raw=False)
+        assert own.raw is None and np.shares_memory(own.columns, X)
 
 
 def test_constant_rule_is_scale_free():

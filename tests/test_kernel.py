@@ -730,7 +730,7 @@ class TestScreen:
         ds = small_dataset
         rows = ds.columns.T.copy()
         own = rai.Dataset(rows.T, ds.response, ds.names, ds.response_mean,
-                          ds.response_scale, ds.raw)
+                          ds.response_scale, ds.raw, ds.means, ds.scales)
         screen = Screen(own)
         rows[0] = rows[1]
         screen.bounds(ModelState.empty(own).add_feature(1), np.arange(own.p))
