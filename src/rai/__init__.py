@@ -14,8 +14,8 @@ benchmarks in :mod:`rai.simulate`; the command line front end in
 __version__ = "0.1.0"
 
 from . import errors
-from .engine import (RaiConfig, SelectionTrace, SkipRecord, fit_terms,
-                     run_rai, skip_passes, test_candidate)
+from .engine import (RaiConfig, SelectionTrace, fit_terms, run_rai,
+                     skip_passes, test_candidate)
 from .kernel import (COLLINEARITY_TOL, RESIDUAL_TOL, T_STAT_MAX, Dataset,
                      ModelState, r_squared_of, standardize)
 from .oracles import (BoundInputs, aic, brute_force_subset, forward_stepwise,
@@ -39,7 +39,7 @@ __all__ = [
     "FeatureTerm", "generate_candidates", "monomial", "realize",
     # engine
     "RaiConfig", "run_rai", "test_candidate", "skip_passes", "fit_terms",
-    "SelectionTrace", "SkipRecord",
+    "SelectionTrace",
     # oracles
     "forward_stepwise", "brute_force_subset", "submodularity_ratio",
     "theorem_bound", "theorem_bound_branches", "BoundInputs", "aic",

@@ -38,7 +38,7 @@ EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
 
 
-class ParseFailure(Exception):
+class ParseFailure(ValueError):
     pass
 
 
@@ -89,23 +89,21 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
 
 def _row_bound(path: str) -> int:
     """An upper bound on the data rows of a file: its lines less the
-    header's.  Lines end as the text reader splits them, at '\n',
-    '\r\n' or a lone '\r', so a CR-only file counts as many lines as
-    a LF one."""
-    lines, last = 0, b""
+    header's.  Lines end at '\n', '\r\n' or a lone '\r', so the larger
+    of the file's LF and CR counts is its line ends, in a LF, CRLF or
+    CR-only file alike.  A file that mixes LF with lone CR ends may be
+    under-counted; `_load_body` then gives it to the csv reader."""
+    lf, cr, last = 0, 0, b""
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             # numpy counts a byte several times faster than bytes.count
-            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8)
-                                          == ord("\n")))
+            lf += int(np.count_nonzero(np.frombuffer(chunk, np.uint8)
+                                       == ord("\n")))
             if b"\r" in chunk:
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk[:1] == b"\n":
-                lines -= 1
+                cr += chunk.count(b"\r")
             last = chunk[-1:]
-    if last not in (b"", b"\n", b"\r"):
-        lines += 1                  # a last line with no line end
-    return max(lines - 1, 0)
+    # line ends less the header's, plus a last line that has none
+    return max(lf, cr) - (last in (b"\n", b"\r"))
 
 
 def _load_body(fh, delim: str, width: int,
@@ -500,9 +498,6 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

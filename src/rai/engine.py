@@ -22,7 +22,7 @@ exhausted, or when the stream runs dry.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,28 +72,15 @@ class RaiConfig:
         return math.ceil(math.log2(n)) + 2
 
 
-@dataclass(frozen=True)
-class SkipRecord:
-    """One pass skip; the fields, in order, are its trace record's keys."""
-
-    from_pass: int
-    to_pass: int
-    n_candidates: int
-    alpha_charged: float
-    wealth_before: float
-    wealth_after: float
-    halted: bool
-
-
 @dataclass
 class SelectionTrace:
     """What a run did: its ledger's event log, the pass skips and how
-    the run ended.  `n` is the number of observations, which fixes each
-    pass's threshold."""
+    the run ended.  Each skip is a dict keyed as its trace record.  `n`
+    is the number of observations, which fixes each pass's threshold."""
 
     ledger: WealthLedger
     n: int
-    skips: list[SkipRecord] = field(default_factory=list)
+    skips: list[dict] = field(default_factory=list)
     termination: str = ""
     passes_traversed: int = 0
 
@@ -117,7 +104,7 @@ class SelectionTrace:
                        "wealth_before": before, "wealth_after": after,
                        "decision": run.decision}
         for rec in self.skips:
-            yield {"kind": "skip", **asdict(rec)}
+            yield {"kind": "skip", **rec}
         yield {"kind": "end", "termination": self.termination,
                "passes": self.passes_traversed}
 
@@ -285,9 +272,11 @@ def run_rai(dataset: Dataset,
             s_next, halted, charged = skip_passes(
                 queue, best, ledger, s, n, max_passes)
             if halted or s_next > s + 1:
-                trace.skips.append(SkipRecord(
-                    s, s_next, len(queue), charged, before, ledger.wealth,
-                    halted))
+                trace.skips.append({
+                    "from_pass": s, "to_pass": s_next,
+                    "n_candidates": len(queue), "alpha_charged": charged,
+                    "wealth_before": before, "wealth_after": ledger.wealth,
+                    "halted": halted})
             s = s_next
             if halted:
                 termination = TERMINATED_WEALTH

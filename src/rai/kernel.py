@@ -177,8 +177,7 @@ def standardize(raw_matrix: np.ndarray, raw_response: np.ndarray,
         dropped = [names[j] for j in np.flatnonzero(~keep)]
         warnings.warn(f"dropped constant columns: {', '.join(dropped)}",
                       stacklevel=2)
-        # in place the kept rows move up; a copy frees the full block
-        rows = _keep_rows(rows, keep) if in_place else rows[keep]
+        rows = _keep_rows(rows, keep)
         means, scales = means[keep], scales[keep]
         if keep_raw:
             raw = X[:, keep]

@@ -6,7 +6,10 @@ every test runs a full modified Gram-Schmidt pass over the basis, and
 forward stepwise scores every column that way at every step.  They are
 slow but obviously faithful to the selection rules, so the package's
 engine must reproduce their selections, decisions, ledgers, skips and
-residuals exactly.
+residuals exactly.  Each column is adjusted by the reference's own
+Gram-Schmidt (`reference_kernel.adjusted`), not by
+`ModelState.adjusted_vector`; the basis update (`add_adjusted`) and the
+term-to-column map (`term_column`) are the package's.
 
 The bookkeeping they use is kept here too, as it was before the package
 moved to one columnar event log charged in runs: a `WealthLedger` that
@@ -26,13 +29,14 @@ import numpy as np
 
 from rai.engine import (HALTED_WEALTH, NOT_REJECTED, REJECTED,
                         REMOVED_COLLINEAR, TERMINATED_PASSES,
-                        TERMINATED_STREAM, TERMINATED_WEALTH, RaiConfig,
-                        SkipRecord)
+                        TERMINATED_STREAM, TERMINATED_WEALTH, RaiConfig)
 from rai.errors import RaiError, SingularStep
 from rai.kernel import COLLINEARITY_TOL, T_STAT_MAX, Dataset, ModelState
 from rai.terms import FeatureTerm, generate_candidates, term_column
 from rai.wealth import (DEFAULT_INITIAL_WEALTH, DEFAULT_PAYOUT,
                         pass_parameters)
+
+from reference_kernel import adjusted
 
 
 class InsufficientWealth(RaiError):
@@ -122,7 +126,7 @@ class TestRecord:
 @dataclass
 class SelectionTrace:
     tests: list[TestRecord] = field(default_factory=list)
-    skips: list[SkipRecord] = field(default_factory=list)
+    skips: list[dict] = field(default_factory=list)
     termination: str = ""
     passes_traversed: int = 0
     ledger: WealthLedger | None = None
@@ -211,7 +215,7 @@ def test_candidate(state: ModelState, ledger: WealthLedger,
         column = term_column(state.dataset, term)
     if not np.isfinite(column).all():
         return REMOVED_COLLINEAR, state, None
-    adj = state.adjusted_vector(column)
+    adj = adjusted(state.basis, column)
     nrm = float(np.linalg.norm(adj))
     if nrm <= COLLINEARITY_TOL:
         return REMOVED_COLLINEAR, state, None
@@ -312,9 +316,11 @@ def run_rai(dataset: Dataset, config: RaiConfig | None = None,
             s_next, halted, charged = skip_passes(
                 known_t, ledger, s, n, max_passes)
             if halted or s_next > s + 1:
-                trace.skips.append(SkipRecord(
-                    s, s_next, len(known_t), charged, before, ledger.wealth,
-                    halted))
+                trace.skips.append({
+                    "from_pass": s, "to_pass": s_next,
+                    "n_candidates": len(known_t), "alpha_charged": charged,
+                    "wealth_before": before, "wealth_after": ledger.wealth,
+                    "halted": halted})
             if halted:
                 trace.passes_traversed = max(trace.passes_traversed, s_next)
                 termination = TERMINATED_WEALTH
@@ -368,7 +374,7 @@ def forward_stepwise(dataset: Dataset, k: int | None = None) -> ModelState:
         for j in range(dataset.p):
             if j in state.selected:
                 continue
-            adj = state.adjusted_vector(dataset.columns[:, j])
+            adj = adjusted(state.basis, dataset.columns[:, j])
             nrm = float(np.linalg.norm(adj))
             if nrm <= COLLINEARITY_TOL:
                 continue

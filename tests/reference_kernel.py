@@ -5,26 +5,41 @@ The selection engine scores candidates through `ModelState.score` and
 `Screen`, and fits through `fit_terms`.  The one-column queries below
 (the S-adjusted column, partial correlation, t-statistic) and the
 subset gain are the textbook definitions those paths must agree with,
-so the tests keep them.  `t_statistic` alone checks df, and raises
-`InsufficientDf`, defined here for it.  Test-only: nothing in `rai`
-imports this module.
+so the tests keep them.  They take the state's basis and residual, but
+adjust a column by their own Gram-Schmidt (`adjusted`), so an error in
+`ModelState.adjusted_vector` or `ModelState.score` shows against them.
+`t_statistic` alone checks df, and raises `InsufficientDf`, defined
+here for it.  Test-only: nothing in `rai` imports this module.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from rai.errors import CollinearFeature, RaiError
-from rai.kernel import T_STAT_MAX, Dataset, ModelState, r_squared_of
+from rai.kernel import (COLLINEARITY_TOL, RESIDUAL_TOL, T_STAT_MAX, Dataset,
+                        ModelState, r_squared_of)
 
 
 class InsufficientDf(RaiError):
     """Too few residual degrees of freedom to form a t-statistic."""
 
 
+def adjusted(basis, x) -> np.ndarray:
+    """x minus its projection onto the orthonormal `basis`: modified
+    Gram-Schmidt, swept twice."""
+    v = np.array(x, dtype=float)
+    for _ in range(2):
+        for q in basis:
+            v -= np.dot(v, q) * q
+    return v
+
+
 def adjusted_column(state: ModelState, j: int) -> np.ndarray:
     """Column j minus its projection onto the state's basis."""
-    return state.adjusted_vector(state.dataset.columns[:, j])
+    return adjusted(state.basis, state.dataset.columns[:, j])
 
 
 def partial_correlation(state: ModelState, j: int) -> float:
@@ -56,11 +71,18 @@ def t_of_rho(rho, df: int) -> np.ndarray:
 
 
 def _scored(state: ModelState, j: int):
-    """`ModelState.score` of column j, which must be testable."""
-    scored = state.score(state.dataset.columns[:, j])
-    if scored is None:
+    """(adjusted column, its norm, partial correlation, t) of column j,
+    as `ModelState.score` defines them; column j must be testable."""
+    adj = adjusted_column(state, j)
+    nrm = float(np.linalg.norm(adj))
+    if nrm <= COLLINEARITY_TOL:
         raise CollinearFeature(f"column {j} is collinear with the model")
-    return scored
+    rnorm = float(np.linalg.norm(state.residual))
+    if rnorm < RESIDUAL_TOL:
+        return adj, nrm, 0.0, 0.0
+    rho = min(1.0, max(-1.0, float(np.dot(state.residual, adj)
+                                    / (rnorm * nrm))))
+    return adj, nrm, rho, math.copysign(float(t_of_rho(rho, state.df)), rho)
 
 
 def gain(dataset: Dataset, S, A) -> float:

@@ -249,6 +249,26 @@ class TestSelect:
         np.testing.assert_allclose(spent, report["wealth"]["spent"],
                                    rtol=1e-10)
 
+    def test_trace_skips_are_the_files_skip_records(self, tmp_path):
+        """`trace.skips` holds each skip as the dict the trace file
+        writes, with the same keys in the same order, less "kind"."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(100, 5))
+        y = X[:, 0] + X[:, 1]
+        path = tmp_path / "skips.csv"
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",",
+                   fmt="%.17g", comments="",
+                   header="X1,X2,X3,X4,X5,y")
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(["select", str(path), "--response", "y",
+                     "--trace", str(trace_path)]) == EXIT_OK
+        written = [rec for line in trace_path.read_text().splitlines()
+                   if (rec := json.loads(line)).pop("kind") == "skip"]
+        _, trace = run_rai(standardize(X, y))
+        assert written
+        assert [list(rec.items()) for rec in trace.skips] == [
+            list(rec.items()) for rec in written]
+
     def test_trace_terms_carry_the_header_names(self, tmp_path):
         # the trace names terms as --json and stdout do; the constant
         # column k is dropped, so the header's names are not the

@@ -18,6 +18,7 @@ read again by the csv reader; both paths must be exercised.
 
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -213,6 +214,31 @@ def test_row_bound_counts_every_line_end(tmp_path):
     head = b"a\n" + b"1" * ((1 << 20) - 3) + b"\r"
     path.write_bytes(head + b"\n2\r\n")
     assert rai.cli._row_bound(str(path)) == 2
+
+
+@pytest.mark.parametrize("ends", [("\n", "\r"), ("\r", "\n", "\n"),
+                                  ("\r\n", "\r", "\n")])
+@pytest.mark.parametrize("tail", [False, True])
+@pytest.mark.parametrize("bad", [False, True])
+def test_mixed_lf_and_lone_cr_ends_take_the_csv_reader(tmp_path, ends,
+                                                       tail, bad):
+    # LF and lone CR ends in one file: the row bound falls short of the
+    # rows, so np.loadtxt's result is refused and the csv reader reads
+    # the file, with the reference's header, bits and errors
+    rng = np.random.default_rng(len(ends))
+    rows = [",".join(f"{v:.17g}" for v in row)
+            for row in rng.normal(size=(9, 3))]
+    if bad:
+        rows[4] = "1,abc,2"
+    lines = ["a,b,c"] + rows
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(text.encode() if tail else text.encode().rstrip(b"\r\n"))
+    assert rai.cli._row_bound(str(path)) < len(rows)
+    with mock.patch.object(rai.cli, "_csv_body",
+                           wraps=rai.cli._csv_body) as fallback:
+        assert_same_table(str(path))
+    assert fallback.called
 
 
 @pytest.mark.parametrize("fmt", ["{!r}", "{:.9g}", "{:.17g}", "{:.3e}"])
@@ -457,6 +483,30 @@ def test_dropped_columns_warned_and_columns_c_contiguous():
     assert ds.names == ("a", "c", "e")
     assert ds.columns.T.flags.c_contiguous      # each column is one row
     assert same_bits(ds.raw, X[:, [0, 2, 4]])
+
+
+def test_copy_path_holds_one_block_when_it_drops_a_column():
+    """Handed a C-order design with keep_raw=False, standardize copies
+    it, and moves the kept rows up in that copy when it drops a
+    constant column: its traced peak stays below 1.5 times the design's
+    bytes, where a second block of kept rows would take it to 2."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20000, 50))
+    X[:, 7] = 3.0
+    y = rng.normal(size=20000)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="dropped constant columns: X8"):
+            ds = standardize(X, y, keep_raw=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.p == 49 and not np.shares_memory(ds.columns, X)
+    assert peak < 1.5 * X.nbytes, peak / X.nbytes
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = standardize(X, y)
+    assert same_bits(ds.columns, want.columns)
 
 
 def test_csv_design_is_column_major_and_kept_as_raw(tmp_path):
