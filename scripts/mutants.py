@@ -41,6 +41,14 @@ MUTATIONS = [
     ("settled takes one slot past the first open one", "rai/kernel.py",
      "return self.t[0, slots[:start + int(unsettled[0])]]",
      "return self.t[0, slots[:start + int(unsettled[0]) + 1]]", CORE),
+    ("catch-up takes x . r with the response", "rai/kernel.py",
+     "self.inner[span] = rows @ state.residual",
+     "self.inner[span] = rows @ state.dataset.response", CORE),
+    ("a fresh chunk takes in no basis vector", "rai/kernel.py",
+     "for q in state.basis[taken or 0:]:",
+     "for q in state.basis[taken or state.size:]:", CORE),
+    ("a chunk catches up only once", "rai/kernel.py",
+     "if taken != state.size:", "if taken is None:", CORE),
     ("_row_bound one row short", "rai/cli.py",
      'return max(lf, cr) - (last in (b"\\n", b"\\r"))',
      'return max(lf, cr) - (last in (b"\\n", b"\\r")) - 1',

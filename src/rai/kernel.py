@@ -218,26 +218,24 @@ class ModelState:
     state and never mutate the receiver, so a caller may keep earlier ones.
     `selected` is an ordered list of whatever labels the caller adds
     (column indices here, feature terms in the selection engine).
-    `coefs[i]` is r . q of `basis[i]` against the residual it was added
-    to, and `rnorm` is the norm of `residual`.
+    `rnorm` is the norm of `residual`.
     """
 
-    __slots__ = ("dataset", "selected", "basis", "coefs", "residual",
-                 "rnorm", "r_squared")
+    __slots__ = ("dataset", "selected", "basis", "residual", "rnorm",
+                 "r_squared")
 
     def __init__(self, dataset: Dataset, selected: tuple, basis: tuple,
-                 coefs: tuple, residual: np.ndarray, r_squared: float):
+                 residual: np.ndarray, r_squared: float):
         self.dataset = dataset
         self.selected = selected
         self.basis = basis
-        self.coefs = coefs
         self.residual = residual
         self.rnorm = float(np.linalg.norm(residual))
         self.r_squared = r_squared
 
     @classmethod
     def empty(cls, dataset: Dataset) -> "ModelState":
-        return cls(dataset, (), (), (), dataset.response, 0.0)
+        return cls(dataset, (), (), dataset.response, 0.0)
 
     @property
     def size(self) -> int:
@@ -289,7 +287,7 @@ class ModelState:
         residual = self.residual - c * q
         r2 = 1.0 - float(np.dot(residual, residual))
         return ModelState(self.dataset, self.selected + (label,),
-                          self.basis + (q,), self.coefs + (c,), residual, r2)
+                          self.basis + (q,), residual, r2)
 
     def add_feature(self, j: int) -> "ModelState":
         return self.add_adjusted(
@@ -325,13 +323,12 @@ class Screen:
     simply x . r.  The screen keeps ||Q^T x||^2 and x . r for every
     slot, so a whole stream is scored in a few vectorized operations.
     Slots 0..p-1 are the dataset's columns, read in place as rows;
-    `add_columns` appends more (interaction columns).  Every block the
-    screen is handed, the design's own rows included, starts from its
-    products x . y with the response, one GEMV.  The slots are
+    `add_columns` appends more (interaction columns).  The slots are
     kept in chunks of about CHUNK_BYTES of rows, and a chunk takes in
-    the basis vectors it lacks, all at once, only when it is next read.
-    The screen keeps no model of its own: it reads the state it is
-    handed, and each such state extends the last.
+    the basis vectors it lacks, all at once, only when it is next read,
+    and then takes its x . r afresh from the state's residual.  The
+    screen keeps no model of its own: it reads the state it is handed,
+    and each such state extends the last.
 
     Screened scores come with intervals that hold the exact scores.
     Callers decide with them only what the intervals settle and send
@@ -341,28 +338,22 @@ class Screen:
     def __init__(self, dataset: Dataset):
         self._rows = max(1, CHUNK_BYTES // (8 * dataset.n))
         self._starts = []   # the first slot of each chunk
-        self._chunks = []   # [rows, vectors taken in, ditto when last scored]
-        self._response = dataset.response
+        self._chunks = []   # [rows, vectors taken in or None, ditto scored]
         self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
         self.t = np.zeros((2, 0))   # (|t|, its upper bound) as last scored
         self.add_columns(dataset.columns.T)
 
     def _catch_up(self, state: ModelState, k: int) -> slice:
-        """Have chunk `k` take in the vectors of `state` it lacks, one
-        GEMV each, and return its slots.
-
-        r loses its component along each new q, so every x . r drops by
-        (r . q)(x . q), with r . q the state's coefficient, rather than
-        being recomputed.
-        """
+        """Have chunk `k` take in the vectors of `state` it lacks and then
+        its products with the state's residual, one GEMV each, and
+        return its slots."""
         rows, taken, _ = chunk = self._chunks[k]
         span = slice(self._starts[k], self._starts[k] + len(rows))
-        gram, inner = self.gram[span], self.inner[span]
-        for q, coef in zip(state.basis[taken:], state.coefs[taken:]):
-            g = rows @ q
-            gram += g * g
-            inner -= coef * g
-        chunk[1] = state.size
+        if taken != state.size:     # None: never caught up
+            for q in state.basis[taken or 0:]:
+                self.gram[span] += (rows @ q) ** 2
+            self.inner[span] = rows @ state.residual
+            chunk[1] = state.size
         return span
 
     def _walk(self, state: ModelState, slots):
@@ -405,14 +396,14 @@ class Screen:
         """Append the rows of `block`, unit-norm columns as `realize`
         returns them, as new slots, np.arange(start, start + len(block)),
         and return those.  The screen keeps the block, not a copy,
-        computes its products with the response, and never trusts a row
-        that is not finite."""
+        computes no product with it until a walk reaches it, and never
+        trusts a row that is not finite."""
         start = len(self.gram)
         self._starts += range(start, start + len(block), self._rows)
-        self._chunks += [[block[a:a + self._rows], 0, None]
+        self._chunks += [[block[a:a + self._rows], None, None]
                          for a in range(0, len(block), self._rows)]
         self.gram = np.concatenate((self.gram, np.zeros(len(block))))
-        self.inner = np.concatenate((self.inner, block @ self._response))
+        self.inner = np.concatenate((self.inner, np.zeros(len(block))))
         self.t = np.hstack((self.t, np.full((2, len(block)), np.nan)))
         return np.arange(start, start + len(block))
 

@@ -159,7 +159,7 @@ def counting(products):
             basis.append(q.view(Counted))
             basis[-1].index = index
         return ModelState(state.dataset, state.selected, tuple(basis),
-                          state.coefs, state.residual, state.r_squared)
+                          state.residual, state.r_squared)
 
     return counted
 

@@ -914,3 +914,58 @@ class TestExtremeScales:
         assert [t.powers for t in unit.selected] == [((0, 1),), ((0, 2),)]
         assert ([t.powers for t in big.selected]
                 == [t.powers for t in unit.selected])
+
+    @staticmethod
+    def scalable_design(seed, interactions):
+        """Gaussian columns around 1 and a response with planted
+        marginal, and optionally product, signal; a random wealth and
+        skip setting."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 200))
+        p = int(rng.integers(3, 8))
+        X = rng.normal(1.0, 1.0, size=(n, p))
+        y = X[:, 0] - 0.5 * X[:, -1] + rng.normal(size=n)
+        if interactions:
+            y += X[:, 1] * X[:, -1] + 0.5 * X[:, 0] ** 2 * rng.normal()
+        config = RaiConfig(
+            initial_wealth=float(rng.choice([0.25, 1.0, 5.0])),
+            skip_passes=bool(rng.integers(2)), interactions=interactions,
+            max_interaction_order=3 if interactions else None)
+        return X, y, config
+
+    @given(seeds, st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_power_of_two_scaling_changes_no_record(self, seed,
+                                                    interactions, data):
+        """Scaling columns by 2^k scales every raw sum, mean, norm and
+        product exactly, so the standardized columns, realized products
+        and every trace record keep their bits: |k| <= 250 alone, and
+        |k| <= 60 with products of up to three factors, whose squares
+        stay inside the double range."""
+        X, y, config = self.scalable_design(seed, interactions)
+        bound = 60 if interactions else 250
+        powers = data.draw(st.lists(st.integers(-bound, bound),
+                                    min_size=X.shape[1],
+                                    max_size=X.shape[1]), label="k")
+        scaled = X * np.ldexp(1.0, powers)
+        _, trace = run_rai(standardize(X, y), config)
+        _, scaled_trace = run_rai(standardize(scaled, y), config)
+        assert list(scaled_trace.records()) == list(trace.records())
+
+    @given(seeds, st.data())
+    @settings(max_examples=180, deadline=None)
+    def test_positive_scaling_keeps_selection_and_wealth(self, seed, data):
+        """Scaling columns by 10^u, u in [-150, 150], moves standardized
+        columns in their last bits only: without interactions the
+        selection, the number of tests and the final wealth are the
+        ones made at scale 1, bit for bit."""
+        X, y, config = self.scalable_design(seed, False)
+        exponents = data.draw(st.lists(
+            st.floats(-150.0, 150.0), min_size=X.shape[1],
+            max_size=X.shape[1]), label="u")
+        scaled = X * 10.0 ** np.array(exponents)
+        state, trace = run_rai(standardize(X, y), config)
+        scaled_state, scaled_trace = run_rai(standardize(scaled, y), config)
+        assert scaled_state.selected == state.selected
+        assert scaled_trace.n_tests() == trace.n_tests()
+        assert scaled_trace.ledger.wealth == trace.ledger.wealth

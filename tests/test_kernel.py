@@ -686,8 +686,7 @@ class TestScreen:
     def test_query_cadence_does_not_change_the_bits(self, seed, k):
         """A screen asked once after k additions holds the same gram,
         inner and bound bits as one asked after each addition, and a
-        state's rnorm and coefs are the ones its residuals give, bit
-        for bit."""
+        state's rnorm is the one its residual gives, bit for bit."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 80))
         X, y = random_raw(seed, n, int(rng.integers(k + 1, 12)),
@@ -709,10 +708,6 @@ class TestScreen:
         assert once.gram.tobytes() == each.gram.tobytes()
         assert once.inner.tobytes() == each.inner.tobytes()
         assert once.t.tobytes() == each.t.tobytes()
-        for i, (before, after) in enumerate(zip(states, states[1:])):
-            assert after.coefs[:i] == before.coefs
-            assert after.coefs[i] == float(
-                np.dot(before.residual, after.basis[i]))
         for s in states:
             assert s.rnorm == float(np.linalg.norm(s.residual))
         # and the cached products hold the exact ones
@@ -723,6 +718,56 @@ class TestScreen:
             scored = resolvable_score(state, column)
             if scored is not None:
                 assert low[slot] <= abs(scored[2]) <= high[slot]
+
+    @given(seeds, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_reached_chunks_hold_the_residual_products(self, seed, data):
+        """After any interleaving of model growth, appended columns,
+        settles and full catch-ups, every chunk a walk reached holds, bit
+        for bit, `rows @ state.residual` of the state it was last
+        reached at: x . r is taken afresh, not updated."""
+        rng = np.random.default_rng(seed)
+        appended = column_stream(seed)
+        n = int(rng.integers(20, 80))
+        X, y = random_raw(seed, n, int(rng.integers(3, 25)),
+                          correlated=bool(seed % 2))
+        ds = standardize(X, y)
+        rows = data.draw(st.integers(1, 4), label="rows per chunk")
+        with mock.patch.object(rai.kernel, "CHUNK_BYTES", 8 * n * rows):
+            screen = Screen(ds)
+        states = [ModelState.empty(ds)]
+        reached = {}    # chunk -> model size when a walk last reached it
+        ops = data.draw(st.lists(st.sampled_from(
+            ["add", "columns", "settle", "full"]), max_size=16))
+        for op in ops:
+            state = states[-1]
+            slots = np.arange(len(screen.gram))
+            if op == "add" and state.size < min(ds.p - 1, 5):
+                j = data.draw(st.sampled_from(
+                    sorted(set(range(ds.p)) - set(state.selected))))
+                states.append(state.add_feature(j))
+            elif op == "columns":
+                screen.add_columns(unit_rows(appended,
+                                             int(rng.integers(1, 6)), n))
+            elif op in ("settle", "full"):
+                if op == "settle":
+                    slots = np.array(sorted(data.draw(st.sets(
+                        st.integers(0, len(slots) - 1), min_size=1))))
+                    tlvl = data.draw(st.sampled_from([0.0, 2.0, np.inf]))
+                    k = len(screen.settled(state, slots, tlvl))
+                    slots = slots[:k + 1]
+                else:
+                    screen.bounds(state, slots)
+                starts = np.array(screen._starts)
+                for k in np.unique(np.searchsorted(starts, slots,
+                                                   "right") - 1).tolist():
+                    reached[k] = state.size
+            for k, size in reached.items():
+                chunk_rows = screen._chunks[k][0]
+                span = slice(screen._starts[k],
+                             screen._starts[k] + len(chunk_rows))
+                assert screen.inner[span].tobytes() == (
+                    chunk_rows @ states[size].residual).tobytes()
 
     def test_design_rows_are_read_in_place(self, small_dataset):
         # slots 0..p-1 score the design's own rows, not a copy: a write
@@ -769,9 +814,9 @@ class TestScreen:
         block = np.vstack((np.full(small_dataset.n, np.nan), bad))
         slots = screen.add_columns(block)
         assert slots.tolist() == [p, p + 1]
+        _, low, high = screen.bounds(state, np.arange(p + 2))
         # both slots score NaN, as the screen's products with a NaN do
         assert np.isnan(screen.inner[p:]).all()
-        _, low, high = screen.bounds(state, np.arange(p + 2))
         # column 0 is in the model's span; the NaN columns are unscorable
         for slot in (0, p, p + 1):
             assert low[slot] == 0.0 and high[slot] == np.inf
