@@ -39,8 +39,8 @@ MUTATIONS = [
     ("SCREEN_MARGIN negated", "rai/kernel.py",
      "SCREEN_MARGIN = 1e-7", "SCREEN_MARGIN = -1e-7", CORE),
     ("settled takes one slot past the first open one", "rai/kernel.py",
-     "return self.t[0, slots[:start + int(unsettled[0])]]",
-     "return self.t[0, slots[:start + int(unsettled[0]) + 1]]", CORE),
+     "t.append(t_abs[:int(unsettled[0])])",
+     "t.append(t_abs[:int(unsettled[0]) + 1])", CORE),
     ("catch-up takes x . r with the response", "rai/kernel.py",
      "self.inner[span] = rows @ state.residual",
      "self.inner[span] = rows @ state.dataset.response", CORE),
@@ -49,6 +49,18 @@ MUTATIONS = [
      "for q in state.basis[taken or state.size:]:", CORE),
     ("a chunk catches up only once", "rai/kernel.py",
      "if taken != state.size:", "if taken is None:", CORE),
+    ("the halt gate stops at wealth equal to alpha", "rai/engine.py",
+     "if ledger.wealth < alpha:", "if ledger.wealth <= alpha:",
+     ("tests/test_engine.py",)),
+    ("a |t| equal to the threshold rejects", "rai/engine.py",
+     "if t_abs > tlvl:", "if t_abs >= tlvl:", ("tests/test_engine.py",)),
+    ("spend refuses a charge equal to the wealth", "rai/wealth.py",
+     "wealth[:count] >= alpha", "wealth[:count] > alpha",
+     ("tests/test_wealth.py",)),
+    ("a skip lands on the pass whose threshold equals best",
+     "rai/engine.py", "while pass_parameters(n, s_prime)[0] >= best:",
+     "while pass_parameters(n, s_prime)[0] > best:",
+     ("tests/test_engine.py",)),
     ("_row_bound one row short", "rai/cli.py",
      'return max(lf, cr) - (last in (b"\\n", b"\\r"))',
      'return max(lf, cr) - (last in (b"\\n", b"\\r")) - 1',

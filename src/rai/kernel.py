@@ -338,16 +338,15 @@ class Screen:
     def __init__(self, dataset: Dataset):
         self._rows = max(1, CHUNK_BYTES // (8 * dataset.n))
         self._starts = []   # the first slot of each chunk
-        self._chunks = []   # [rows, vectors taken in or None, ditto scored]
+        self._chunks = []   # [rows, vectors taken in or None]
         self.gram = self.inner = np.zeros(0)    # ||Q^T x||^2 and x . r
-        self.t = np.zeros((2, 0))   # (|t|, its upper bound) as last scored
         self.add_columns(dataset.columns.T)
 
     def _catch_up(self, state: ModelState, k: int) -> slice:
         """Have chunk `k` take in the vectors of `state` it lacks and then
         its products with the state's residual, one GEMV each, and
         return its slots."""
-        rows, taken, _ = chunk = self._chunks[k]
+        rows, taken = chunk = self._chunks[k]
         span = slice(self._starts[k], self._starts[k] + len(rows))
         if taken != state.size:     # None: never caught up
             for q in state.basis[taken or 0:]:
@@ -358,29 +357,31 @@ class Screen:
 
     def _walk(self, state: ModelState, slots):
         """For each chunk holding some of `slots` (ascending), in order,
-        have it take in what it lacks and yield (chunk, its slots, the
-        positions in `slots` it holds as a start and an end)."""
+        have it take in what it lacks and yield the positions in `slots`
+        it holds, as a start and an end."""
         end = 0
         while end < len(slots):
             k = bisect.bisect(self._starts, int(slots[end])) - 1
             span = self._catch_up(state, k)
             start, end = end, int(np.searchsorted(slots, span.stop))
-            yield self._chunks[k], span, start, end
+            yield start, end
 
     def settled(self, state: ModelState, slots, tlvl: float) -> np.ndarray:
         """The screened |t| of the leading `slots` (ascending) whose upper
-        bound at `state` lies at or below tlvl * (1 - SCREEN_MARGIN).  A
-        chunk the walk reaches is rescored if it took anything in since
-        it was last scored or never was."""
+        bound at `state` lies at or below tlvl * (1 - SCREEN_MARGIN),
+        scored afresh from the products of each chunk the walk reaches;
+        the walk stops at the first slot left open."""
         below = tlvl * (1.0 - SCREEN_MARGIN)
-        for chunk, span, start, end in self._walk(state, slots):
-            if chunk[2] != chunk[1]:
-                self.t[:, span] = self._t_abs(state, span)
-                chunk[2] = chunk[1]
-            unsettled = np.flatnonzero(~(self.t[1, slots[start:end]] <= below))
+        t = [np.zeros(0)]
+        for start, end in self._walk(state, slots):
+            rho, _, high = self._rho_bounds(state.rnorm, slots[start:end])
+            t_abs, t_high = _t_of(np.stack((rho, high)), state.df)
+            unsettled = np.flatnonzero(~(t_high <= below))
             if len(unsettled):
-                return self.t[0, slots[:start + int(unsettled[0])]]
-        return self.t[0, slots]
+                t.append(t_abs[:int(unsettled[0])])
+                break
+            t.append(t_abs)
+        return np.concatenate(t)
 
     def contenders(self, state: ModelState, slots) -> np.ndarray:
         """The positions in `slots` (ascending) whose |rho| upper bound at
@@ -400,11 +401,10 @@ class Screen:
         trusts a row that is not finite."""
         start = len(self.gram)
         self._starts += range(start, start + len(block), self._rows)
-        self._chunks += [[block[a:a + self._rows], None, None]
+        self._chunks += [[block[a:a + self._rows], None]
                          for a in range(0, len(block), self._rows)]
         self.gram = np.concatenate((self.gram, np.zeros(len(block))))
         self.inner = np.concatenate((self.inner, np.zeros(len(block))))
-        self.t = np.hstack((self.t, np.full((2, len(block)), np.nan)))
         return np.arange(start, start + len(block))
 
     def bounds(self, state: ModelState, slots) -> tuple[np.ndarray, ...]:
@@ -413,7 +413,8 @@ class Screen:
         correlation with the residual, and [low, high] holds its exact
         value, allowing SCREEN_ERR in every cached product; a slot whose
         adjusted norm is too small to resolve, or whose column is not
-        finite, gets [0, inf]."""
+        finite, gets [0, inf].  Against an exhausted residual every
+        other slot gets rho 0 in [0, 0], the exact path's score."""
         for _ in self._walk(state, slots):
             pass
         return self._rho_bounds(state.rnorm, slots)
@@ -429,18 +430,11 @@ class Screen:
             low = (np.maximum(c - SCREEN_ERR, 0.0)
                    / (rnorm * np.sqrt(norm2 + SCREEN_ERR)))
             high = (c + SCREEN_ERR) / (rnorm * np.sqrt(norm2 - SCREEN_ERR))
+        if rnorm < RESIDUAL_TOL:
+            rho, low, high = np.zeros((3, len(c)))
         low[~trusted] = 0.0
         high[~trusted] = np.inf
         return rho, low, high
-
-    def _t_abs(self, state: ModelState, span: slice):
-        """(|t|, its upper bound) of the `span` slots at `state`, likewise."""
-        rho, _, high = self._rho_bounds(state.rnorm, span)
-        if state.rnorm < RESIDUAL_TOL:
-            # an exhausted residual scores every candidate 0, as the
-            # exact path does; only untrusted slots stay open
-            return np.zeros_like(rho), np.where(np.isinf(high), np.inf, 0.0)
-        return _t_of(np.stack((rho, high)), state.df)
 
 
 # -- whole-subset operations, by fresh orthogonalization ----------------

@@ -263,7 +263,7 @@ def _fitted_from_state(dataset: Dataset, state) -> np.ndarray:
             + dataset.response_scale * (dataset.response - state.residual))
 
 
-def _run_method(method: str, dataset: Dataset, y, truth_cols: list):
+def _run_method(method: str, dataset: Dataset, y, true_fit):
     """Returns (yhat, selected_terms, passes, wealth_spent, rejections)."""
     if method in ("rai", "rai_interactions"):
         config = RaiConfig(interactions=(method == "rai_interactions"))
@@ -279,7 +279,7 @@ def _run_method(method: str, dataset: Dataset, y, truth_cols: list):
         yhat = np.full(y.size, float(y.mean()))
         return yhat, [], 0, 0.0, 0
     if method == "true_model":
-        return _ols(truth_cols, y)[0], [], 0, 0.0, 0
+        return true_fit[0], [], 0, 0.0, 0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -315,8 +315,13 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
         y, mu, cols = gen_response(X, spec, rep)
         dataset = standardize(X, y, names)
         try:
+            # one true-model fit per replication, after any selection so
+            # that its freed workspace does not move the selection's peak
+            fit = _ols(cols, y) if method == "true_model" else None
             yhat, selected, passes, spent, rejections = _run_method(
-                method, dataset, y, cols)
+                method, dataset, y, fit)
+            if cols and fit is None:
+                fit = _ols(cols, y)
         except (RaiError, np.linalg.LinAlgError) as exc:
             # a broken replication must not sink the rest of the study
             rows.append({"kind": "replication", "rep": rep,
@@ -336,7 +341,7 @@ def run_experiment(spec: SimSpec, method: str, out_path=None,
             "wealth_spent": spent,
             "rejections": rejections,
             "false_rejections": false_rej,
-            "true_term_t": _ols(cols, y)[1] if cols else [],
+            "true_term_t": fit[1] if cols else [],
         }
         if include_timing:
             row["wall_time_s"] = time.perf_counter() - t0

@@ -79,6 +79,20 @@ class TestTestCandidate:
             column=self.ds.columns[:, 0])
         assert decision == NOT_REJECTED
 
+    def test_wealth_equal_to_alpha_pays_and_a_tie_does_not_reject(self):
+        """At wealth exactly alpha the test is still paid, to exactly 0,
+        and only the next one halts; a threshold exactly at |t| rejects
+        nothing, so no payout blurs the boundary."""
+        t_abs = self.probe_t()
+        led = WealthLedger(0.5, 0.0)
+        decisions = [test_candidate(
+            self.state, led, self.term, tlvl=t_abs, alpha=0.25,
+            pass_index=1, column=self.ds.columns[:, 0])[0]
+            for _ in range(3)]
+        assert decisions == [NOT_REJECTED, NOT_REJECTED, HALTED_WEALTH]
+        assert entries(led, "before") == [0.5, 0.25, 0.0]
+        assert led.wealth == 0.0
+
     def test_rejection_just_below_boundary(self):
         t_abs = self.probe_t()
         led = WealthLedger()
@@ -182,6 +196,18 @@ class TestSkipPasses:
         s_next, halted, _ = skip_passes(
             [FeatureTerm.marginal(0)], t_star, led, 1, n, 20)
         assert s_next == 6
+
+    def test_best_at_a_threshold_is_charged_through_that_pass(self):
+        # the literal schedule tests and charges every term in the pass
+        # whose threshold best only equals, and rejects in the next
+        n = 400
+        terms = [FeatureTerm.marginal(0), FeatureTerm.marginal(1)]
+        led = WealthLedger(initial_wealth=5.0)
+        s_next, halted, _ = skip_passes(
+            terms, pass_parameters(n, 4)[0], led, 1, n, 20)
+        assert (s_next, halted) == (5, False)
+        assert [c[:2] for c in charges(led)] == [
+            (term, u) for u in (2, 3, 4) for term in terms]
 
     @pytest.mark.parametrize("n", [100, 400, 2000, 4321])
     def test_lands_on_first_clearable_pass_at_every_threshold(self, n):
@@ -536,13 +562,10 @@ class TestRunRai:
              + rng.normal(size=n))
         return standardize(X, y)
 
-    def test_screen_rescored_only_after_rejection_or_realization(
-            self, monkeypatch):
+    def test_screen_takes_in_each_vector_once_per_chunk(self, monkeypatch):
         """Each chunk of two slots takes in each basis vector exactly
-        once, and a chunk is rescored only when the walk reaches it
-        after it took something in, which a rejection brings about, or
-        after it was appended; never after an exact test that changed
-        nothing."""
+        once, through a run with rejections, realizations and exact
+        tests that change nothing."""
         monkeypatch.setattr(rai.kernel, "CHUNK_BYTES", 8 * 300 * 2)
         log, screens, chunks = [], [], set()
         # (address of a chunk's rows, basis index) -> products taken
@@ -556,10 +579,6 @@ class TestRunRai:
                         sum(products.values()) > before))
             return span
 
-        def rescored(screen, state, span):
-            log.append(("t_abs", span.start))
-            return t_abs(screen, state, span)
-
         def tested(*args, **kwargs):
             out = test_candidate(*args, **kwargs)
             log.append(out[0])
@@ -571,34 +590,20 @@ class TestRunRai:
                           for a in range(0, len(block), 2))
             return add_columns(screen, block)
 
-        init, add_columns, catch_up, t_abs = (
-            Screen.__init__, Screen.add_columns, Screen._catch_up,
-            Screen._t_abs)
+        init, add_columns, catch_up = (
+            Screen.__init__, Screen.add_columns, Screen._catch_up)
         test_candidate = rai.engine.test_candidate
         monkeypatch.setattr(Screen, "__init__", lambda screen, ds: (
             screens.append(screen), init(screen, ds))[-1])
         monkeypatch.setattr(Screen, "add_columns", appended)
         monkeypatch.setattr(Screen, "_catch_up", caught_up)
-        monkeypatch.setattr(Screen, "_t_abs", rescored)
         monkeypatch.setattr(rai.engine, "test_candidate", tested)
         state, _ = run_rai(self.duplicate_and_sign_design(),
                            RaiConfig(interactions=True))
         # the screen's first block is the design, appended as it is built
-        assert log[:3] == ["add_columns", ("catch_up", 0, False),
-                           ("t_abs", 0)]
-        scored = set()
-        for k, entry in enumerate(log):
-            if entry[0] == "t_abs":
-                # a rescore follows the catch-up of its chunk, which took
-                # something in or was the chunk's first
-                assert log[k - 1][:2] == ("catch_up", entry[1]), log[:k + 1]
-                assert log[k - 1][2] or entry[1] not in scored, log[:k + 1]
-                scored.add(entry[1])
-            elif entry[0] == "catch_up" and entry[2]:
-                # and every catch-up that took something in is rescored
-                assert log[k + 1] == ("t_abs", entry[1]), log[:k + 2]
+        assert log[:2] == ["add_columns", ("catch_up", 0, False)]
         # exact tests that changed nothing, each with more of the pass
-        # to come, so a rescore after them would show
+        # to come
         for decision in (NOT_REJECTED, REMOVED_COLLINEAR):
             assert decision in log[:-1], log
         # the run took in no vector twice; a full catch-up then takes in

@@ -502,7 +502,7 @@ class TestScreen:
         # no bound is above inf, so every slot settles and is scored
         t = screen.settled(state, np.arange(ds.p + 3), np.inf)
         assert len(t) == ds.p + 3
-        t_low, t_high = t_of_rho(low, state.df), screen.t[1]
+        t_low, t_high = t_of_rho(low, state.df), _t_of(high, state.df)
         for slot, column in enumerate(np.vstack((ds.columns.T, extra))):
             scored = resolvable_score(state, column)
             if scored is None:
@@ -573,14 +573,15 @@ class TestScreen:
                 assert len(t) == len(slots)
                 # the lower bound of `bounds`, on the settled slots
                 # alone, so no other chunk is caught up
-                _, low, _ = screen._rho_bounds(state.rnorm, slots)
-                for slot, t_slot, t_low in zip(
+                _, low, high = screen._rho_bounds(state.rnorm, slots)
+                for slot, t_slot, t_low, t_high in zip(
                         slots.tolist(), t.tolist(),
-                        t_of_rho(low, state.df).tolist()):
+                        t_of_rho(low, state.df).tolist(),
+                        _t_of(high, state.df).tolist()):
                     scored = resolvable_score(state, columns[slot])
                     if scored is not None:
                         exact = scored[3]
-                        assert t_low <= abs(exact) <= screen.t[1, slot]
+                        assert t_low <= abs(exact) <= t_high
                         assert t_slot == pytest.approx(
                             abs(exact), rel=1e-9, abs=1e-12)
             elif op == "full":
@@ -602,9 +603,7 @@ class TestScreen:
         """With chunks of 1-4 rows and any interleaving of model growth,
         appended columns and settles: `settled` returns, bit for bit,
         the prefix that a fresh scoring of every slot at the handed
-        model settles; each chunk takes in each basis vector once; and
-        a chunk is rescored exactly when the walk reaches it after it
-        took something in or was appended."""
+        model settles, and each chunk takes in each basis vector once."""
         rng = np.random.default_rng(seed)
         appended = column_stream(seed)
         n = int(rng.integers(20, 80))
@@ -612,22 +611,15 @@ class TestScreen:
                           correlated=bool(seed % 2))
         ds = standardize(X, y)
         rows = data.draw(st.integers(1, 4), label="rows per chunk")
-        products, rescored = Counter(), []
+        products = Counter()
         counted = counting(products)
-        score = Screen._t_abs
-
-        def logged(screen, state, span):
-            rescored.append(span.start)
-            return score(screen, state, span)
-
         with mock.patch.object(rai.kernel, "CHUNK_BYTES", 8 * n * rows):
             # the twin takes the same states and columns and is only
             # read through a full catch-up: the fresh scoring
             screen, twin = Screen(ds), Screen(ds)
-        # first slot -> [address of its rows, end, model size when last
-        # scored] of every chunk
-        chunks = {a: [ds.columns.T[a:].ctypes.data, min(a + rows, ds.p),
-                      None] for a in range(0, ds.p, rows)}
+        # first slot -> (address of its rows, end) of every chunk
+        chunks = {a: (ds.columns.T[a:].ctypes.data, min(a + rows, ds.p))
+                  for a in range(0, ds.p, rows)}
         columns = list(ds.columns.T)
         state = ModelState.empty(ds)
         ops = data.draw(st.lists(st.sampled_from(
@@ -643,8 +635,8 @@ class TestScreen:
                 screen.add_columns(extra)
                 twin.add_columns(extra)
                 columns += list(extra)
-                chunks.update({a: [extra[a - start:].ctypes.data,
-                                   min(a + rows, len(columns)), None]
+                chunks.update({a: (extra[a - start:].ctypes.data,
+                                   min(a + rows, len(columns)))
                                for a in range(start, len(columns), rows)})
             elif op == "settle":
                 slots = np.array(sorted(data.draw(st.sets(
@@ -657,28 +649,23 @@ class TestScreen:
                     [*(fresh[2] / (1.0 - SCREEN_MARGIN)).tolist(), np.inf]),
                     label="tlvl")
                 below = tlvl * (1.0 - SCREEN_MARGIN)
-                with mock.patch.object(Screen, "_t_abs", logged):
-                    t = screen.settled(counted(state), slots, tlvl)
+                t = screen.settled(counted(state), slots, tlvl)
                 opened = np.flatnonzero(~(fresh[2] <= below))
                 k = int(opened[0]) if len(opened) else len(slots)
                 assert t.tobytes() == fresh[0, :k].tobytes()
                 # the walk reaches the chunk of every settled slot and
-                # of the first open one, and rescores the stale ones
-                reached = sorted({a for a, (_, end, _) in chunks.items()
-                                  for slot in slots[:k + 1].tolist()
-                                  if a <= slot < end})
-                assert rescored == [a for a in reached
-                                    if chunks[a][2] != state.size]
-                rescored.clear()
+                # of the first open one, which then holds every vector
+                reached = {a for a, (_, end) in chunks.items()
+                           for slot in slots[:k + 1].tolist()
+                           if a <= slot < end}
                 for a in reached:
-                    chunks[a][2] = state.size
                     assert all(products[chunks[a][0], i] == 1
                                for i in range(state.size))
             assert max(products.values(), default=0) <= 1
         # a full catch-up takes in each vector in every chunk lacking it
         screen.bounds(counted(state), np.arange(len(columns)))
         assert products == Counter({(address, i): 1
-                                    for address, _, _ in chunks.values()
+                                    for address, _ in chunks.values()
                                     for i in range(state.size)})
 
     @given(seeds, st.integers(2, 5))
@@ -707,7 +694,9 @@ class TestScreen:
         assert settled[0] == settled[1]
         assert once.gram.tobytes() == each.gram.tobytes()
         assert once.inner.tobytes() == each.inner.tobytes()
-        assert once.t.tobytes() == each.t.tobytes()
+        t_high = [_t_of(screen.bounds(state, slots)[2], state.df).tobytes()
+                  for screen in (once, each)]
+        assert t_high[0] == t_high[1]
         for s in states:
             assert s.rnorm == float(np.linalg.norm(s.residual))
         # and the cached products hold the exact ones
@@ -824,4 +813,24 @@ class TestScreen:
         for slot in (0, p, p + 1):
             assert len(screen.settled(state, np.array([slot]),
                                       T_STAT_MAX)) == 0
-            assert screen.t[1, slot] == np.inf
+            assert _t_of(high[slot], state.df) == np.inf
+
+    def test_bounds_at_a_spent_residual_are_the_exact_zero(self):
+        """Once y = x1 + x2 is explained, `bounds` scores every slot 0, as
+        `ModelState.score` does: rho = low = 0, and high is 0 for a
+        trusted slot and inf for an untrusted one, here the two in the
+        model and an appended constant term."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 5))
+        ds = standardize(X, X[:, 0] + X[:, 1])
+        state = ModelState.empty(ds).add_feature(0).add_feature(1)
+        assert state.rnorm < RESIDUAL_TOL
+        screen = Screen(ds)
+        screen.add_columns(np.full((1, ds.n), np.nan))
+        slots = np.arange(ds.p + 1)
+        rho, low, high = screen.bounds(state, slots)
+        assert rho.tolist() == low.tolist() == [0.0] * len(slots)
+        assert high.tolist() == [np.inf, np.inf, 0.0, 0.0, 0.0, np.inf]
+        for j in range(2, ds.p):
+            assert state.score(ds.columns[:, j])[2:] == (0.0, 0.0)
+        assert screen.settled(state, slots[2:], 1.0).tolist() == [0.0] * 3

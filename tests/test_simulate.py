@@ -254,6 +254,12 @@ class TestCalibrateBeta:
         with pytest.raises(DegenerateTerms):
             calibrate_beta(term_columns((FeatureTerm.marginal(0),), X), 0.5)
 
+    def test_constant_mean_surface_rejected(self):
+        # neither column is constant, but their unit-scaled sum is
+        cols = [np.array([0.0, 1, 0, 1]), np.array([1.0, 0, 1, 0])]
+        with pytest.raises(DegenerateTerms, match="mean surface"):
+            calibrate_beta(cols, 0.5)
+
     def test_underflowing_bracket_rejected(self):
         # (1 - target_r2) * v underflows to 0, so no finite bracket exists
         with pytest.raises(DegenerateTerms):
@@ -427,11 +433,11 @@ class TestRunExperiment:
         real = sim._run_method
         calls = {"n": 0}
 
-        def flaky(method, dataset, y, truth_cols):
+        def flaky(method, dataset, y, true_fit):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RaiError("injected failure")
-            return real(method, dataset, y, truth_cols)
+            return real(method, dataset, y, true_fit)
 
         monkeypatch.setattr(sim, "_run_method", flaky)
         spec = spec_for("global_null", n=100, p=5, reps=3, seed=1)

@@ -299,7 +299,7 @@ def scripted_study(monkeypatch, selections):
     """
     picks = iter(selections)
 
-    def scripted(method, dataset, y, truth_cols):
+    def scripted(method, dataset, y, true_fit):
         selected = list(next(picks))
         yhat = np.full(y.size, float(y.mean()))
         return yhat, selected, 1, 0.0, len(selected)
